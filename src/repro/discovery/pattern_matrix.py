@@ -2,23 +2,23 @@
 
 Discovery evaluates threshold candidates over *every* tuple pair, so the
 pair distances are materialized once per attribute as numpy arrays
-(``NaN`` marks pairs where either side is missing).  String distances use
-the banded Levenshtein clamped at ``limit + 1``: discovery never needs to
-distinguish distances beyond the threshold limit, and the band makes the
-quadratic pair scan affordable.
+(``NaN`` marks pairs where either side is missing).  String distances are
+the edit distance clamped at ``limit + 1``: discovery never needs to
+distinguish distances beyond the threshold limit.  Each distinct value
+pair is computed once, in one batched bit-parallel kernel call
+(:func:`~repro.distance.levenshtein.levenshtein_bounded_many`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
 import numpy as np
 
 from repro.dataset.attribute import AttributeType
 from repro.dataset.missing import is_missing
 from repro.dataset.relation import Relation
-from repro.distance.levenshtein import levenshtein_bounded
+from repro.distance.levenshtein import levenshtein_bounded_many
 from repro.exceptions import DiscoveryError
 from repro.utils.rng import spawn_rng
 
@@ -53,17 +53,18 @@ class PairDistanceMatrix:
         self.string_limit = float(string_limit)
         n = relation.n_tuples
         total_pairs = n * (n - 1) // 2
-        pair_list = list(_iter_pairs(n))
-        self.exact = True
-        if max_pairs is not None and total_pairs > max_pairs:
+        self.exact = max_pairs is None or total_pairs <= max_pairs
+        if self.exact:
+            first, second = np.triu_indices(n, k=1)
+        else:
             rng = spawn_rng(seed, "pair-sample", n, max_pairs)
-            pair_list = rng.sample(pair_list, max_pairs)
-            pair_list.sort()
-            self.exact = False
-        self.pairs: np.ndarray = (
-            np.array(pair_list, dtype=np.int64)
-            if pair_list
-            else np.empty((0, 2), dtype=np.int64)
+            positions = np.array(
+                rng.sample(range(total_pairs), max_pairs), dtype=np.int64
+            )
+            positions.sort()
+            first, second = _decode_pairs(positions, n)
+        self.pairs: np.ndarray = np.stack([first, second], axis=1).astype(
+            np.int64
         )
         self._distances: dict[str, np.ndarray] = {}
         for attribute in relation.attributes:
@@ -171,40 +172,64 @@ class PairDistanceMatrix:
         return out
 
     def _fill_numeric(self, column: tuple, out: np.ndarray) -> None:
-        values = np.array(
-            [math.nan if is_missing(v) else float(v) for v in column],
-            dtype=np.float64,
+        self._fill_difference(
+            [math.nan if is_missing(v) else float(v) for v in column], out
         )
-        left = values[self.pairs[:, 0]] if self.n_pairs else values[:0]
-        right = values[self.pairs[:, 1]] if self.n_pairs else values[:0]
-        np.abs(left - right, out=out)
 
     def _fill_boolean(self, column: tuple, out: np.ndarray) -> None:
-        for index in range(self.n_pairs):
-            a = column[self.pairs[index, 0]]
-            b = column[self.pairs[index, 1]]
-            if is_missing(a) or is_missing(b):
-                continue
-            out[index] = 0.0 if bool(a) == bool(b) else 1.0
+        self._fill_difference(
+            [math.nan if is_missing(v) else float(bool(v)) for v in column],
+            out,
+        )
+
+    def _fill_difference(self, encoded: list[float], out: np.ndarray) -> None:
+        values = np.array(encoded, dtype=np.float64)
+        np.abs(values[self.pairs[:, 0]] - values[self.pairs[:, 1]], out=out)
 
     def _fill_string(self, column: tuple, out: np.ndarray) -> None:
-        limit = int(math.ceil(self.string_limit))
-        cache: dict[tuple[str, str], float] = {}
-        for index in range(self.n_pairs):
-            a = column[self.pairs[index, 0]]
-            b = column[self.pairs[index, 1]]
-            if is_missing(a) or is_missing(b):
-                continue
-            text_a, text_b = str(a), str(b)
-            key = (text_a, text_b) if text_a <= text_b else (text_b, text_a)
-            distance = cache.get(key)
-            if distance is None:
-                distance = float(levenshtein_bounded(text_a, text_b, limit))
-                cache[key] = distance
-            out[index] = distance
+        # Factorize the column (-1 = missing), then compute each distinct
+        # unordered value pair once and scatter it back to its pairs.
+        index: dict[str, int] = {}
+        codes = np.fromiter(
+            (
+                -1 if is_missing(v) else index.setdefault(str(v), len(index))
+                for v in column
+            ),
+            dtype=np.int64,
+            count=len(column),
+        )
+        left = codes[self.pairs[:, 0]]
+        right = codes[self.pairs[:, 1]]
+        present = (left >= 0) & (right >= 0)
+        low = np.minimum(left, right)[present]
+        high = np.maximum(left, right)[present]
+        keys, inverse = np.unique(
+            low * len(index) + high, return_inverse=True
+        )
+        texts = np.array(list(index), dtype=object)
+        distances = levenshtein_bounded_many(
+            texts[keys // len(index)],
+            texts[keys % len(index)],
+            int(math.ceil(self.string_limit)),
+        )
+        out[present] = distances[inverse]
 
 
-def _iter_pairs(n: int) -> Iterator[tuple[int, int]]:
-    for row_a in range(n):
-        for row_b in range(row_a + 1, n):
-            yield (row_a, row_b)
+def _decode_pairs(
+    positions: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``(i, j)``, ``i < j``, of positions in the row-major
+    enumeration of the ``n * (n - 1) / 2`` pairs of ``n`` tuples."""
+
+    def row_start(row: np.ndarray) -> np.ndarray:
+        return row * (2 * n - row - 1) // 2
+
+    # Invert row_start(i) <= p by the quadratic formula, then repair
+    # the float rounding by at most one row either way.
+    edge = 2 * n - 1
+    row = np.floor(
+        (edge - np.sqrt(np.maximum(edge * edge - 8.0 * positions, 0.0))) / 2
+    ).astype(np.int64)
+    row -= row_start(row) > positions
+    row += row_start(row + 1) <= positions
+    return row, positions - row_start(row) + row + 1

@@ -21,6 +21,7 @@ from repro.distance.kernels import DonorScanKernels
 from repro.distance.levenshtein import (
     levenshtein,
     levenshtein_bounded,
+    levenshtein_bounded_many,
     normalized_levenshtein,
 )
 from repro.distance.pattern import DistancePattern, PatternCalculator
@@ -39,6 +40,7 @@ __all__ = [
     "jaro_winkler_similarity",
     "levenshtein",
     "levenshtein_bounded",
+    "levenshtein_bounded_many",
     "normalized_levenshtein",
     "relative_difference",
     "relative_difference_function",

@@ -6,6 +6,9 @@ are provided:
 * :func:`levenshtein` — the exact distance, classic two-row DP.
 * :func:`levenshtein_bounded` — a banded DP that stops as soon as the
   distance provably exceeds ``limit`` and returns ``limit + 1`` instead.
+* :func:`levenshtein_bounded_many` — the same clamped distance for a
+  whole batch of pairs at once, computed with the Myers/Hyyrö
+  bit-vector recurrences vectorized over the batch.
 
 The bounded variant matters for performance: RFD thresholds are small
 (the paper's discovery limits are 3..15), so most of the O(len(a)·len(b))
@@ -19,6 +22,20 @@ numbers (the kernel-call seam) snapshot the totals and report deltas.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+#: Longest pattern (shorter string of a pair) the bit-parallel kernel
+#: handles: its DP column must fit one uint64 word.
+WORD_BITS = 64
+#: Pairs per chunk of :func:`levenshtein_bounded_many`; with
+#: :data:`MATCH_TABLE_CELLS` it bounds the kernel's working memory.
+CHUNK_PAIRS = 4096
+#: Most uint64 cells of one match-mask table (distinct patterns times
+#: their alphabet); a chunk over it is halved until it fits.
+MATCH_TABLE_CELLS = 1 << 18
 
 
 class _BoundedStats:
@@ -93,7 +110,14 @@ def levenshtein_bounded(a: str, b: str, limit: int) -> int:
         return 0
     if not len_b:
         return len_a if len_a <= limit else limit + 1
+    return _banded(a, b, limit)
 
+
+def _banded(a: str, b: str, limit: int) -> int:
+    """The banded DP behind :func:`levenshtein_bounded`: ``a`` is the
+    longer, non-empty ``b`` the shorter string, within ``limit`` in
+    length and not equal."""
+    len_a, len_b = len(a), len(b)
     big = limit + 1
     previous = [j if j <= limit else big for j in range(len_b + 1)]
     for i in range(1, len_a + 1):
@@ -120,6 +144,182 @@ def levenshtein_bounded(a: str, b: str, limit: int) -> int:
             return big
         previous = current
     return previous[len_b] if previous[len_b] <= limit else big
+
+
+def levenshtein_bounded_many(
+    a: Sequence[str], b: Sequence[str], limit: int
+) -> np.ndarray:
+    """Element-wise :func:`levenshtein_bounded` over two string sequences.
+
+    Returns an int64 array whose ``i``-th entry equals
+    ``levenshtein_bounded(a[i], b[i], limit)`` and tallies
+    :data:`BOUNDED_STATS` exactly as those ``len(a)`` scalar calls would.
+    The early exits run first, in the scalar order: length filter, then
+    equality, then the empty string.  Surviving pairs whose shorter
+    string fits one 64-bit word run the Myers/Hyyrö bit-vector
+    recurrences, vectorized across pairs; the rest fall back to the
+    scalar banded DP, so the split depends only on the input.  Pairs
+    run in chunks of :data:`CHUNK_PAIRS`, which bounds working memory.
+    """
+    if limit < 0:
+        raise ValueError("limit must be non-negative")
+    if len(a) != len(b):
+        raise ValueError("a and b must have the same length")
+    first = np.asarray(a, dtype=object)
+    second = np.asarray(b, dtype=object)
+    out = np.empty(len(first), dtype=np.int64)
+    for start in range(0, out.size, CHUNK_PAIRS):
+        chunk = slice(start, start + CHUNK_PAIRS)
+        out[chunk] = _bounded_chunk(first[chunk], second[chunk], limit)
+    return out
+
+
+def _bounded_chunk(
+    first: np.ndarray, second: np.ndarray, limit: int
+) -> np.ndarray:
+    """One chunk of :func:`levenshtein_bounded_many`."""
+    n = first.size
+    len_a = np.fromiter(map(len, first), dtype=np.int64, count=n)
+    len_b = np.fromiter(map(len, second), dtype=np.int64, count=n)
+    a_shorter = len_a <= len_b
+    patterns = np.where(a_shorter, first, second)
+    texts = np.where(a_shorter, second, first)
+    short = np.where(a_shorter, len_a, len_b)
+    long = np.where(a_shorter, len_b, len_a)
+    out = np.full(n, limit + 1, dtype=np.int64)
+
+    rest = np.flatnonzero(long - short <= limit)
+    BOUNDED_STATS.calls += n
+    BOUNDED_STATS.length_filtered += n - rest.size
+    equal = patterns[rest] == texts[rest]
+    out[rest[equal]] = 0
+    rest = rest[~equal]
+    out[rest] = long[rest]  # settles the empty patterns
+    rest = rest[short[rest] > 0]
+    wide = short[rest] > WORD_BITS
+    for row in rest[wide]:
+        out[row] = _banded(texts[row], patterns[row], limit)
+    rest = rest[~wide]
+    # Longest text first: the pairs still reading text at any step are
+    # then a prefix of the chunk.
+    rest = rest[np.argsort(-long[rest], kind="stable")]
+    distances = _myers(patterns[rest], texts[rest], short[rest], long[rest])
+    out[rest] = np.minimum(distances, limit + 1)
+    return out
+
+
+def _myers(
+    patterns: np.ndarray,
+    texts: np.ndarray,
+    pattern_len: np.ndarray,
+    text_len: np.ndarray,
+) -> np.ndarray:
+    """Exact edit distances of non-empty patterns of at most
+    :data:`WORD_BITS` characters to their texts, ``text_len`` descending.
+
+    Bit ``i`` of ``pv`` / ``mv`` says the DP column steps up / down by
+    one from row ``i`` to row ``i + 1``.  Each text character advances
+    every pair still reading text by one column (Hyyrö 2001, with the
+    ``| 1`` shift-in of global distance).  The distance is the bottom
+    cell of the last column: the text length (the top cell) plus the
+    column's up-steps minus its down-steps.
+    """
+    size = patterns.size
+    if not size:
+        return np.empty(0, dtype=np.int64)
+    # Match masks per distinct pattern and symbol; the extra last
+    # symbol stands for text characters absent from every pattern.
+    pattern_ids, pattern_rows = _factorize(patterns)
+    codes, owner, position = _characters(pattern_rows)
+    alphabet, symbols = np.unique(codes, return_inverse=True)
+    width = alphabet.size + 1
+    if len(pattern_rows) * width > MATCH_TABLE_CELLS and size > 1:
+        half = size // 2
+        return np.concatenate([
+            _myers(patterns[:half], texts[:half],
+                   pattern_len[:half], text_len[:half]),
+            _myers(patterns[half:], texts[half:],
+                   pattern_len[half:], text_len[half:]),
+        ])
+    peq = np.zeros(len(pattern_rows) * width, dtype=np.uint64)
+    np.bitwise_or.at(
+        peq,
+        owner * width + symbols,
+        np.left_shift(np.uint64(1), position.astype(np.uint64)),
+    )
+
+    # Symbols of each distinct text, one row per text position, then
+    # one column per pair.
+    text_ids, text_rows = _factorize(texts)
+    codes, owner, position = _characters(text_rows)
+    symbols = np.searchsorted(alphabet, codes)
+    symbols[alphabet[np.minimum(symbols, alphabet.size - 1)] != codes] = (
+        alphabet.size
+    )
+    steps = int(text_len[0])
+    table = np.zeros(
+        (steps, len(text_rows)), dtype=np.min_scalar_type(alphabet.size)
+    )
+    table[position, owner] = symbols
+    grid = table[:, text_ids]
+    del codes, owner, position, symbols, table
+    reading = size - np.searchsorted(
+        text_len[::-1], np.arange(steps), side="right"
+    )
+
+    base = pattern_ids * width
+    one = np.uint64(1)
+    pv = np.full(size, np.iinfo(np.uint64).max, dtype=np.uint64)
+    mv = np.zeros(size, dtype=np.uint64)
+    for step in range(steps):
+        k = reading[step]
+        eq = peq[base[:k] + grid[step, :k]]
+        p = pv[:k]
+        m = mv[:k]
+        xv = eq | m
+        xh = (((eq & p) + p) ^ p) | eq
+        ph = m | ~(xh | p)
+        mh = p & xh
+        ph = (ph << one) | one
+        mh <<= one
+        pv[:k] = mh | ~(xv | ph)
+        mv[:k] = ph & xv
+    mask = np.iinfo(np.uint64).max >> (WORD_BITS - pattern_len).astype(
+        np.uint64
+    )
+    return text_len + _popcount(pv & mask) - _popcount(mv & mask)
+
+
+def _factorize(strings: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """Per-entry ids into the list of distinct strings."""
+    distinct = list(dict.fromkeys(strings))
+    ids = dict(zip(distinct, range(len(distinct))))
+    codes = np.fromiter(
+        map(ids.__getitem__, strings), dtype=np.int64, count=strings.size
+    )
+    return codes, distinct
+
+
+def _characters(
+    strings: list[str],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Code point, owning string and position of every character."""
+    lengths = np.fromiter(
+        map(len, strings), dtype=np.int64, count=len(strings)
+    )
+    joined = "".join(strings).encode("utf-32-le", "surrogatepass")
+    codes = np.frombuffer(joined, dtype=np.uint32)
+    owner = np.repeat(np.arange(len(strings)), lengths)
+    position = np.arange(codes.size) - np.repeat(
+        np.cumsum(lengths) - lengths, lengths
+    )
+    return codes, owner, position
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits per uint64 word, as int64."""
+    bits = np.unpackbits(words.view(np.uint8)).reshape(words.size, 64)
+    return bits.sum(axis=1, dtype=np.int64)
 
 
 def normalized_levenshtein(a: str, b: str) -> float:

@@ -1,16 +1,27 @@
 """Tests for the Levenshtein implementations, incl. metric properties."""
 
+import importlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.distance.levenshtein import (
+    BOUNDED_STATS,
+    CHUNK_PAIRS,
+    MATCH_TABLE_CELLS,
+    WORD_BITS,
     levenshtein,
     levenshtein_bounded,
+    levenshtein_bounded_many,
     normalized_levenshtein,
 )
+
+# The package re-exports the ``levenshtein`` function under the module's
+# name, so fetch the module itself.
+levenshtein_module = importlib.import_module("repro.distance.levenshtein")
 
 short_text = st.text(
     alphabet=st.characters(codec="ascii", categories=("L", "N", "P", "Z")),
@@ -120,6 +131,102 @@ class TestBounded:
                 assert levenshtein_bounded(a, b, limit) == min(
                     exact, limit + 1
                 ), (a, b, limit)
+
+
+# Arbitrary unicode, plus strings whose lengths straddle the 64-character
+# word of the bit-parallel kernel (a small alphabet keeps such pairs
+# within small limits of each other).
+unicode_text = st.text(max_size=24)
+near_word = st.builds(
+    str.__add__,
+    st.text(alphabet="ab", min_size=WORD_BITS - 6, max_size=WORD_BITS + 6),
+    st.text(max_size=3),
+)
+text_pairs = st.one_of(
+    st.tuples(unicode_text, unicode_text),
+    unicode_text.map(lambda text: (text, text)),
+    st.tuples(near_word, near_word),
+    st.tuples(near_word, unicode_text),
+    st.tuples(unicode_text, near_word),
+)
+
+
+def scalar_run(pairs, limit):
+    """The scalar oracle: distances and BOUNDED_STATS deltas."""
+    before = BOUNDED_STATS.snapshot()
+    distances = [levenshtein_bounded(a, b, limit) for a, b in pairs]
+    after = BOUNDED_STATS.snapshot()
+    return distances, (after[0] - before[0], after[1] - before[1])
+
+
+def batched_run(pairs, limit):
+    before = BOUNDED_STATS.snapshot()
+    distances = levenshtein_bounded_many(
+        [a for a, _ in pairs], [b for _, b in pairs], limit
+    )
+    after = BOUNDED_STATS.snapshot()
+    return distances, (after[0] - before[0], after[1] - before[1])
+
+
+class TestBoundedMany:
+    @settings(max_examples=300)
+    @given(st.lists(text_pairs, max_size=40), st.integers(0, 40))
+    def test_matches_scalar_elementwise(self, pairs, limit):
+        distances, _ = batched_run(pairs, limit)
+        assert distances.dtype == np.int64
+        assert distances.tolist() == scalar_run(pairs, limit)[0]
+
+    @given(st.lists(text_pairs, max_size=40), st.integers(0, 40))
+    def test_counters_match_scalar_calls(self, pairs, limit):
+        assert batched_run(pairs, limit)[1] == scalar_run(pairs, limit)[1]
+
+    @pytest.mark.parametrize(
+        ("chunk", "table_cells"),
+        [(1, MATCH_TABLE_CELLS), (7, 64), (CHUNK_PAIRS, MATCH_TABLE_CELLS)],
+    )
+    def test_chunking_does_not_change_results(
+        self, chunk, table_cells, monkeypatch
+    ):
+        rng = random.Random(chunk)
+        alphabet = "ab cXé\U0001f600"
+
+        def sample() -> str:
+            return "".join(
+                rng.choice(alphabet) for _ in range(rng.randrange(0, 80))
+            )
+
+        pairs = [(sample(), sample()) for _ in range(300)]
+        pairs += [(text, text) for text, _ in pairs[:20]]
+        monkeypatch.setattr(levenshtein_module, "CHUNK_PAIRS", chunk)
+        monkeypatch.setattr(
+            levenshtein_module, "MATCH_TABLE_CELLS", table_cells
+        )
+        for limit in (0, 3, 15, 80):
+            distances, counts = batched_run(pairs, limit)
+            assert (distances.tolist(), counts) == scalar_run(pairs, limit)
+
+    def test_word_boundary(self):
+        # Shorter sides of 64 (bit-parallel) and 65 characters (scalar).
+        pairs = [
+            ("a" * 64, "a" * 63 + "b"),
+            ("a" * 64, "b" + "a" * 64),
+            ("a" * 65, "a" * 64 + "b"),
+            ("a" * 65, "b" + "a" * 66),
+        ]
+        assert levenshtein_bounded_many(
+            [a for a, _ in pairs], [b for _, b in pairs], 5
+        ).tolist() == [1, 1, 1, 2]
+
+    def test_empty_batch(self):
+        assert levenshtein_bounded_many([], [], 3).tolist() == []
+
+    def test_negative_limit_raises(self):
+        with pytest.raises(ValueError):
+            levenshtein_bounded_many(["a"], ["b"], -1)
+
+    def test_length_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            levenshtein_bounded_many(["a"], [], 3)
 
 
 class TestNormalized:
