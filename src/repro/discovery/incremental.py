@@ -25,15 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-import math
+import numpy as np
 
-from repro.dataset.missing import MISSING, is_missing
+from repro.dataset.missing import MISSING
 from repro.dataset.relation import Relation
 from repro.discovery.config import DiscoveryConfig
 from repro.discovery.dime import DiscoveryResult, discover_rfds
 from repro.discovery.pruning import remove_dominated
-from repro.distance.levenshtein import levenshtein_bounded
-from repro.distance.pattern import PatternCalculator
+from repro.distance.kernels import DonorScanKernels
 from repro.exceptions import DiscoveryError
 from repro.rfd.constraint import Constraint
 from repro.rfd.rfd import RFD
@@ -89,9 +88,6 @@ class IncrementalDiscovery:
             initial = discover_rfds(self._relation, self.config)
         self._rfds: list[RFD] = list(initial.rfds)
         self._keys: list[RFD] = list(initial.key_rfds)
-        self._calculator = PatternCalculator(self._relation)
-        self._pair_cache: dict[tuple, Any] = {}
-        self._string_caps: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -129,27 +125,19 @@ class IncrementalDiscovery:
         new_rows = list(range(start, start + len(rows)))
 
         report = MaintenanceReport(inserted_tuples=len(rows))
-        # One distance cache for the whole batch: maintained RFDs share
-        # attributes, so the same (pair, attribute) distance is needed
-        # by many of them — compute it once.
-        self._pair_cache: dict[tuple, Any] = {}
-        self._string_caps = self._attribute_caps()
-        try:
-            self._maintain_non_keys(new_rows, report)
-            self._maintain_keys(new_rows, report)
-        finally:
-            self._pair_cache = {}
-            self._string_caps = {}
+        held = len(self._rfds)
+        matched, worsts = self._new_pairs(self._rfds + self._keys, new_rows)
+        self._maintain_non_keys(worsts[:held], report)
+        self._maintain_keys(matched[held:], worsts[held:], report)
         self._rfds = remove_dominated(self._rfds)
         return report
 
     # ------------------------------------------------------------------
     def _maintain_non_keys(
-        self, new_rows: list[int], report: MaintenanceReport
+        self, worsts: list[float | None], report: MaintenanceReport
     ) -> None:
         survivors: list[RFD] = []
-        for rfd in self._rfds:
-            worst = self._max_new_rhs_distance(rfd, new_rows)
+        for rfd, worst in zip(self._rfds, worsts):
             if worst is None or worst <= rfd.rhs_threshold:
                 survivors.append(rfd)
                 report.unchanged += 1
@@ -165,16 +153,18 @@ class IncrementalDiscovery:
         self._rfds = survivors
 
     def _maintain_keys(
-        self, new_rows: list[int], report: MaintenanceReport
+        self,
+        matched: list[bool],
+        worsts: list[float | None],
+        report: MaintenanceReport,
     ) -> None:
         still_keys: list[RFD] = []
-        for rfd in self._keys:
-            if not self._new_pair_matches_lhs(rfd, new_rows):
+        for rfd, match, worst in zip(self._keys, matched, worsts):
+            if not match:
                 still_keys.append(rfd)
                 continue
-            # The key gained witnessing pairs; derive its RHS threshold
-            # from them and keep it if admissible.
-            worst = self._max_new_rhs_distance(rfd, new_rows)
+            # The key gained witnessing pairs; its RHS threshold comes
+            # from them and it is kept if admissible.
             report.dekeyed.append(rfd)
             if worst is not None and worst <= self.config.rhs_limit_for(
                 rfd.rhs_attribute
@@ -190,16 +180,16 @@ class IncrementalDiscovery:
                 report.dropped.append(rfd)
         self._keys = still_keys
 
-    def _attribute_caps(self) -> dict[str, int]:
-        """Per *string* attribute: the loosest threshold any maintained
+    def _attribute_caps(self) -> dict[str, float]:
+        """Per attribute: the loosest threshold any maintained
         constraint can ask about.
 
         Maintenance only ever needs a distance up to the tightest bound
         that still matters — an LHS constraint's threshold, or the
-        configured RHS limit when deciding loosening — so edit
-        distances can run banded (``levenshtein_bounded``) instead of
-        exact, exactly as the batch pattern matrix does.  A distance
-        reported as ``cap + 1`` fails every constraint in play.
+        configured RHS limit when deciding loosening — so the kernels
+        clamp string distances there, exactly as the batch pattern
+        matrix does.  A distance reported as ``cap + 1`` fails every
+        constraint in play.
         """
         caps: dict[str, float] = {}
         for rfd in self._rfds + self._keys:
@@ -212,105 +202,53 @@ class IncrementalDiscovery:
             caps[rhs] = max(
                 caps.get(rhs, 0.0), self.config.rhs_limit_for(rhs)
             )
-        return {
-            name: int(math.ceil(cap))
-            for name, cap in caps.items()
-            if self._calculator.function_for(name).name
-            == "edit_distance"
-        }
+        return caps
 
-    def _pair_distance(self, row_a: int, row_b: int, name: str) -> Any:
-        """One attribute distance of one pair, cached for the batch.
+    def _new_pairs(
+        self, rfds: list[RFD], new_rows: list[int]
+    ) -> tuple[list[bool], list[float | None]]:
+        """Per RFD: whether a pair with a new tuple satisfies its LHS,
+        and the largest comparable RHS distance over such pairs
+        (``None`` when there is none).
 
-        String distances are memoized by *value* pair (columns repeat
-        values heavily, as the donor-scan kernels exploit) behind a
-        length pre-filter, so the banded DP only runs once per distinct
-        nearby pair of strings.
+        Each new row is compared against the whole relation with
+        one-vs-all kernel vectors: the LHS mask is the AND of the
+        within-threshold masks (``NaN`` — a missing side — satisfies
+        nothing), and the RHS maximum runs over the non-``NaN`` entries
+        under it.  A pair of two new rows is seen from both ends; that
+        cannot change a maximum or an any.
         """
-        cap = self._string_caps.get(name)
-        if cap is None:
-            key = (row_a, row_b, name)
-            cache = self._pair_cache
-            try:
-                return cache[key]
-            except KeyError:
-                value = self._calculator.distance(row_a, row_b, name)
-                cache[key] = value
-                return value
-        column = self._relation._columns[name]  # noqa: SLF001
-        value_a = column[row_a]
-        value_b = column[row_b]
-        if value_a is MISSING or value_b is MISSING:
-            return MISSING
-        a, b = str(value_a), str(value_b)
-        key = (name, a, b) if a <= b else (name, b, a)
-        cache = self._pair_cache
-        try:
-            return cache[key]
-        except KeyError:
-            if abs(len(a) - len(b)) > cap:
-                value = float(cap + 1)
-            else:
-                value = float(levenshtein_bounded(a, b, cap))
-            cache[key] = value
-            return value
-
-    def _max_new_rhs_distance(
-        self, rfd: RFD, new_rows: list[int]
-    ) -> float | None:
-        """Largest RHS distance over new LHS-matching pairs (or None).
-
-        LHS constraints are evaluated first, one attribute at a time
-        with an early exit, so the (typically expensive, string-typed)
-        RHS distance is only computed for the few pairs whose LHS
-        actually matches.
-        """
-        worst: float | None = None
-        n = self._relation.n_tuples
-        new_set = set(new_rows)
-        lhs = rfd.lhs
-        rhs_attribute = rfd.rhs_attribute
-        for new_row in new_rows:
-            for other in range(n):
-                if other == new_row:
-                    continue
-                if other in new_set and other > new_row:
-                    continue  # new-new pairs once
-                for constraint in lhs:
-                    if not constraint.is_satisfied_by(self._pair_distance(
-                        new_row, other, constraint.attribute
-                    )):
-                        break
-                else:
-                    distance = self._pair_distance(
-                        new_row, other, rhs_attribute
-                    )
-                    if is_missing(distance):
-                        continue
-                    distance = float(distance)
-                    if worst is None or distance > worst:
-                        worst = distance
-        return worst
-
-    def _new_pair_matches_lhs(
-        self, rfd: RFD, new_rows: list[int]
-    ) -> bool:
-        n = self._relation.n_tuples
-        new_set = set(new_rows)
-        for new_row in new_rows:
-            for other in range(n):
-                if other == new_row:
-                    continue
-                if other in new_set and other > new_row:
-                    continue
-                for constraint in rfd.lhs:
-                    if not constraint.is_satisfied_by(self._pair_distance(
-                        new_row, other, constraint.attribute
-                    )):
-                        break
-                else:
-                    return True
-        return False
+        kernels = DonorScanKernels(
+            self._relation, string_limits=self._attribute_caps()
+        )
+        matched = [False] * len(rfds)
+        worsts: list[float | None] = [None] * len(rfds)
+        with np.errstate(invalid="ignore"):
+            for new_row in new_rows:
+                for index, rfd in enumerate(rfds):
+                    mask: np.ndarray | None = None
+                    for constraint in rfd.lhs:
+                        satisfied = kernels.vector(
+                            new_row, constraint.attribute
+                        ) <= constraint.threshold
+                        mask = (
+                            satisfied if mask is None
+                            else mask & satisfied
+                        )
+                        mask[new_row] = False
+                        if not mask.any():
+                            break
+                    else:
+                        matched[index] = True
+                        rhs = kernels.vector(new_row, rfd.rhs_attribute)
+                        rhs = rhs[mask & ~np.isnan(rhs)]
+                        if rhs.size:
+                            top = float(rhs.max())
+                            worst = worsts[index]
+                            if worst is None or top > worst:
+                                worsts[index] = top
+                kernels.clear_target_vectors()
+        return matched, worsts
 
 
 def _grow(
@@ -318,8 +256,6 @@ def _grow(
     names: tuple[str, ...],
     rows: Sequence[Sequence[Any]],
 ) -> None:
-    from repro.dataset.missing import MISSING
-
     start = relation.n_tuples
     for name in names:
         relation._columns[name].extend(  # noqa: SLF001 - same package

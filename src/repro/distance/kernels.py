@@ -8,10 +8,13 @@ column?" — with one numpy vector per (target row, attribute):
 
 * numeric attributes: one vectorized ``|column - target|``,
 * boolean attributes: the same over a 0/1 encoding,
-* string attributes: one banded Levenshtein DP per *distinct* column
-  value, clamped at the largest threshold any RFD applies to the
-  attribute, with a length-difference pre-filter (``|len(a) - len(b)| >
-  limit`` implies ``distance > limit``) that skips the DP entirely for
+* string attributes: a gather from one memo row per (attribute, target
+  value) over the column's distinct-value codes; the memo's unknown
+  cells are filled by one batched
+  :func:`~repro.distance.levenshtein.levenshtein_bounded_many` call,
+  clamped at the largest threshold any RFD applies to the attribute,
+  behind a length-difference pre-filter (``|len(a) - len(b)| > limit``
+  implies ``distance > limit``) that skips the kernel entirely for
   far-away donors.
 
 Entries are ``NaN`` wherever either side of the pair is missing — the
@@ -21,9 +24,11 @@ Vectors are cached per (target row, attribute).  Correctness across the
 driver's tentative write / rollback cycle relies on the *dirty-cell
 hook*: :meth:`attach` registers a mutation listener on the relation, and
 every :meth:`~repro.dataset.relation.Relation.set_value` drops the cached
-vectors of the written attribute and patches the column codec in place.
-Counters for vector builds, invalidations and the DPs avoided by length
-blocking are exposed via :attr:`counters` for the imputation report.
+vectors of the written attribute and patches one code of the column
+codec.  The string memo is keyed by value, not row, so it survives
+writes.  Counters for vector builds, invalidations and the distances
+settled by length blocking are exposed via :attr:`counters` for the
+imputation report.
 """
 
 from __future__ import annotations
@@ -37,8 +42,14 @@ from repro.dataset.attribute import AttributeType
 from repro.dataset.missing import MISSING
 from repro.dataset.relation import Relation
 from repro.distance.base import DistanceFunction
-from repro.distance.levenshtein import levenshtein, levenshtein_bounded
+from repro.distance.levenshtein import levenshtein_bounded_many
 from repro.exceptions import SchemaError
+
+#: String memo cells: not computed yet / the pair has a MISSING side.
+#: ``_UNKNOWN`` is the smallest cell value, so one ``min`` over a
+#: gather tells whether it needs a fill.
+_UNKNOWN = -2
+_ABSENT = -1
 
 
 class _NumericCodec:
@@ -71,39 +82,130 @@ class _NumericCodec:
 
 
 class _StringCodec:
-    """String column as rendered values plus a distinct-value row index.
+    """String column as int codes into a grow-only list of its distinct
+    rendered values, with a memo of clamped edit distances between them.
 
-    Grouping rows by distinct value means the (expensive) edit-distance
-    DP runs once per distinct donor value, not once per row; the result
-    is scattered back to all rows sharing the value.
+    ``codes[row]`` indexes :attr:`values` (``-1`` marks MISSING, and
+    ``present`` is ``codes >= 0``) and ``lengths[code]`` is that value's
+    length.  A write patches one code;
+    a value never seen before is appended, so a code always names the
+    same string and the memo, keyed by code, survives writes.
+
+    The memo holds one row per target code.  Cell ``code`` is the edit
+    distance from the target to ``values[code]``, clamped at
+    ``limit + 1``, or ``_UNKNOWN`` until computed.  One extra last cell
+    holds ``_ABSENT``, so a gather through a MISSING code (``-1``)
+    reads it.  The clamp bounds every cell, so the smallest signed
+    integer type holding ``-(limit + 2)`` holds them exactly (int8 for
+    the thresholds RFDs use); without a limit, int32.  ``_decode`` maps
+    a cell value to its float distance, and ``_ABSENT`` (index ``-1``)
+    to ``NaN``.
     """
 
-    __slots__ = ("values", "present", "rows_by_value")
+    __slots__ = (
+        "codes", "present", "values", "lengths", "limit", "hits",
+        "computed", "blocked", "_index", "_memo", "_dtype", "_decode",
+    )
 
-    def __init__(self, column: list[Any]) -> None:
-        self.values: list[str | None] = [
-            None if value is MISSING else str(value) for value in column
-        ]
-        self.present = np.array(
-            [value is not None for value in self.values], dtype=bool
+    def __init__(self, column: list[Any], limit: int | None) -> None:
+        self.values: list[str] = []
+        self._index: dict[str, int] = {}
+        self.codes = np.array(
+            [self._intern(value) for value in column], dtype=np.int64
         )
-        self.rows_by_value: dict[str, list[int]] = {}
-        for row, value in enumerate(self.values):
-            if value is not None:
-                self.rows_by_value.setdefault(value, []).append(row)
+        self.present = self.codes >= 0
+        self.lengths = np.fromiter(
+            map(len, self.values), dtype=np.int64, count=len(self.values)
+        )
+        self.limit = limit
+        self.hits = 0
+        self.computed = 0
+        self.blocked = 0
+        self._memo: dict[int, np.ndarray] = {}
+        self._dtype = (
+            np.int32 if limit is None else np.min_scalar_type(-limit - 2)
+        )
+        self._decode = np.array([0.0, np.nan, np.nan])
+
+    def _intern(self, value: Any) -> int:
+        if value is MISSING:
+            return -1
+        text = str(value)
+        code = self._index.get(text)
+        if code is None:
+            code = self._index[text] = len(self.values)
+            self.values.append(text)
+        return code
 
     def update(self, row: int, value: Any) -> None:
-        old = self.values[row]
-        if old is not None:
-            rows = self.rows_by_value[old]
-            rows.remove(row)
-            if not rows:
-                del self.rows_by_value[old]
-        new = None if value is MISSING else str(value)
-        self.values[row] = new
-        self.present[row] = new is not None
-        if new is not None:
-            self.rows_by_value.setdefault(new, []).append(row)
+        known = len(self.values)
+        self.codes[row] = self._intern(value)
+        self.present[row] = value is not MISSING
+        if len(self.values) > known:
+            self.lengths = np.append(self.lengths, len(self.values[-1]))
+
+    def gather(self, target_row: int, codes: np.ndarray) -> np.ndarray:
+        """Distances from the value at ``target_row`` to the cells whose
+        codes are ``codes`` (``NaN`` where a side is missing): one read
+        of the target's memo row, filling only the cells it lacks."""
+        target = int(self.codes[target_row])
+        if target < 0:
+            return np.full(codes.shape, np.nan)
+        row = self._memo.get(target)
+        if row is None or row.size <= len(self.values):
+            row = self._grow(target, row)
+        found = row[codes]
+        if found.size and found.min() == _UNKNOWN:
+            unknown = found == _UNKNOWN
+            self._fill(target, row, np.unique(codes[unknown]))
+            found = row[codes]
+            self.hits -= int(np.count_nonzero(unknown))
+        self.hits += found.size
+        return self._decode[found]
+
+    def _grow(self, target: int, row: np.ndarray | None) -> np.ndarray:
+        """The target's memo row, sized to the distinct values.  A new
+        row starts with the target's distance to itself, zero."""
+        grown = np.full(len(self.values) + 1, _UNKNOWN, dtype=self._dtype)
+        if row is None:
+            grown[target] = 0
+        else:
+            grown[:row.size - 1] = row[:-1]
+        grown[-1] = _ABSENT
+        self._memo[target] = grown
+        return grown
+
+    def _fill(self, target: int, row: np.ndarray, need: np.ndarray) -> None:
+        """Memoize the distances from ``values[target]`` to the values
+        of the distinct codes ``need``.
+
+        Codes too far in length are settled at ``limit + 1`` without a
+        kernel call; the rest go through one batched call.  Without a
+        limit the longest string is the clamp, which no distance
+        exceeds: the result is exact.
+        """
+        lengths = self.lengths[need]
+        target_length = self.lengths[target]
+        limit = self.limit
+        if limit is None:
+            limit = int(max(target_length, lengths.max()))
+        far = np.abs(lengths - target_length) > limit
+        row[need[far]] = limit + 1
+        near = need[~far]
+        if near.size:
+            values = self.values
+            row[near] = levenshtein_bounded_many(
+                [values[target]] * near.size,
+                [values[code] for code in near],
+                limit,
+            )
+        self.computed += near.size
+        self.blocked += need.size - near.size
+        top = int(row[need].max())
+        if top > self._decode.size - 3:
+            self._decode = np.append(
+                np.arange(top + 1, dtype=np.float64), [np.nan, np.nan]
+            )
 
 
 class _GenericCodec:
@@ -154,7 +256,7 @@ class DonorScanKernels:
         any RFD constrains the attribute with.  Distances above the limit
         are stored as ``limit + 1`` — exact for every comparison the
         engine performs, and the enabler of length blocking.  Attributes
-        absent from the mapping fall back to the exact (unbounded) DP.
+        absent from the mapping get exact distances.
     overrides:
         Distance functions for attributes that must not use the paper's
         default kernels; these take the generic per-row path.
@@ -180,15 +282,11 @@ class DonorScanKernels:
         }
         self._codecs: dict[str, Any] = {}
         self._vectors: dict[str, dict[int, np.ndarray]] = {}
-        self._string_memo: dict[str, dict[tuple[str, str], float]] = {}
-        self._memo_hits: dict[str, int] = {}
         self._attached = False
         self.vector_builds = 0
         self.vector_cache_hits = 0
         self.invalidations = 0
         self.subset_builds = 0
-        self.levenshtein_dp_calls = 0
-        self.levenshtein_dp_blocked = 0
 
     # ------------------------------------------------------------------
     # Dirty-cell hook
@@ -232,7 +330,7 @@ class DonorScanKernels:
             return vector
         codec = self._codec(name)
         if isinstance(codec, _StringCodec):
-            vector = self._string_vector(codec, target_row, name)
+            vector = codec.gather(target_row, codec.codes)
         else:
             vector = codec.target_vector(target_row)
         self.vector_builds += 1
@@ -254,7 +352,7 @@ class DonorScanKernels:
         self.subset_builds += 1
         codec = self._codec(name)
         if isinstance(codec, _StringCodec):
-            return self._string_subset(codec, target_row, name, rows)
+            return codec.gather(target_row, codec.codes[rows])
         if isinstance(codec, _NumericCodec):
             target = codec.codes[target_row]
             if math.isnan(target):
@@ -293,25 +391,34 @@ class DonorScanKernels:
     @property
     def counters(self) -> dict[str, int]:
         """Kernel counters for the imputation report."""
+        strings = self._string_codecs()
         return {
             "vector_builds": self.vector_builds,
             "vector_cache_hits": self.vector_cache_hits,
             "invalidations": self.invalidations,
             "subset_builds": self.subset_builds,
-            "levenshtein_dp_calls": self.levenshtein_dp_calls,
-            "levenshtein_dp_blocked": self.levenshtein_dp_blocked,
+            "levenshtein_dp_calls": sum(
+                codec.computed for codec in strings.values()
+            ),
+            "levenshtein_dp_blocked": sum(
+                codec.blocked for codec in strings.values()
+            ),
         }
 
     def cache_report(self) -> dict[str, tuple[int, int, int]]:
         """Per-attribute ``(hits, misses, size)`` of the string memos —
-        the kernel counterpart of ``PatternCalculator.cache_report``."""
+        the kernel counterpart of ``PatternCalculator.cache_report``.
+
+        ``hits`` counts the gathered cells the memo already held (a
+        MISSING side reads the sentinel cell), ``misses`` the distances
+        the edit-distance kernel computed and ``size`` the memo cells
+        filled: the computed ones, those settled at ``limit + 1`` by the
+        length filter and each row's zero distance to its own target.
+        """
         return {
-            name: (
-                self._memo_hits.get(name, 0),
-                len(memo),
-                len(memo),
-            )
-            for name, memo in self._string_memo.items()
+            name: (codec.hits, codec.computed,
+                   codec.computed + codec.blocked + len(codec._memo))
+            for name, codec in self._string_codecs().items()
         }
 
     # ------------------------------------------------------------------
@@ -330,91 +437,12 @@ class DonorScanKernels:
         elif attribute.type is AttributeType.BOOLEAN:
             codec = _NumericCodec(column, lambda value: float(bool(value)))
         else:
-            codec = _StringCodec(column)
+            codec = _StringCodec(column, self._string_limits.get(name))
         self._codecs[name] = codec
         return codec
 
-    def _string_vector(
-        self, codec: _StringCodec, target_row: int, name: str
-    ) -> np.ndarray:
-        out = np.full(len(codec.values), np.nan)
-        target = codec.values[target_row]
-        if target is None:
-            return out
-        limit = self._string_limits.get(name)
-        memo = self._string_memo.setdefault(name, {})
-        target_length = len(target)
-        hits = 0
-        for value, rows in codec.rows_by_value.items():
-            key = (target, value) if target <= value else (value, target)
-            distance = memo.get(key)
-            if distance is None:
-                if limit is None:
-                    distance = float(levenshtein(target, value))
-                    self.levenshtein_dp_calls += 1
-                elif abs(len(value) - target_length) > limit:
-                    distance = float(limit + 1)
-                    self.levenshtein_dp_blocked += 1
-                else:
-                    distance = float(
-                        levenshtein_bounded(target, value, limit)
-                    )
-                    self.levenshtein_dp_calls += 1
-                memo[key] = distance
-            else:
-                hits += 1
-            out[rows] = distance
-        if hits:
-            self._memo_hits[name] = self._memo_hits.get(name, 0) + hits
-        return out
-
-    def _string_subset(
-        self,
-        codec: _StringCodec,
-        target_row: int,
-        name: str,
-        rows: np.ndarray,
-    ) -> np.ndarray:
-        """Per-row string distances, sharing :meth:`_string_vector`'s
-        memo and clamp so each entry is the same float the full vector
-        would hold."""
-        out = np.full(rows.shape, np.nan)
-        target = codec.values[target_row]
-        if target is None:
-            return out
-        limit = self._string_limits.get(name)
-        memo = self._string_memo.setdefault(name, {})
-        target_length = len(target)
-        hits = 0
-        local: dict[str, float] = {}
-        for position, row in enumerate(rows):
-            value = codec.values[row]
-            if value is None:
-                continue
-            distance = local.get(value)
-            if distance is None:
-                key = (
-                    (target, value) if target <= value
-                    else (value, target)
-                )
-                distance = memo.get(key)
-                if distance is None:
-                    if limit is None:
-                        distance = float(levenshtein(target, value))
-                        self.levenshtein_dp_calls += 1
-                    elif abs(len(value) - target_length) > limit:
-                        distance = float(limit + 1)
-                        self.levenshtein_dp_blocked += 1
-                    else:
-                        distance = float(
-                            levenshtein_bounded(target, value, limit)
-                        )
-                        self.levenshtein_dp_calls += 1
-                    memo[key] = distance
-                else:
-                    hits += 1
-                local[value] = distance
-            out[position] = distance
-        if hits:
-            self._memo_hits[name] = self._memo_hits.get(name, 0) + hits
-        return out
+    def _string_codecs(self) -> dict[str, _StringCodec]:
+        return {
+            name: codec for name, codec in self._codecs.items()
+            if isinstance(codec, _StringCodec)
+        }

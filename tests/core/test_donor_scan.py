@@ -7,8 +7,12 @@ honest across tentative writes, and the length-blocking string kernels.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.donor_scan import (
     ScalarEngine,
@@ -20,8 +24,9 @@ from repro.core.selection import (
     cluster_by_rhs_threshold,
     select_rfds_for_attribute,
 )
-from repro.dataset import MISSING
+from repro.dataset import MISSING, Attribute, Relation
 from repro.distance.kernels import DonorScanKernels
+from repro.distance.levenshtein import levenshtein, levenshtein_bounded
 from repro.distance.pattern import PatternCalculator
 from repro.exceptions import ImputationError
 from repro.rfd import parse_rfd
@@ -79,6 +84,16 @@ class TestKernels:
         # Within-limit distances stay exact: "Granita" vs itself.
         assert vector[0] == 0.0
 
+    @pytest.mark.parametrize("limit", [126, 127, 128])
+    def test_clamp_fits_the_memo_row_type(self, limit):
+        # limit + 1 = 128 is the first clamp past int8's range.
+        relation = Relation(
+            [Attribute("S")], {"S": ["", "y" * 129, "y" * 127]}
+        )
+        kernels = DonorScanKernels(relation, string_limits={"S": limit})
+        expected = [0.0, min(129.0, limit + 1.0), min(127.0, limit + 1.0)]
+        assert kernels.vector(0, "S").tolist() == expected
+
     def test_clamped_distances_never_exceed_limit_plus_one(
         self, restaurant_sample
     ):
@@ -88,6 +103,135 @@ class TestKernels:
         vector = kernels.vector(2, "Name")
         present = ~np.isnan(vector)
         assert (vector[present] <= 4.0).all()
+
+
+#: Short, empty, unicode and longer-than-one-word (64 characters) values.
+_STRINGS = st.one_of(
+    st.sampled_from(
+        ["", "a", "ab", "Citrus", "Citrüs", "日本語", "x" * 64, "x" * 65,
+         "x" * 63 + "yz"]
+    ),
+    st.text(max_size=6),
+    st.text(alphabet="ab", min_size=60, max_size=72),
+)
+
+
+def _oracle_vector(column, target_row, limit):
+    """Per-pair reference: NaN wherever a side is missing."""
+    target = column[target_row]
+    out = []
+    for value in column:
+        if target is MISSING or value is MISSING:
+            out.append(np.nan)
+        elif limit is None:
+            out.append(float(levenshtein(target, value)))
+        else:
+            out.append(float(levenshtein_bounded(target, value, limit)))
+    return np.array(out)
+
+
+def _draw_write(data, column, step):
+    """One ``set_value``: a new distinct value (a near copy of a present
+    one), a rollback to MISSING, an overwrite of the last row holding
+    its value, or any value."""
+    n = len(column)
+    kind = data.draw(
+        st.sampled_from(["new", "missing", "last_holder", "any"])
+    )
+    if kind == "new":
+        present = [v for v in column if v is not MISSING] or [""]
+        value = data.draw(st.sampled_from(present)) + f"~{step}"
+        return data.draw(st.integers(0, n - 1)), value
+    if kind == "missing":
+        return data.draw(st.integers(0, n - 1)), MISSING
+    row = data.draw(st.integers(0, n - 1))
+    if kind == "last_holder":
+        counts = Counter(v for v in column if v is not MISSING)
+        sole = [r for r, v in enumerate(column)
+                if v is not MISSING and counts[v] == 1]
+        if sole:
+            row = data.draw(st.sampled_from(sole))
+    return row, data.draw(st.one_of(st.just(MISSING), _STRINGS))
+
+
+class TestKernelOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_gathers_match_per_pair_oracle(self, data):
+        column = data.draw(
+            st.lists(st.one_of(st.just(MISSING), _STRINGS),
+                     min_size=1, max_size=10)
+        )
+        limit = data.draw(st.sampled_from([None, 0, 1, 2, 3, 4, 5, 6]))
+        relation = Relation(
+            [Attribute("S")], {"S": column}, name="oracle"
+        )
+        kernels = DonorScanKernels(
+            relation,
+            string_limits=None if limit is None else {"S": limit},
+        )
+        kernels.attach()
+        try:
+            for step in range(data.draw(st.integers(0, 8)) + 1):
+                if step:
+                    row, value = _draw_write(data, column, step)
+                    relation.set_value(row, "S", value)
+                    column[row] = value
+                n = len(column)
+                # Subsets first, so they fill the memo on their own.
+                subsets = [
+                    np.array(sorted(data.draw(
+                        st.sets(st.integers(0, n - 1), max_size=n)
+                    )), dtype=np.int64)
+                    for _ in range(n)
+                ]
+                subset_vectors = [
+                    kernels.subset_vector(target, "S", rows)
+                    for target, rows in enumerate(subsets)
+                ]
+                for target, rows in enumerate(subsets):
+                    full = kernels.vector(target, "S")
+                    np.testing.assert_array_equal(
+                        full, _oracle_vector(column, target, limit)
+                    )
+                    assert (
+                        subset_vectors[target].tobytes()
+                        == full[rows].tobytes()
+                    )
+                    empty = np.array([], dtype=np.int64)
+                    assert kernels.subset_vector(
+                        target, "S", empty
+                    ).shape == (0,)
+        finally:
+            kernels.close()
+
+
+class TestCacheReport:
+    def test_hits_misses_and_size_are_distinct_counts(self):
+        relation = Relation(
+            [Attribute("S")],
+            {"S": ["abc", "abd", "abc", MISSING, "zzzzzzzz"]},
+        )
+        kernels = DonorScanKernels(relation, string_limits={"S": 1})
+        kernels.vector(0, "S")
+        # Three cells filled: "abc" to itself when the row is made,
+        # "zzzzzzzz" by the length filter and "abd" by the kernel.  The
+        # hits are the two "abc" rows and the MISSING row, which reads
+        # the memo's sentinel cell.
+        assert kernels.cache_report() == {"S": (3, 1, 3)}
+        # Row 2 holds "abc" too: its vector is served by the same row.
+        kernels.vector(2, "S")
+        assert kernels.cache_report() == {"S": (8, 1, 3)}
+        # A new target value computes only the cell it reads.
+        kernels.subset_vector(1, "S", np.array([0, 3]))
+        assert kernels.cache_report() == {"S": (9, 2, 5)}
+        assert kernels.counters["levenshtein_dp_calls"] == 2
+        assert kernels.counters["levenshtein_dp_blocked"] == 1
+
+    def test_numeric_attributes_have_no_memo(self, restaurant_sample):
+        kernels = DonorScanKernels(restaurant_sample)
+        kernels.vector(0, "Class")
+        assert kernels.cache_report() == {}
 
 
 class TestDirtyCellHook:

@@ -1,12 +1,15 @@
 """Tests for incremental RFD maintenance under insertions."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dataset import Relation
+from repro.dataset import MISSING, Attribute, AttributeType, Relation
 from repro.discovery import DiscoveryConfig, discover_rfds
 from repro.discovery.incremental import IncrementalDiscovery
+from repro.distance.levenshtein import levenshtein_bounded
 from repro.distance.pattern import PatternCalculator
 from repro.exceptions import DiscoveryError
 from repro.rfd import holds
@@ -136,3 +139,113 @@ class TestMaintenance:
         )
         tracker.insert([["10001", "New York"]])
         assert base.n_tuples == 4
+
+
+class PerPairOracle(IncrementalDiscovery):
+    """Maintenance with the per-pair distance loops: every (new row,
+    other row) pair once, LHS constraints with an early exit, string
+    distances banded at the attribute's cap behind a length filter."""
+
+    def _new_pairs(self, rfds, new_rows):
+        calculator = PatternCalculator(self.relation)
+        caps = {
+            name: int(math.ceil(cap))
+            for name, cap in self._attribute_caps().items()
+            if calculator.function_for(name).name == "edit_distance"
+        }
+
+        def distance(row_a, row_b, name):
+            cap = caps.get(name)
+            if cap is None:
+                return calculator.distance(row_a, row_b, name)
+            a = self.relation.value(row_a, name)
+            b = self.relation.value(row_b, name)
+            if a is MISSING or b is MISSING:
+                return MISSING
+            a, b = str(a), str(b)
+            if abs(len(a) - len(b)) > cap:
+                return float(cap + 1)
+            return float(levenshtein_bounded(a, b, cap))
+
+        def lhs_pairs(rfd):
+            new_set = set(new_rows)
+            for new_row in new_rows:
+                for other in range(self.relation.n_tuples):
+                    if other == new_row:
+                        continue
+                    if other in new_set and other > new_row:
+                        continue  # new-new pairs once
+                    if all(
+                        constraint.is_satisfied_by(
+                            distance(new_row, other, constraint.attribute)
+                        )
+                        for constraint in rfd.lhs
+                    ):
+                        yield new_row, other
+
+        matched, worsts = [], []
+        for rfd in rfds:
+            worst = None
+            found = False
+            for new_row, other in lhs_pairs(rfd):
+                found = True
+                value = distance(new_row, other, rfd.rhs_attribute)
+                if value is MISSING:
+                    continue
+                if worst is None or float(value) > worst:
+                    worst = float(value)
+            matched.append(found)
+            worsts.append(worst)
+        return matched, worsts
+
+
+_SCHEMA = [
+    Attribute("Name"),
+    Attribute("City"),
+    Attribute("Year", AttributeType.INTEGER),
+    Attribute("Open", AttributeType.BOOLEAN),
+]
+_ROWS = st.tuples(
+    st.one_of(st.none(), st.sampled_from(
+        ["Granita", "Granite", "Citrus", "Citrüs", "Fenix", "Fenix Argyle",
+         ""]
+    )),
+    st.one_of(st.none(), st.sampled_from(
+        ["LA", "L.A.", "Los Angeles", "Los Angles", "Malibu"]
+    )),
+    st.one_of(st.none(), st.integers(1990, 1996)),
+    st.one_of(st.none(), st.booleans()),
+)
+
+
+class TestPerPairOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        base=st.lists(_ROWS, min_size=2, max_size=7),
+        batches=st.lists(
+            st.lists(_ROWS, min_size=1, max_size=3), min_size=1, max_size=3
+        ),
+        limit=st.sampled_from([1, 2, 4]),
+    )
+    def test_maintenance_matches_per_pair_oracle(self, base, batches, limit):
+        relation = Relation(
+            _SCHEMA,
+            {
+                attribute.name: [
+                    MISSING if row[i] is None else row[i] for row in base
+                ]
+                for i, attribute in enumerate(_SCHEMA)
+            },
+        )
+        config = DiscoveryConfig(threshold_limit=limit, grid_size=3)
+        initial = discover_rfds(relation, config)
+        tracker = IncrementalDiscovery(relation, config, initial=initial)
+        oracle = PerPairOracle(relation, config, initial=initial)
+        for batch in batches:
+            rows = [[MISSING if v is None else v for v in row]
+                    for row in batch]
+            report = tracker.insert(rows)
+            expected = oracle.insert(rows)
+            assert report == expected
+            assert tracker.rfds == oracle.rfds
+            assert tracker.key_rfds == oracle.key_rfds
