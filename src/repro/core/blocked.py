@@ -1,313 +1,12 @@
-"""The blocked donor-scan engine: vectorized semantics, indexed reach.
+"""Old import path of the donor-scan cell scan, kept for the benchmark.
 
-:class:`BlockedEngine` is a :class:`~repro.core.donor_scan.VectorizedEngine`
-whose three inner loops — Algorithm 3's candidate scan, Algorithm 4's
-violation masks and the keyness pair masks — first ask an
-:class:`~repro.index.plan.IndexPlan` which rows can possibly satisfy
-the RFD's LHS, then recompute the *exact* distances only on those rows
-through :meth:`~repro.distance.kernels.DonorScanKernels.subset_vector`.
-
-Bit-identity argument, mirrored by the equivalence suite in
-``tests/index/``:
-
-* a probe result is a superset of the rows whose every LHS distance is
-  within threshold (the indexes only apply filters the thresholds
-  already imply), so confirming the constraints on the subset selects
-  exactly the rows the full masks would;
-* each subset distance equals the corresponding full-vector entry bit
-  for bit (same codecs, same clamps, same memo), and the Equation-2
-  score sums them in the same attribute order and divides once — so
-  scores, strict-minimum tie-breaks and the (distance, row) sort are
-  unchanged;
-* any probe the plan declines (hot value past ``max_group_size``,
-  overridden distance, un-probeable attribute) falls back to the
-  parent's full-vector path for that RFD: slower, never different.
+Blocking is now an optional index plan inside
+:class:`~repro.core.donor_scan.VectorizedEngine`.  ``perfbench/spans.py``
+still times ``core.candidates`` through this name; it aliases the one
+cell scan, so both span entries wrap the same function and the work is
+timed once.  Delete it together with that entry.
 """
 
-from __future__ import annotations
-
-from typing import Iterable, Sequence
-
-import numpy as np
-
-from repro.core.candidates import Candidate
-from repro.core.donor_scan import VectorizedEngine
-from repro.core.selection import Cluster
-from repro.distance.pattern import PatternCalculator
-from repro.index.plan import IndexPlan
-from repro.rfd.rfd import RFD
-
-
-class BlockedEngine(VectorizedEngine):
-    """Vectorized donor-scan engine with blocking-index pre-filtering.
-
-    Parameters
-    ----------
-    calculator / rfds / override_names:
-        As for :class:`~repro.core.donor_scan.VectorizedEngine`.
-    max_group_size:
-        Anchor cap forwarded to an owned plan (ignored when a shared
-        ``index_plan`` is supplied).
-    index_plan:
-        An externally-owned :class:`IndexPlan` to reuse (sessions and
-        pipelines keep one across rounds).  It must shadow the same
-        relation instance the calculator reads; the engine attaches it
-        but leaves closing to the owner.
-    """
-
-    name = "blocked"
-
-    def __init__(
-        self,
-        calculator: PatternCalculator,
-        rfds: Iterable[RFD],
-        *,
-        override_names: Iterable[str] = (),
-        max_group_size: int = 4096,
-        index_plan: IndexPlan | None = None,
-    ) -> None:
-        override_names = set(override_names)
-        super().__init__(
-            calculator, rfds, override_names=override_names
-        )
-        if (
-            index_plan is not None
-            and index_plan.relation is calculator.relation
-        ):
-            self.plan = index_plan
-            self._owns_plan = False
-        else:
-            self.plan = IndexPlan(
-                calculator.relation,
-                rfds,
-                max_group_size=max_group_size,
-                override_names=override_names,
-            )
-            self._owns_plan = True
-        self.plan.attach()
-
-    # ------------------------------------------------------------------
-    def set_telemetry(self, telemetry: object) -> None:
-        super().set_telemetry(telemetry)
-        self.plan.set_telemetry(telemetry)
-
-    def cell_scan(
-        self,
-        target_row: int,
-        attribute: str,
-        clusters: Sequence[Cluster],
-    ) -> "_BlockedCellScan":
-        self._fire("cell_scan", target_row, attribute)
-        self.kernels.clear_target_vectors()
-        return _BlockedCellScan(self, target_row, attribute)
-
-    # ------------------------------------------------------------------
-    # Algorithm 4 / keyness over probed subsets
-    # ------------------------------------------------------------------
-    def _violation_mask(
-        self, target_row: int, rfd: RFD
-    ) -> np.ndarray | None:
-        probe = self.plan.candidate_rows(target_row, rfd.lhs)
-        if probe is None:
-            return super()._violation_mask(target_row, rfd)
-        rows = self._confirm_lhs(target_row, rfd, probe)
-        if rows is None:
-            return None
-        rhs = self.kernels.subset_vector(
-            target_row, rfd.rhs_attribute, rows
-        )
-        violating = rows[(~np.isnan(rhs)) & (rhs > rfd.rhs_threshold)]
-        if not violating.size:
-            return None
-        mask = np.zeros(
-            self.calculator.relation.n_tuples, dtype=bool
-        )
-        mask[violating] = True
-        return mask
-
-    def _lhs_pair_mask(
-        self,
-        target_row: int,
-        rfd: RFD,
-        in_scope: np.ndarray | None,
-    ) -> np.ndarray | None:
-        probe = self.plan.candidate_rows(target_row, rfd.lhs)
-        if probe is None:
-            return super()._lhs_pair_mask(target_row, rfd, in_scope)
-        rows = self._confirm_lhs(target_row, rfd, probe)
-        if rows is None:
-            return None
-        mask = np.zeros(
-            self.calculator.relation.n_tuples, dtype=bool
-        )
-        mask[rows] = True
-        if in_scope is not None:
-            mask &= in_scope
-            if not mask.any():
-                return None
-        return mask
-
-    def _confirm_lhs(
-        self, target_row: int, rfd: RFD, rows: np.ndarray
-    ) -> np.ndarray | None:
-        """Probe candidates surviving the *exact* LHS check, or ``None``
-        when none do (the parent's early-exit contract)."""
-        if not rows.size:
-            return None
-        kernels = self.kernels
-        keep = np.ones(rows.size, dtype=bool)
-        for constraint in rfd.lhs:
-            vector = kernels.subset_vector(
-                target_row, constraint.attribute, rows[keep]
-            )
-            keep[keep] = vector <= constraint.threshold
-            if not keep.any():
-                return None
-        return rows[keep]
-
-    # ------------------------------------------------------------------
-    # Reporting / lifecycle
-    # ------------------------------------------------------------------
-    def _engine_counters(self) -> dict[str, int]:
-        merged = super()._engine_counters()
-        merged.update(self.plan.counters)
-        return merged
-
-    def close(self) -> None:
-        super().close()
-        if self._owns_plan:
-            self.plan.close()
-
-
-class _BlockedCellScan:
-    """Algorithm 3 over probed subsets (see the module docstring)."""
-
-    __slots__ = ("_engine", "_target_row", "_attribute")
-
-    def __init__(
-        self, engine: BlockedEngine, target_row: int, attribute: str
-    ) -> None:
-        self._engine = engine
-        self._target_row = target_row
-        self._attribute = attribute
-
-    def candidates(
-        self, cluster: Cluster, *, max_candidates: int | None = None
-    ) -> list[Candidate]:
-        target_row = self._target_row
-        attribute = self._attribute
-        if cluster.attribute != attribute:
-            raise ValueError(
-                f"cluster targets {cluster.attribute!r}, "
-                f"expected {attribute!r}"
-            )
-        engine = self._engine
-        with engine._kernel_span(
-            "candidates", target_row, attribute
-        ) as span:
-            found = self._scan(cluster, max_candidates)
-            engine._record_candidates(cluster, found, span)
-        return found
-
-    def _scan(
-        self, cluster: Cluster, max_candidates: int | None
-    ) -> list[Candidate]:
-        target_row = self._target_row
-        attribute = self._attribute
-        engine = self._engine
-        kernels = engine.kernels
-        plan = engine.plan
-        relation = engine.calculator.relation
-        donors = kernels.present_mask(attribute).copy()
-        donors[target_row] = False
-        if not donors.any():
-            return []
-        n = donors.shape[0]
-        best = np.full(n, np.inf)
-        best_rfd = np.full(n, -1, dtype=np.int64)
-        with np.errstate(invalid="ignore"):
-            for index, rfd in enumerate(cluster.rfds):
-                probe = plan.candidate_rows(target_row, rfd.lhs)
-                if probe is None:
-                    self._scan_rfd_full(
-                        rfd, index, donors, best, best_rfd
-                    )
-                    continue
-                if not probe.size:
-                    continue
-                rows = probe[donors[probe]]
-                if not rows.size:
-                    continue
-                keep = np.ones(rows.size, dtype=bool)
-                for constraint in rfd.lhs:
-                    vector = kernels.subset_vector(
-                        target_row, constraint.attribute, rows
-                    )
-                    keep &= vector <= constraint.threshold
-                    if not keep.any():
-                        break
-                else:
-                    total: np.ndarray | None = None
-                    for name in rfd.lhs_attributes:
-                        vector = kernels.subset_vector(
-                            target_row, name, rows
-                        )
-                        total = (
-                            vector.copy() if total is None
-                            else total + vector
-                        )
-                    score = np.where(
-                        keep, total / len(rfd.lhs), np.inf
-                    )
-                    better = score < best[rows]
-                    if better.any():
-                        improved = rows[better]
-                        best[improved] = score[better]
-                        best_rfd[improved] = index
-        found = np.nonzero(best_rfd >= 0)[0]
-        candidates = [
-            Candidate(
-                int(row),
-                relation.value(int(row), attribute),
-                float(best[row]),
-                cluster.rfds[int(best_rfd[row])],
-            )
-            for row in found
-        ]
-        candidates.sort(key=Candidate.sort_key)
-        if max_candidates is not None:
-            candidates = candidates[:max_candidates]
-        return candidates
-
-    def _scan_rfd_full(
-        self,
-        rfd: RFD,
-        index: int,
-        donors: np.ndarray,
-        best: np.ndarray,
-        best_rfd: np.ndarray,
-    ) -> None:
-        """One RFD on the parent's full-vector path (probe declined).
-
-        The mask arithmetic is byte-for-byte the parent scan's per-RFD
-        block, so a fallback RFD scores donors exactly as the unblocked
-        engine would.
-        """
-        engine = self._engine
-        kernels = engine.kernels
-        target_row = self._target_row
-        mask = donors
-        for constraint in rfd.lhs:
-            vector = kernels.vector(target_row, constraint.attribute)
-            mask = mask & (vector <= constraint.threshold)
-            if not mask.any():
-                return
-        total: np.ndarray | None = None
-        for name in rfd.lhs_attributes:
-            vector = kernels.vector(target_row, name)
-            total = vector.copy() if total is None else total + vector
-        score = np.where(mask, total / len(rfd.lhs), np.inf)
-        better = score < best
-        if better.any():
-            np.copyto(best, score, where=better)
-            np.copyto(best_rfd, index, where=better)
+from repro.core.donor_scan import (  # noqa: F401 - benchmark alias
+    _VectorizedCellScan as _BlockedCellScan,
+)

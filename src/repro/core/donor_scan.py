@@ -1,4 +1,4 @@
-"""Donor-scan engines: the vectorized hot path and the scalar reference.
+"""Donor-scan engines: the columnar hot path and the scalar reference.
 
 RENUVER's cost is dominated by two per-missing-cell donor scans:
 candidate generation (Algorithm 3) and verification (Algorithm 4).  Both
@@ -11,24 +11,41 @@ code path:
   (``find_candidate_tuples`` / ``is_faultless``) with the per-cell donor
   memo the driver used to build inline.  It is the reference
   implementation for equivalence testing.
-* :class:`VectorizedEngine` evaluates both algorithms with mask
-  arithmetic over the one-vs-all vectors of
-  :class:`~repro.distance.kernels.DonorScanKernels`: LHS satisfaction is
-  the AND of per-attribute within-threshold masks, the Equation-2 score
-  is the sum of the LHS distance vectors over ``|X|``, and the per-donor
-  best RFD is an element-wise running minimum.  Verification orders the
+* :class:`VectorizedEngine` evaluates both algorithms, and the
+  Definition 3.4 keyness scans, over the columnar distances of
+  :class:`~repro.distance.kernels.DonorScanKernels`.  Every LHS check
+  goes through one helper, ``_lhs_rows``, which returns the rows whose
+  pair with the target satisfies the RFD's LHS: the AND of the cached
+  per-attribute within-threshold masks, or — when an optional
+  :class:`~repro.index.plan.IndexPlan` answers the probe — the probed
+  rows that pass the same constraints.  The Equation-2 score is the sum
+  of the LHS distances of those rows over ``|X|``, the per-donor best
+  RFD an element-wise running minimum.  Verification orders the
   relevant RFDs by measured selectivity (how often each one produced a
-  violation so far) and exits on the first violating mask.
+  violation so far) and exits at the first violating RFD.
 
 Both engines produce bit-identical :class:`~repro.core.candidates.Candidate`
 lists and accept/reject decisions: the float operations run in the same
 order (IEEE-754 addition is deterministic) and the clamped string
-distances only differ beyond every threshold in play.
+distances only differ beyond every threshold in play.  An index plan
+changes no outcome either (the equivalence suite in ``tests/index/``
+checks it on every builtin dataset):
+
+* a probe result is a superset of the rows whose every LHS distance is
+  within threshold (the indexes only apply filters the thresholds
+  already imply), so confirming the constraints on the subset selects
+  exactly the rows the full masks would;
+* ``subset_vector`` entries equal the corresponding ``vector`` entries
+  bit for bit (one gather, same clamps, same memo), so scores,
+  strict-minimum tie-breaks and the (distance, row) sort are unchanged;
+* any probe the plan declines (hot value past ``max_group_size``,
+  overridden distance, un-probeable attribute) scans the full column
+  for that RFD: slower, never different.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -51,6 +68,11 @@ from repro.rfd.rfd import RFD
 from repro.rfd.violations import Violation
 from repro.telemetry import NULL_TELEMETRY
 from repro.telemetry.trace import NULL_SPAN
+
+if TYPE_CHECKING:  # runtime import would load repro.index on every run
+    from repro.index.plan import IndexPlan
+
+_NO_ROWS = np.empty(0, dtype=np.int64)
 
 
 def string_clamp_limits(rfds: Iterable[RFD]) -> dict[str, float]:
@@ -334,7 +356,25 @@ class _ScalarCellScan:
 
 
 class VectorizedEngine(KernelCallSeam):
-    """Columnar donor-scan engine over one-vs-all distance vectors."""
+    """Columnar donor-scan engine over one-vs-all distance vectors.
+
+    Parameters
+    ----------
+    calculator:
+        Supplies the relation (and the override distance functions).
+    rfds:
+        The RFD set; its thresholds set the string kernels' clamps.
+    override_names:
+        Attributes whose distance function is overridden.
+    plan:
+        Optional :class:`~repro.index.plan.IndexPlan` shadowing the
+        calculator's relation instance.  Every LHS check asks it for
+        candidate rows first; a probe it declines scans the full column.
+    owns_plan:
+        Whether :meth:`close` also closes ``plan``: true for a plan built
+        for this run, false for one a session or pipeline shares across
+        rounds.
+    """
 
     name = "vectorized"
 
@@ -344,6 +384,8 @@ class VectorizedEngine(KernelCallSeam):
         rfds: Iterable[RFD],
         *,
         override_names: Iterable[str] = (),
+        plan: IndexPlan | None = None,
+        owns_plan: bool = False,
     ) -> None:
         super().__init__()
         self.calculator = calculator
@@ -357,10 +399,23 @@ class VectorizedEngine(KernelCallSeam):
             overrides=overrides,
         )
         self.kernels.attach()
+        self.plan = plan
+        self._owns_plan = owns_plan
+        # A shared plan counts for its whole lifetime; the report wants
+        # this run's share, so counters() subtracts the totals at build.
+        self._plan_baseline: dict[str, int] = {}
+        if plan is not None:
+            plan.attach()
+            self._plan_baseline = plan.counters
         # Violations observed per RFD so far: verification tries the
         # historically most violating RFDs first and stops at the first
         # hit.
         self._fault_hits: dict[RFD, int] = {}
+
+    def set_telemetry(self, telemetry: object) -> None:
+        super().set_telemetry(telemetry)
+        if self.plan is not None:
+            self.plan.set_telemetry(telemetry)
 
     def cell_scan(
         self,
@@ -378,8 +433,52 @@ class VectorizedEngine(KernelCallSeam):
         self.kernels.clear_target_vectors()
         return _VectorizedCellScan(self, target_row, attribute)
 
+    def _lhs_rows(
+        self,
+        target_row: int,
+        rfd: RFD,
+        eligible: np.ndarray | None,
+    ) -> np.ndarray | None:
+        """Rows forming an LHS-satisfying pair with ``target_row``.
+
+        The one LHS check of Algorithms 3-4 and Definition 3.4: a sorted
+        ``int64`` array of the rows other than the target (and within
+        ``eligible``, when given) that satisfy every LHS constraint of
+        ``rfd``, or ``None`` when none do.  With a plan, the constraints
+        are confirmed on the probed rows only; a declined probe, or no
+        plan, ANDs the cached full-column masks.
+        """
+        kernels = self.kernels
+        rows = None
+        if self.plan is not None:
+            rows = self.plan.candidate_rows(target_row, rfd.lhs)
+        if rows is not None:
+            if eligible is not None:
+                rows = rows[eligible[rows]]
+            for constraint in rfd.lhs:
+                if not rows.size:
+                    return None
+                vector = kernels.subset_vector(
+                    target_row, constraint.attribute, rows
+                )
+                rows = rows[vector <= constraint.threshold]
+            return rows if rows.size else None
+        if eligible is None:
+            mask = np.ones(self.calculator.relation.n_tuples, dtype=bool)
+        else:
+            mask = eligible.copy()
+        mask[target_row] = False
+        for constraint in rfd.lhs:
+            mask &= (
+                kernels.vector(target_row, constraint.attribute)
+                <= constraint.threshold
+            )
+            if not mask.any():
+                return None
+        return np.flatnonzero(mask)
+
     # ------------------------------------------------------------------
-    # Algorithm 4 over masks
+    # Algorithm 4
     # ------------------------------------------------------------------
     def is_faultless(
         self,
@@ -401,8 +500,7 @@ class VectorizedEngine(KernelCallSeam):
             )
             with np.errstate(invalid="ignore"):
                 for rfd in ordered:
-                    mask = self._violation_mask(target_row, rfd)
-                    if mask is not None and mask.any():
+                    if self._violating_rows(target_row, rfd).size:
                         hits[rfd] = hits.get(rfd, 0) + 1
                         return False
             return True
@@ -425,10 +523,7 @@ class VectorizedEngine(KernelCallSeam):
             best_rfd: RFD | None = None
             with np.errstate(invalid="ignore"):
                 for rfd in relevant:
-                    mask = self._violation_mask(target_row, rfd)
-                    if mask is None:
-                        continue
-                    rows = np.nonzero(mask)[0]
+                    rows = self._violating_rows(target_row, rfd)
                     if rows.size and (
                         best_row is None or rows[0] < best_row
                     ):
@@ -442,28 +537,19 @@ class VectorizedEngine(KernelCallSeam):
                 max(target_row, best_row),
             )
 
-    def _violation_mask(
-        self, target_row: int, rfd: RFD
-    ) -> np.ndarray | None:
-        """Rows violating ``rfd`` against the target, or ``None`` once
-        the LHS mask empties (early exit)."""
-        kernels = self.kernels
-        mask: np.ndarray | None = None
-        for constraint in rfd.lhs:
-            vector = kernels.vector(target_row, constraint.attribute)
-            satisfied = vector <= constraint.threshold
-            mask = satisfied if mask is None else mask & satisfied
-            mask[target_row] = False
-            if not mask.any():
-                return None
-        rhs_vector = kernels.vector(target_row, rfd.rhs_attribute)
-        assert mask is not None  # RFDs have a non-empty LHS
-        mask &= ~np.isnan(rhs_vector)
-        mask &= rhs_vector > rfd.rhs_threshold
-        return mask
+    def _violating_rows(self, target_row: int, rfd: RFD) -> np.ndarray:
+        """Sorted rows whose pair with the target violates ``rfd``: LHS
+        satisfied, RHS present on both sides and beyond its threshold."""
+        rows = self._lhs_rows(target_row, rfd, None)
+        if rows is None:
+            return _NO_ROWS
+        rhs = self.kernels.subset_vector(
+            target_row, rfd.rhs_attribute, rows
+        )
+        return rows[rhs > rfd.rhs_threshold]  # NaN compares false
 
     # ------------------------------------------------------------------
-    # Keyness (Definition 3.4) over masks
+    # Keyness (Definition 3.4)
     # ------------------------------------------------------------------
     def partition_key_rfds(
         self, rfds: Iterable[RFD], *, scope: str = "all"
@@ -497,8 +583,8 @@ class VectorizedEngine(KernelCallSeam):
                     continue
                 remaining: list[int] = []
                 for index in undecided:
-                    mask = self._lhs_pair_mask(row, rfds[index], in_scope)
-                    if mask is not None and mask[row + 1:].any():
+                    rows = self._lhs_rows(row, rfds[index], in_scope)
+                    if rows is not None and rows[-1] > row:
                         non_key[index] = True
                     else:
                         remaining.append(index)
@@ -520,29 +606,7 @@ class VectorizedEngine(KernelCallSeam):
             if in_scope is not None and not in_scope[target_row]:
                 return False
             with np.errstate(invalid="ignore"):
-                mask = self._lhs_pair_mask(target_row, rfd, in_scope)
-            return mask is not None and bool(mask.any())
-
-    def _lhs_pair_mask(
-        self,
-        target_row: int,
-        rfd: RFD,
-        in_scope: np.ndarray | None,
-    ) -> np.ndarray | None:
-        """Rows forming an LHS-satisfying pair with ``target_row``, or
-        ``None`` once the mask empties (early exit)."""
-        kernels = self.kernels
-        mask: np.ndarray | None = None
-        for constraint in rfd.lhs:
-            vector = kernels.vector(target_row, constraint.attribute)
-            satisfied = vector <= constraint.threshold
-            mask = satisfied if mask is None else mask & satisfied
-            mask[target_row] = False
-            if in_scope is not None:
-                mask &= in_scope
-            if not mask.any():
-                return None
-        return mask
+                return self._lhs_rows(target_row, rfd, in_scope) is not None
 
     def _scope_mask(self, scope: str) -> np.ndarray | None:
         """Rows eligible for keyness pairs: all of them, or (under
@@ -559,16 +623,25 @@ class VectorizedEngine(KernelCallSeam):
     # Reporting / lifecycle
     # ------------------------------------------------------------------
     def _engine_counters(self) -> dict[str, int]:
-        """Vector-layer counters (builds, cache hits, DP blocking)."""
-        return dict(self.kernels.counters)
+        """Vector-layer counters (builds, cache hits, DP blocking), plus
+        this run's index-plan counters when a plan is attached."""
+        counters = dict(self.kernels.counters)
+        if self.plan is not None:
+            baseline = self._plan_baseline
+            for name, value in self.plan.counters.items():
+                counters[name] = value - baseline[name]
+        return counters
 
     def cache_report(self) -> dict[str, tuple[int, int, int]]:
         """String-memo statistics of the kernel layer."""
         return self.kernels.cache_report()
 
     def close(self) -> None:
-        """Detach the dirty-cell hook from the relation."""
+        """Detach the dirty-cell hook (and an owned plan's) from the
+        relation."""
         self.kernels.close()
+        if self.plan is not None and self._owns_plan:
+            self.plan.close()
 
 
 class _VectorizedCellScan:
@@ -584,7 +657,8 @@ class _VectorizedCellScan:
     def candidates(
         self, cluster: Cluster, *, max_candidates: int | None = None
     ) -> list[Candidate]:
-        """Algorithm 3 over mask arithmetic.
+        """Algorithm 3 over the rows :meth:`VectorizedEngine._lhs_rows`
+        returns.
 
         Mirrors the scalar scan exactly: LHS satisfaction per RFD, mean
         LHS distance (summed in sorted-attribute order, the same float
@@ -624,30 +698,20 @@ class _VectorizedCellScan:
         best_rfd = np.full(n, -1, dtype=np.int64)
         with np.errstate(invalid="ignore"):
             for index, rfd in enumerate(cluster.rfds):
-                mask = donors
-                for constraint in rfd.lhs:
-                    vector = kernels.vector(
-                        target_row, constraint.attribute
-                    )
-                    mask = mask & (vector <= constraint.threshold)
-                    if not mask.any():
-                        break
-                else:
-                    total: np.ndarray | None = None
-                    for name in rfd.lhs_attributes:
-                        vector = kernels.vector(target_row, name)
-                        total = (
-                            vector.copy() if total is None
-                            else total + vector
-                        )
-                    score = np.where(
-                        mask, total / len(rfd.lhs), np.inf
-                    )
-                    better = score < best
-                    if better.any():
-                        best = np.where(better, score, best)
-                        best_rfd = np.where(better, index, best_rfd)
-        rows = np.nonzero(best_rfd >= 0)[0]
+                rows = engine._lhs_rows(target_row, rfd, donors)
+                if rows is None:
+                    continue
+                total: np.ndarray | None = None
+                for name in rfd.lhs_attributes:
+                    vector = kernels.subset_vector(target_row, name, rows)
+                    total = vector if total is None else total + vector
+                score = total / len(rfd.lhs)
+                better = score < best[rows]  # strict: first RFD wins ties
+                if better.any():
+                    improved = rows[better]
+                    best[improved] = score[better]
+                    best_rfd[improved] = index
+        found = np.flatnonzero(best_rfd >= 0)
         candidates = [
             Candidate(
                 int(row),
@@ -655,7 +719,7 @@ class _VectorizedCellScan:
                 float(best[row]),
                 cluster.rfds[int(best_rfd[row])],
             )
-            for row in rows
+            for row in found
         ]
         candidates.sort(key=Candidate.sort_key)
         if max_candidates is not None:

@@ -1148,32 +1148,38 @@ class Renuver:
     def _make_engine(
         self, calculator: PatternCalculator
     ) -> ScalarEngine | VectorizedEngine:
-        """The configured donor-scan engine, bound to one calculator."""
+        """The configured donor-scan engine, bound to one calculator.
+
+        The only place that decides blocking: when it engages, the
+        vectorized engine probes the shared plan if that shadows this
+        relation instance, else a plan built (and closed) for this run.
+        """
         engine: ScalarEngine | VectorizedEngine
         if self.config.engine == "scalar":
             engine = ScalarEngine(calculator)
-        elif self._blocking_engages(calculator.relation):
-            from repro.core.blocked import BlockedEngine
-
-            plan = self._index_plan
-            if (
-                plan is not None
-                and getattr(plan, "relation", None)
-                is not calculator.relation
-            ):
-                plan = None  # foreign instance: the engine builds its own
-            engine = BlockedEngine(
-                calculator,
-                self.rfds,
-                override_names=set(self._distance_overrides),
-                max_group_size=self.config.max_group_size,
-                index_plan=plan,
-            )
         else:
+            relation = calculator.relation
+            overrides = set(self._distance_overrides)
+            plan = None
+            owns_plan = False
+            if self._blocking_engages(relation):
+                plan = self._index_plan
+                if getattr(plan, "relation", None) is not relation:
+                    from repro.index.plan import IndexPlan
+
+                    plan = IndexPlan(
+                        relation,
+                        self.rfds,
+                        max_group_size=self.config.max_group_size,
+                        override_names=overrides,
+                    )
+                    owns_plan = True
             engine = VectorizedEngine(
                 calculator,
                 self.rfds,
-                override_names=set(self._distance_overrides),
+                override_names=overrides,
+                plan=plan,
+                owns_plan=owns_plan,
             )
         engine.set_telemetry(self.telemetry)
         return engine

@@ -342,12 +342,14 @@ class DonorScanKernels:
     ) -> np.ndarray:
         """Distances from cell ``(target_row, name)`` to ``rows`` only.
 
-        The blocked engine's narrow sibling of :meth:`vector`: entry
-        ``i`` equals ``vector(target_row, name)[rows[i]]`` bit for bit
-        (same clamps, same memo, same float operations per element), but
-        only the requested rows are ever touched — the point of probing
-        an index first.  Results are not cached: candidate sets change
-        per RFD, and the string memo already absorbs the expensive part.
+        The narrow sibling of :meth:`vector`: entry ``i`` equals
+        ``vector(target_row, name)[rows[i]]`` bit for bit (one gather,
+        same clamps, same memo, same float operations per element), but
+        only the requested rows are ever touched.  The vectorized engine
+        confirms LHS constraints on index-probed rows with it, and reads
+        every Equation-2 score and RHS check through it.  Results are
+        not cached: the row sets change per RFD, and the string memo
+        already absorbs the expensive part.
         """
         self.subset_builds += 1
         codec = self._codec(name)

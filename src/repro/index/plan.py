@@ -275,7 +275,7 @@ class IndexPlan:
         if counter is None:
             counter = self._telemetry.metrics.counter(
                 "renuver_index_probes_total",
-                "Blocking-index probes issued by the blocked engine.",
+                "Blocking-index probes issued by the donor-scan engine.",
             )
             self._probe_counter = counter
         counter.inc()  # type: ignore[attr-defined]

@@ -1,8 +1,10 @@
 """Tests for the donor-scan engines and their kernel layer.
 
 Covers the vectorized engine's contract with the scalar reference on the
-paper's running example, the dirty-cell hook that keeps kernel vectors
-honest across tentative writes, and the length-blocking string kernels.
+paper's running example and on seed datasets, with and without an index
+plan (including capped plans whose probes partly fall back), the
+dirty-cell hook that keeps kernel vectors honest across tentative
+writes, and the length-blocking string kernels.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import DiscoveryConfig, discover_rfds, load_dataset
 from repro.core.donor_scan import (
     ScalarEngine,
     VectorizedEngine,
@@ -24,17 +27,32 @@ from repro.core.selection import (
     cluster_by_rhs_threshold,
     select_rfds_for_attribute,
 )
+from repro.core.verification import relevant_rfds
 from repro.dataset import MISSING, Attribute, Relation
 from repro.distance.kernels import DonorScanKernels
 from repro.distance.levenshtein import levenshtein, levenshtein_bounded
 from repro.distance.pattern import PatternCalculator
+from repro.evaluation.injection import inject_missing
 from repro.exceptions import ImputationError
+from repro.index import IndexPlan
 from repro.rfd import parse_rfd
 
+#: Index plans the vectorized engine runs with: none (full scans), the
+#: default cap, and caps small enough that some probes of one cluster
+#: are served while others decline to the full scan.
+PLANS = {"none": None, "plan": 4096, "cap3": 3, "cap1": 1}
 
-def make_engines(relation, rfds):
+
+def make_engines(relation, rfds, plan="none"):
     calculator = PatternCalculator(relation)
-    return ScalarEngine(calculator), VectorizedEngine(calculator, rfds)
+    cap = PLANS[plan]
+    index_plan = (
+        None if cap is None
+        else IndexPlan(relation, rfds, max_group_size=cap)
+    )
+    return ScalarEngine(calculator), VectorizedEngine(
+        calculator, rfds, plan=index_plan, owns_plan=True
+    )
 
 
 class TestStringClampLimits:
@@ -300,24 +318,33 @@ class TestDirtyCellHook:
 
 
 class TestEngineEquivalenceOnPaperExample:
+    """Each operation against the scalar oracle, under every plan."""
+
     def test_candidates_match(self, restaurant_sample, paper_rfds):
-        scalar, vectorized = make_engines(restaurant_sample, paper_rfds)
-        try:
-            for row, attribute in [
-                (3, "Phone"), (4, "Type"), (5, "City"), (6, "Phone"),
-            ]:
-                clusters = cluster_by_rhs_threshold(
-                    select_rfds_for_attribute(paper_rfds, attribute),
-                    attribute,
-                )
-                scalar_scan = scalar.cell_scan(row, attribute, clusters)
-                vector_scan = vectorized.cell_scan(row, attribute, clusters)
-                for cluster in clusters:
-                    assert scalar_scan.candidates(
-                        cluster
-                    ) == vector_scan.candidates(cluster), (row, attribute)
-        finally:
-            vectorized.close()
+        for plan in PLANS:
+            scalar, vectorized = make_engines(
+                restaurant_sample, paper_rfds, plan
+            )
+            try:
+                for row, attribute in [
+                    (3, "Phone"), (4, "Type"), (5, "City"), (6, "Phone"),
+                ]:
+                    clusters = cluster_by_rhs_threshold(
+                        select_rfds_for_attribute(paper_rfds, attribute),
+                        attribute,
+                    )
+                    scalar_scan = scalar.cell_scan(row, attribute, clusters)
+                    vector_scan = vectorized.cell_scan(
+                        row, attribute, clusters
+                    )
+                    for cluster in clusters:
+                        assert scalar_scan.candidates(
+                            cluster
+                        ) == vector_scan.candidates(cluster), (
+                            plan, row, attribute
+                        )
+            finally:
+                vectorized.close()
 
     def test_candidates_respect_max_candidates(
         self, restaurant_sample, paper_rfds
@@ -337,17 +364,44 @@ class TestEngineEquivalenceOnPaperExample:
             vectorized.close()
 
     def test_first_fault_matches(self, restaurant_sample, paper_rfds):
-        scalar, vectorized = make_engines(restaurant_sample, paper_rfds)
-        try:
-            restaurant_sample.set_value(3, "Phone", "310/456-0488")
-            for check_rhs in (False, True):
-                assert vectorized.first_fault(
-                    3, "Phone", paper_rfds, check_rhs_rfds=check_rhs
-                ) == scalar.first_fault(
-                    3, "Phone", paper_rfds, check_rhs_rfds=check_rhs
-                )
-        finally:
-            vectorized.close()
+        for plan in PLANS:
+            scalar, vectorized = make_engines(
+                restaurant_sample, paper_rfds, plan
+            )
+            try:
+                restaurant_sample.set_value(3, "Phone", "310/456-0488")
+                for check_rhs in (False, True):
+                    assert vectorized.first_fault(
+                        3, "Phone", paper_rfds, check_rhs_rfds=check_rhs
+                    ) == scalar.first_fault(
+                        3, "Phone", paper_rfds, check_rhs_rfds=check_rhs
+                    ), plan
+            finally:
+                vectorized.close()
+
+    def test_is_faultless_matches(self, restaurant_sample, paper_rfds):
+        verdicts = set()
+        for plan in PLANS:
+            scalar, vectorized = make_engines(
+                restaurant_sample, paper_rfds, plan
+            )
+            try:
+                for value in (
+                    "310/456-0488", "213/857-0034", "310-932-9025"
+                ):
+                    restaurant_sample.set_value(3, "Phone", value)
+                    for check_rhs in (False, True):
+                        expected = scalar.is_faultless(
+                            3, "Phone", paper_rfds, check_rhs_rfds=check_rhs
+                        )
+                        assert vectorized.is_faultless(
+                            3, "Phone", paper_rfds, check_rhs_rfds=check_rhs
+                        ) == expected, (plan, value, check_rhs)
+                        verdicts.add(expected)
+                    restaurant_sample.set_value(3, "Phone", MISSING)
+            finally:
+                vectorized.close()
+        assert verdicts == {True, False}  # both outcomes exercised
 
     def test_cluster_attribute_mismatch_raises(
         self, restaurant_sample, paper_rfds
@@ -369,27 +423,108 @@ class TestKeynessEquivalence:
     def test_partition_matches_scalar(
         self, restaurant_sample, paper_rfds, scope
     ):
-        scalar, vectorized = make_engines(restaurant_sample, paper_rfds)
-        try:
-            assert vectorized.partition_key_rfds(
-                paper_rfds, scope=scope
-            ) == scalar.partition_key_rfds(paper_rfds, scope=scope)
-        finally:
-            vectorized.close()
+        for plan in PLANS:
+            scalar, vectorized = make_engines(
+                restaurant_sample, paper_rfds, plan
+            )
+            try:
+                assert vectorized.partition_key_rfds(
+                    paper_rfds, scope=scope
+                ) == scalar.partition_key_rfds(paper_rfds, scope=scope), plan
+            finally:
+                vectorized.close()
 
     @pytest.mark.parametrize("scope", ["all", "complete"])
     def test_pair_reactivates_matches_scalar(
         self, restaurant_sample, paper_rfds, scope
     ):
-        scalar, vectorized = make_engines(restaurant_sample, paper_rfds)
-        try:
-            for rfd in paper_rfds:
-                for row in range(restaurant_sample.n_tuples):
-                    assert vectorized.pair_reactivates(
-                        rfd, row, scope=scope
-                    ) == scalar.pair_reactivates(rfd, row, scope=scope)
-        finally:
-            vectorized.close()
+        for plan in PLANS:
+            scalar, vectorized = make_engines(
+                restaurant_sample, paper_rfds, plan
+            )
+            try:
+                for rfd in paper_rfds:
+                    for row in range(restaurant_sample.n_tuples):
+                        assert vectorized.pair_reactivates(
+                            rfd, row, scope=scope
+                        ) == scalar.pair_reactivates(
+                            rfd, row, scope=scope
+                        ), (plan, rfd, row)
+            finally:
+                vectorized.close()
+
+
+#: Seed datasets at smoke scale, discovered RFDs, 4% missing cells.
+ORACLE_SIZES = {"restaurant": 120, "physician": 80, "cars": 100}
+
+ORACLE_DISCOVERY = DiscoveryConfig(
+    threshold_limit=3,
+    max_lhs_size=2,
+    grid_size=2,
+    max_per_rhs=8,
+    max_pairs=200_000,
+)
+
+
+@pytest.fixture(scope="module", params=sorted(ORACLE_SIZES))
+def seed_case(request):
+    name = request.param
+    relation = load_dataset(name, n_tuples=ORACLE_SIZES[name], seed=0)
+    rfds = list(discover_rfds(relation, ORACLE_DISCOVERY).all_rfds)
+    injection = inject_missing(relation, rate=0.04, seed=3)
+    return injection.relation, rfds, injection.ground_truth
+
+
+@pytest.mark.parametrize("plan", sorted(PLANS))
+def test_oracle_on_seed_dataset(seed_case, plan):
+    """Candidates, verification and keyness on every missing cell of a
+    seed dataset, with tentative writes of the true and the top donor
+    value, match the scalar engine."""
+    dirty, rfds, truth = seed_case
+    relation = dirty.copy()
+    scalar, vectorized = make_engines(relation, rfds, plan)
+    try:
+        for scope in ("all", "complete"):
+            assert vectorized.partition_key_rfds(
+                rfds, scope=scope
+            ) == scalar.partition_key_rfds(rfds, scope=scope)
+        for row, attribute in relation.missing_cells():
+            clusters = cluster_by_rhs_threshold(
+                select_rfds_for_attribute(rfds, attribute), attribute
+            )
+            scalar_scan = scalar.cell_scan(row, attribute, clusters)
+            vector_scan = vectorized.cell_scan(row, attribute, clusters)
+            values = [truth[(row, attribute)]]
+            for cluster in clusters:
+                found = vector_scan.candidates(cluster)
+                assert found == scalar_scan.candidates(cluster)
+                values += [candidate.value for candidate in found[:1]]
+            for value in values:
+                relation.set_value(row, attribute, value)
+                for check_rhs in (False, True):
+                    assert vectorized.first_fault(
+                        row, attribute, rfds, check_rhs_rfds=check_rhs
+                    ) == scalar.first_fault(
+                        row, attribute, rfds, check_rhs_rfds=check_rhs
+                    )
+                    assert vectorized.is_faultless(
+                        row, attribute, rfds, check_rhs_rfds=check_rhs
+                    ) == scalar.is_faultless(
+                        row, attribute, rfds, check_rhs_rfds=check_rhs
+                    )
+                for rfd in relevant_rfds(rfds, attribute):
+                    for scope in ("all", "complete"):
+                        assert vectorized.pair_reactivates(
+                            rfd, row, scope=scope
+                        ) == scalar.pair_reactivates(rfd, row, scope=scope)
+            relation.set_value(row, attribute, MISSING)
+        counters = vectorized.counters()
+    finally:
+        vectorized.close()
+    if plan != "none":
+        assert counters["index_served_probes"] > 0
+    if plan in ("cap3", "cap1"):
+        assert counters["index_fallbacks"] > 0
 
 
 class TestEngineConfig:

@@ -1,8 +1,9 @@
 """Scalar-vs-vectorized equivalence on every seed dataset.
 
 The vectorized donor-scan engine claims *bit-identical* imputation
-outcomes: same candidates in the same order, same accept/reject
-decisions, same key-RFD partitions.  This suite runs both engines over
+outcomes, with or without a blocking-index plan: same candidates in the
+same order, same accept/reject decisions, same key-RFD partitions.  This
+suite runs the scalar engine and both vectorized configurations over
 all five seed generators at smoke scale with discovered RFDs and
 injected missing values and compares the full reports cell by cell
 (:class:`~repro.core.report.CellOutcome` is a frozen dataclass, so
@@ -39,45 +40,62 @@ DISCOVERY = DiscoveryConfig(
 )
 
 
-def run_both(name: str, **config_changes):
+#: The configurations compared against the scalar oracle: the
+#: vectorized engine scanning full columns, and the same engine probing
+#: a blocking-index plan first.
+CONFIGS = {
+    "vectorized": {"engine": "vectorized", "blocking": "off"},
+    "blocked": {"engine": "vectorized", "blocking": "on"},
+}
+
+
+def run_all(name: str, **config_changes):
+    """The scalar run plus one run per entry of :data:`CONFIGS`."""
     relation = load_dataset(name, n_tuples=SMOKE_SIZES[name], seed=0)
     rfds = discover_rfds(relation, DISCOVERY).all_rfds
     dirty = inject_missing(relation, rate=0.03, seed=7).relation
-    results = {}
-    for engine in ("scalar", "vectorized"):
-        renuver = Renuver(
-            rfds, RenuverConfig(engine=engine, **config_changes)
-        )
-        results[engine] = renuver.impute(dirty)
-    return results["scalar"], results["vectorized"]
+    scalar = Renuver(
+        rfds, RenuverConfig(engine="scalar", **config_changes)
+    ).impute(dirty)
+    others = {
+        label: Renuver(
+            rfds, RenuverConfig(**config, **config_changes)
+        ).impute(dirty)
+        for label, config in CONFIGS.items()
+    }
+    return scalar, others
+
+
+def assert_same_run(scalar, other):
+    assert scalar.report.outcomes == other.report.outcomes
+    assert scalar.relation.equals(other.relation)
 
 
 @pytest.mark.parametrize("name", sorted(SMOKE_SIZES))
 def test_identical_outcomes_on_seed_dataset(name):
-    scalar, vectorized = run_both(name)
-    assert scalar.report.outcomes == vectorized.report.outcomes
-    assert scalar.relation.equals(vectorized.relation)
-    assert (
-        scalar.report.key_rfds_initial
-        == vectorized.report.key_rfds_initial
-    )
-    assert (
-        scalar.report.key_rfds_reactivated
-        == vectorized.report.key_rfds_reactivated
-    )
+    scalar, others = run_all(name)
+    for other in others.values():
+        assert_same_run(scalar, other)
+        assert (
+            scalar.report.key_rfds_initial
+            == other.report.key_rfds_initial
+        )
+        assert (
+            scalar.report.key_rfds_reactivated
+            == other.report.key_rfds_reactivated
+        )
+    assert others["blocked"].report.kernel_counters["index_probes"] > 0
 
 
 def test_identical_outcomes_under_complete_scope():
-    scalar, vectorized = run_both(
-        "restaurant", keyness_scope="complete"
-    )
-    assert scalar.report.outcomes == vectorized.report.outcomes
-    assert scalar.relation.equals(vectorized.relation)
+    scalar, others = run_all("restaurant", keyness_scope="complete")
+    for other in others.values():
+        assert_same_run(scalar, other)
 
 
 def test_identical_outcomes_with_rhs_checks_and_cap():
-    scalar, vectorized = run_both(
+    scalar, others = run_all(
         "physician", check_rhs_rfds=True, max_candidates=3
     )
-    assert scalar.report.outcomes == vectorized.report.outcomes
-    assert scalar.relation.equals(vectorized.relation)
+    for other in others.values():
+        assert_same_run(scalar, other)

@@ -128,3 +128,32 @@ def test_counters_shape():
 def test_max_group_size_validation():
     with pytest.raises(ValueError):
         IndexPlan(make_relation(), RFDS, max_group_size=0)
+
+
+def test_shared_plan_reports_per_run_counters():
+    """Runs sharing one plan each report their own index counters: the
+    per-run values sum to the plan's lifetime totals, and the engine
+    leaves the shared plan attached for its owner."""
+    from repro import Renuver, RenuverConfig, inject_missing
+    from repro.datasets.physician import generate_physician
+
+    dirty = inject_missing(
+        generate_physician(300, seed=0), count=30, seed=5
+    ).relation
+    rfds = [
+        parse_rfd("Zip(<=0) -> City(<=0)"),
+        parse_rfd("OrgId(<=0) -> Street(<=0)"),
+        parse_rfd("Organization(<=1) -> City(<=2)"),
+    ]
+    plan = IndexPlan(dirty, rfds)
+    renuver = Renuver(rfds, RenuverConfig(blocking="on"), index_plan=plan)
+    runs = [
+        renuver.impute(dirty, inplace=True).report.kernel_counters
+        for _ in range(2)
+    ]
+    assert runs[0]["index_probes"] > runs[1]["index_probes"] > 0
+    assert runs[1]["index_builds"] == 0  # built once, reused
+    for name, total in plan.counters.items():
+        assert runs[0][name] + runs[1][name] == total, name
+    assert plan._attached
+    plan.close()

@@ -115,6 +115,26 @@ class TestMetrics:
                 engine="vectorized", counter=name,
             ) == value
 
+    def test_blocked_run_labels_both_families_vectorized(self):
+        result, telemetry = run_with_telemetry(blocking="on")
+        counters = result.report.kernel_counters
+        assert counters["index_probes"] > 0
+        families = {
+            family.name: family for family in telemetry.metrics.families()
+        }
+        for name in (
+            "renuver_kernel_calls_total", "renuver_kernel_counter_total"
+        ):
+            engines = {
+                dict(labels)["engine"]
+                for labels in families[name].instruments
+            }
+            assert engines == {"vectorized"}, name
+        assert telemetry.metrics.value(
+            "renuver_kernel_counter_total",
+            engine="vectorized", counter="index_probes",
+        ) == counters["index_probes"]
+
 
 class TestExportsFromARealRun:
     def test_trace_and_metrics_files(self, tmp_path):
