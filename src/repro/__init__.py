@@ -87,7 +87,6 @@ from repro.evaluation import (
 from repro.exceptions import (
     BudgetExceededError,
     ReproError,
-    WorkerPoolError,
 )
 from repro.extensions import (
     ImputationSession,
@@ -168,7 +167,6 @@ __all__ = [
     "Telemetry",
     "Tracer",
     "ValueSetRule",
-    "WorkerPoolError",
     "build_injection_suite",
     "compare_approaches",
     "config_with_suggested_limits",

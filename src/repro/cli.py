@@ -58,7 +58,6 @@ from repro.exceptions import (
     RuleFileError,
     SchemaError,
     ServiceError,
-    WorkerPoolError,
 )
 from repro.rfd import load_rfds, save_rfds
 from repro.telemetry import (
@@ -86,7 +85,8 @@ _EXIT_CODES: tuple[tuple[type, int], ...] = (
     (ImputationError, 6),
     (EvaluationError, 6),
     (InjectedFaultError, 6),
-    (WorkerPoolError, 7),       # supervised worker pool exhausted retries
+    # 7 is retired: scripts written for older versions may still test
+    # for it, so it is never reused.
     (ServiceError, 8),          # HTTP service cannot start or operate
     (PipelineError, 9),         # continuous-ingestion pipeline failures
 )
@@ -113,11 +113,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.handler(args)
     except KeyboardInterrupt:
         # SIGINT or SIGTERM: by the time the interrupt propagates here,
-        # the driver's finally blocks have flushed the journal and the
-        # supervisor has reaped its workers — exit with the
-        # conventional 128+SIGINT code.
-        print("interrupted; journal flushed, workers reaped",
-              file=sys.stderr)
+        # the driver's finally blocks have flushed the journal — exit
+        # with the conventional 128+SIGINT code.
+        print("interrupted; journal flushed", file=sys.stderr)
         return 130
     except ReproError as exc:
         if args.debug:
@@ -242,17 +240,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--on-budget", choices=("raise", "partial"), default="raise",
         help="run-budget overrun: abort with exit 3, or keep the "
              "partial result and exit 0",
-    )
-    impute.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="worker subprocesses for the supervised parallel runtime "
-             "(default 1 = sequential; outcomes are bit-identical "
-             "either way; total pool failure exits 7)",
-    )
-    impute.add_argument(
-        "--worker-timeout", type=float, default=30.0, metavar="SECONDS",
-        help="heartbeat staleness after which a worker is declared "
-             "hung and retried (default 30)",
     )
     impute.add_argument(
         "--journal", default=None, metavar="PATH",
@@ -395,10 +382,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="discovery threshold limit (default 3)",
     )
     pipeline.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="worker subprocesses for the imputation stage (default 1)",
-    )
-    pipeline.add_argument(
         "--lease-ttl", type=float, default=30.0, metavar="SECONDS",
         help="lease heartbeat TTL; a lease staler than this is taken "
              "over (default 30)",
@@ -503,8 +486,6 @@ def _cmd_impute(args: argparse.Namespace) -> int:
             cell_time_budget_seconds=args.cell_budget,
             fallback=args.fallback,
             on_budget=args.on_budget,
-            workers=args.workers,
-            worker_timeout_seconds=args.worker_timeout,
         ),
         telemetry=telemetry,
     )
@@ -629,7 +610,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         return 2
     config = PipelineConfig(
         discovery=DiscoveryConfig(threshold_limit=args.limit),
-        renuver=RenuverConfig(workers=args.workers),
         mode=args.mode,
         lease_ttl_seconds=args.lease_ttl,
         owner=args.owner,

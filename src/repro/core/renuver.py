@@ -155,27 +155,6 @@ class RenuverConfig:
         raise BudgetExceededError with the partial result attached) or
         ``"partial"`` (settle every remaining cell as skipped and
         return the partial result normally).
-    workers:
-        Worker subprocesses for the supervised parallel runtime
-        (:mod:`repro.robustness.supervisor`).  ``1`` (default) is the
-        sequential in-process path; ``N > 1`` partitions each round's
-        cells into batches shipped to crash-isolated workers and merged
-        at a deterministic round barrier — outcomes stay bit-identical
-        to the sequential run.  Incompatible with ``fallback="raise"``
-        (the supervisor *is* fault isolation).
-    worker_timeout_seconds:
-        Heartbeat staleness after which a worker is declared hung,
-        killed and retried.
-    max_retries:
-        Re-dispatches of a failed batch before it is poisoned and
-        recomputed in-process on the scalar engine (audited in the
-        report's ``degradations``).
-    worker_batch_size:
-        Missing cells per worker batch; one round covers
-        ``workers * worker_batch_size`` cells.
-    worker_backoff_seconds:
-        Base of the exponential retry backoff (doubled per attempt,
-        plus deterministic jitter; affects timing only, never outcomes).
     """
 
     cluster_order: str = "ascending"
@@ -192,11 +171,6 @@ class RenuverConfig:
     cell_time_budget_seconds: float | None = None
     fallback: str = "skip"
     on_budget: str = "raise"
-    workers: int = 1
-    worker_timeout_seconds: float = 30.0
-    max_retries: int = 2
-    worker_batch_size: int = 8
-    worker_backoff_seconds: float = 0.05
     blocking: str = "auto"
     max_group_size: int = 4096
 
@@ -247,25 +221,6 @@ class RenuverConfig:
             raise ImputationError(
                 "cell_time_budget_seconds must be positive when given"
             )
-        if self.workers < 1:
-            raise ImputationError(
-                f"workers must be >= 1, got {self.workers!r}"
-            )
-        if self.workers > 1 and self.fallback == "raise":
-            raise ImputationError(
-                "workers > 1 is incompatible with fallback='raise': the "
-                "supervised runtime exists to contain failures"
-            )
-        if self.worker_timeout_seconds <= 0:
-            raise ImputationError(
-                "worker_timeout_seconds must be positive"
-            )
-        if self.max_retries < 0:
-            raise ImputationError("max_retries must be >= 0")
-        if self.worker_batch_size < 1:
-            raise ImputationError("worker_batch_size must be >= 1")
-        if self.worker_backoff_seconds < 0:
-            raise ImputationError("worker_backoff_seconds must be >= 0")
 
 
 @dataclass
@@ -642,13 +597,6 @@ class Renuver:
             for row in relation.incomplete_rows()
             for attribute in relation.row(row).missing_attributes()
         ]
-        if self.config.workers > 1:
-            from repro.robustness.supervisor import Supervisor
-
-            Supervisor(self, state).run([
-                cell for cell in cells if cell not in state.done
-            ])
-            return
         tracer = self.telemetry.tracer
         metrics = self.telemetry.metrics
         for row, attribute in cells:
@@ -691,8 +639,6 @@ class Renuver:
         state: _RunState,
         row: int,
         attribute: str,
-        *,
-        tiers: list[tuple[str, ScalarEngine | VectorizedEngine]] | None = None,
     ) -> CellOutcome:
         """One cell under the degradation ladder.
 
@@ -701,16 +647,12 @@ class Renuver:
         remains goes to the last resort (``fallback``).  Per-cell
         deadline overruns jump straight to the last resort — the scalar
         engine would only overrun again.  Run-scope budget errors and
-        ``BaseException`` (kill switch, Ctrl-C) propagate.  The
-        supervisor passes an explicit ``tiers`` when a poisoned batch
-        must recompute on the scalar engine only.
+        ``BaseException`` (kill switch, Ctrl-C) propagate.
         """
         config = self.config
-        explicit_tiers = tiers is not None
-        if tiers is None:
-            tiers = [(config.engine, state.engine)]
-            if config.fallback != "raise" and config.engine == "vectorized":
-                tiers.append(("scalar", self._scalar_retry_engine(state)))
+        tiers = [(config.engine, state.engine)]
+        if config.fallback != "raise" and config.engine == "vectorized":
+            tiers.append(("scalar", self._scalar_retry_engine(state)))
         last_reason = "degradation ladder exhausted"
         for tier_index, (tier_name, engine) in enumerate(tiers):
             cell_timer = None
@@ -752,7 +694,7 @@ class Renuver:
                     last_reason,
                 )
                 continue
-            if tier_index > 0 or explicit_tiers:
+            if tier_index > 0:
                 outcome = replace(outcome, engine_tier=tier_name)
             return outcome
         return self._last_resort(state, row, attribute, last_reason)

@@ -122,17 +122,6 @@ class ImputationReport:
     budget_events: list[BudgetEvent] = field(default_factory=list)
     #: Cells restored from a journal instead of re-imputed.
     replayed_count: int = 0
-    #: Supervised runtime statistics (``RenuverConfig.workers > 1``);
-    #: all zero on the sequential path.
-    supervisor_rounds: int = 0
-    worker_batches: int = 0
-    worker_retries: int = 0
-    worker_crashes: int = 0
-    #: Worker-computed outcomes admitted unchanged at the round barrier.
-    worker_cells_accepted: int = 0
-    #: Cells recomputed in-process at the barrier (stale snapshot,
-    #: batch divergence or a poisoned batch).
-    worker_cells_recomputed: int = 0
 
     def add(self, outcome: CellOutcome) -> None:
         """Record one cell outcome."""
@@ -236,15 +225,6 @@ class ImputationReport:
             lines.append(f"budget events : {rendered}")
         if self.replayed_count:
             lines.append(f"replayed      : {self.replayed_count} from journal")
-        if self.worker_batches:
-            lines.append(
-                f"supervisor    : {self.supervisor_rounds} rounds, "
-                f"{self.worker_batches} batches "
-                f"({self.worker_cells_accepted} accepted, "
-                f"{self.worker_cells_recomputed} recomputed, "
-                f"{self.worker_retries} retries, "
-                f"{self.worker_crashes} crashes)"
-            )
         if self.elapsed_seconds:
             lines.append(f"elapsed       : {self.elapsed_seconds:.3f}s")
         if self.kernel_counters:

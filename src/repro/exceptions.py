@@ -67,17 +67,6 @@ class InjectedFaultError(ReproError):
     """
 
 
-class WorkerPoolError(ReproError):
-    """The supervised worker pool could not run at all.
-
-    Raised by :class:`repro.robustness.supervisor.Supervisor` when worker
-    subprocesses cannot even be spawned after the configured retries —
-    total pool exhaustion.  A *batch* that exhausts its retries never
-    raises this: it degrades to in-process scalar execution instead (see
-    ``docs/ROBUSTNESS.md``).  The CLI maps this error to exit code 7.
-    """
-
-
 class ServiceError(ReproError):
     """The imputation service could not start or operate.
 

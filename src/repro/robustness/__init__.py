@@ -1,6 +1,6 @@
 """Fault-tolerance toolkit for the imputation runtime.
 
-Three pieces, matching the runtime's robustness pillars:
+Everything runs in one process:
 
 * :mod:`repro.robustness.journal` — the JSONL imputation journal behind
   ``Renuver.impute(journal=..., resume_from=...)``: checkpoint every
@@ -9,10 +9,9 @@ Three pieces, matching the runtime's robustness pillars:
   (kernel faults, listener faults, clock skips, donor corruption, a
   kill switch) that exercise the degradation ladder and the journal in
   tests.
-* :mod:`repro.robustness.supervisor` — the supervised parallel runtime
-  behind ``RenuverConfig(workers=N)``: crash-isolated worker
-  subprocesses with heartbeats, timeouts, retry/backoff and a
-  deterministic round-barrier merge.
+* Per-cell fault isolation is the degradation ladder in
+  :class:`~repro.core.renuver.Renuver` (configured engine, then the
+  scalar engine, then ``fallback``).
 * Budget enforcement itself lives with the driver
   (:class:`~repro.core.renuver.RenuverConfig` time/memory/cell budgets)
   and the watchdogs in :mod:`repro.utils.timer` / :mod:`repro.utils.memory`.
@@ -24,14 +23,11 @@ from repro.robustness.chaos import ChaosConfig, ChaosInjector, ChaosKill
 from repro.robustness.journal import (
     JOURNAL_VERSION,
     JournalWriter,
-    WorkerCellResult,
     fingerprint_matches,
     load_journal,
-    read_shard,
     relation_fingerprint,
     replay_journal,
 )
-from repro.robustness.supervisor import Supervisor
 
 __all__ = [
     "JOURNAL_VERSION",
@@ -39,11 +35,8 @@ __all__ = [
     "ChaosInjector",
     "ChaosKill",
     "JournalWriter",
-    "Supervisor",
-    "WorkerCellResult",
     "fingerprint_matches",
     "load_journal",
-    "read_shard",
     "relation_fingerprint",
     "replay_journal",
 ]

@@ -30,13 +30,6 @@ cell corruption:
   write; install via :meth:`ChaosInjector.disk_faults`.  Exercises the
   artifact cache's count-as-miss contract, the journal's located
   append errors and the pipeline's failed-stage recovery;
-* **worker faults** — ``worker_kill_rate`` / ``worker_hang_rate`` /
-  ``worker_slow_rate`` target the supervised runtime's worker
-  *subprocesses* (``RenuverConfig.workers > 1``): a killed worker
-  SIGKILLs itself mid-batch, a hung worker stops heartbeating until the
-  supervisor reaps it, a slow worker sleeps before every cell.  Draws
-  are keyed on ``(round, batch, attempt)`` so the plan is independent
-  of scheduling (see :meth:`ChaosInjector.worker_fault`);
 * **HTTP faults** — ``http_reset_rate`` / ``http_slow_read_rate`` /
   ``http_mid_kill_rate`` / ``http_crash_rate`` target the service's
   HTTP seam (``repro.service.http`` consults
@@ -102,19 +95,6 @@ class ChaosConfig:
     disk_full_rate: float = 0.0
     #: Cap on injected kernel+listener faults (None = unlimited).
     max_faults: int | None = None
-    #: Probability that a dispatched worker batch gets SIGKILLed
-    #: mid-batch (supervised runtime only).
-    worker_kill_rate: float = 0.0
-    #: Probability that a dispatched worker batch hangs (stops
-    #: heartbeating) mid-batch until the supervisor kills it.
-    worker_hang_rate: float = 0.0
-    #: Probability that a dispatched worker batch sleeps before every
-    #: cell (heartbeats keep flowing; no failure should be declared).
-    worker_slow_rate: float = 0.0
-    #: Per-cell sleep of a slow worker.
-    worker_slow_seconds: float = 0.02
-    #: Cells a killed/hung worker completes before the fault fires.
-    worker_fault_cells: int = 1
     #: Probability that a request's connection is reset (RST) before
     #: any response byte is sent (service HTTP seam).
     http_reset_rate: float = 0.0
@@ -133,21 +113,13 @@ class ChaosConfig:
     def __post_init__(self) -> None:
         for name in ("kernel_fault_rate", "listener_fault_rate",
                      "clock_skip_rate", "disk_full_rate",
-                     "worker_kill_rate", "worker_hang_rate",
-                     "worker_slow_rate", "http_reset_rate",
-                     "http_slow_read_rate", "http_mid_kill_rate",
-                     "http_crash_rate"):
+                     "http_reset_rate", "http_slow_read_rate",
+                     "http_mid_kill_rate", "http_crash_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ImputationError(
                     f"{name} must be in [0, 1], got {rate!r}"
                 )
-        worker_total = (self.worker_kill_rate + self.worker_hang_rate
-                        + self.worker_slow_rate)
-        if worker_total > 1.0:
-            raise ImputationError(
-                f"worker fault rates must sum to <= 1, got {worker_total}"
-            )
         http_total = (self.http_reset_rate + self.http_slow_read_rate
                       + self.http_mid_kill_rate + self.http_crash_rate)
         if http_total > 1.0:
@@ -162,10 +134,6 @@ class ChaosConfig:
             raise ImputationError(
                 "kill_after_cells must be >= 0 when given"
             )
-        if self.worker_fault_cells < 0:
-            raise ImputationError("worker_fault_cells must be >= 0")
-        if self.worker_slow_seconds < 0:
-            raise ImputationError("worker_slow_seconds must be >= 0")
 
 
 class ChaosInjector:
@@ -190,7 +158,6 @@ class ChaosInjector:
         self.faults_injected = 0
         self.clock_skips = 0
         self.disk_faults_injected = 0
-        self.worker_faults_planned = 0
         self.http_faults_injected = 0
         self.corrupted: list[tuple[int, str]] = []
 
@@ -276,48 +243,6 @@ class ChaosInjector:
                 f"(at cell ({row}, {attribute!r}))"
             )
         self.cells_started += 1
-
-    def worker_fault(
-        self, round_index: int, batch_index: int, attempt: int
-    ) -> dict[str, Any] | None:
-        """The fault plan for one worker-batch dispatch, or ``None``.
-
-        Unlike the streaming channels above, the draw is *keyed* on
-        ``(round, batch, attempt)`` rather than consumed from a stream:
-        the supervisor dispatches and retries batches at wall-clock-
-        dependent moments, and a keyed derivation keeps the injected
-        fault a pure function of the dispatch coordinates — two runs
-        with the same seed fault the exact same attempts regardless of
-        scheduling.
-        """
-        config = self.config
-        total = (config.worker_kill_rate + config.worker_hang_rate
-                 + config.worker_slow_rate)
-        if total <= 0.0:
-            return None
-        rng = spawn_rng(
-            config.seed, "chaos", "worker",
-            round_index, batch_index, attempt,
-        )
-        draw = rng.random()
-        fault: dict[str, Any] | None = None
-        if draw < config.worker_kill_rate:
-            fault = {"kind": "kill",
-                     "after_cells": config.worker_fault_cells}
-        elif draw < config.worker_kill_rate + config.worker_hang_rate:
-            fault = {"kind": "hang",
-                     "after_cells": config.worker_fault_cells}
-        elif draw < total:
-            fault = {"kind": "slow",
-                     "seconds": config.worker_slow_seconds}
-        if fault is not None:
-            self.worker_faults_planned += 1
-            logger.debug(
-                "planning worker fault %s for round %d batch %d "
-                "attempt %d", fault["kind"], round_index, batch_index,
-                attempt,
-            )
-        return fault
 
     def http_fault(self) -> dict[str, Any] | None:
         """The fault plan for one HTTP request, or ``None``.

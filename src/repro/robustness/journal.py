@@ -21,32 +21,18 @@ Record types (one JSON object per line):
 ``cell``
     One terminal :class:`~repro.core.report.CellOutcome`: coordinates,
     status, value, source row, RFD (re-parseable text), distance,
-    engine tier, candidates tried and rollback count.  Cells settled by
-    the supervised runtime additionally carry a ``worker`` tag naming
-    the batch that computed them (``None`` for in-process recomputes).
+    engine tier, candidates tried and rollback count.  Journals written
+    by older versions may carry an extra ``worker`` key; replay ignores
+    it.
 ``budget``
     A :class:`~repro.core.report.BudgetEvent` (run- or cell-scope).
-``degradation``
-    A :class:`~repro.core.report.Degradation` (audit only; replay
-    ignores it).
-``reactivation``
-    Key RFDs re-activated by a fill (Algorithm 1 line 14).  Written by
-    supervised workers into their shards so the round barrier can
-    compare worker-local reactivations against the authoritative ones;
-    replay ignores it.
+``degradation`` / ``reactivation``
+    A :class:`~repro.core.report.Degradation`, or the key RFDs
+    re-activated by a fill (Algorithm 1 line 14).  Audit records that
+    only older journals contain; replay ignores them.
 ``end``
     The run finished normally.  Absent after a crash — which is fine:
     replay only needs the prefix.
-
-Worker shards
--------------
-The supervised runtime's worker subprocesses journal their batch into
-per-attempt *shard* files (``<journal>.shards/r<round>.b<batch>.a<n>``)
-using the same record vocabulary, minus the header.  The supervisor
-merges settled shards into the main journal at the round barrier — the
-main journal therefore stays an ordered, replayable, crash-safe prefix
-even when the cells were computed out-of-order across processes.
-:func:`read_shard` parses one shard back into per-cell results.
 
 A truncated final line (the record being written when the process died)
 is tolerated and *counted*: replay drops the torn tail with a warning
@@ -63,8 +49,6 @@ import json
 import os
 from pathlib import Path
 from typing import Any, TextIO
-
-from dataclasses import dataclass, field
 
 from repro.core.report import (
     BudgetEvent,
@@ -94,9 +78,7 @@ logger = get_logger("robustness.journal")
 JOURNAL_VERSION = 1
 
 
-def cell_record(
-    outcome: CellOutcome, *, worker: str | None = None
-) -> dict[str, Any]:
+def cell_record(outcome: CellOutcome) -> dict[str, Any]:
     """The JSON journal record for one settled cell.
 
     The inverse of :func:`outcome_from_record`; shared by
@@ -105,7 +87,7 @@ def cell_record(
     vocabulary.
     """
     rollbacks = outcome.candidates_tried - (1 if outcome.filled else 0)
-    record: dict[str, Any] = {
+    return {
         "type": "cell",
         "row": outcome.row,
         "attribute": outcome.attribute,
@@ -120,9 +102,6 @@ def cell_record(
         "engine_tier": outcome.engine_tier,
         "reason": outcome.reason,
     }
-    if worker is not None:
-        record["worker"] = worker
-    return record
 
 
 class JournalWriter:
@@ -162,37 +141,35 @@ class JournalWriter:
             relation.name, relation.n_tuples, self.path,
         )
 
-    def record_cell(
-        self, outcome: CellOutcome, *, worker: str | None = None
-    ) -> None:
-        """Journal one settled cell.
+    def record_cell(self, outcome: CellOutcome) -> None:
+        """Journal one settled cell."""
+        self._write(cell_record(outcome))
 
-        ``worker`` attributes the outcome to the supervised batch that
-        computed it (e.g. ``"r2.b1"``); omitted for sequential runs and
-        for cells the supervisor recomputed in-process.
+    def record_degradation(self, degradation: Degradation) -> None:
+        """Journal one degradation-ladder downgrade (audit only).
+
+        Nothing writes this record any more: degradations go to the
+        report.  Like :meth:`record_reactivation`, the method stays for
+        ``perfbench/spans.py``'s ``journal.write`` entry.
         """
-        self._write(cell_record(outcome, worker=worker))
-
-    def record_degradation(
-        self, degradation: Degradation, *, worker: str | None = None
-    ) -> None:
-        """Journal one degradation-ladder downgrade (audit only)."""
-        record = {
+        self._write({
             "type": "degradation",
             "row": degradation.row,
             "attribute": degradation.attribute,
             "from_tier": degradation.from_tier,
             "to_tier": degradation.to_tier,
             "reason": degradation.reason,
-        }
-        if worker is not None:
-            record["worker"] = worker
-        self._write(record)
+        })
 
     def record_reactivation(
         self, row: int, attribute: str, rfds: list[str]
     ) -> None:
-        """Journal key RFDs re-activated by the fill at one cell."""
+        """Journal key RFDs re-activated by the fill at one cell.
+
+        Nothing writes this record any more.  The method is kept because
+        ``perfbench/spans.py`` looks it up by name to time
+        ``journal.write``; delete it together with that entry.
+        """
         self._write({
             "type": "reactivation",
             "row": row,
@@ -318,62 +295,6 @@ def load_journal(
     if not records or records[0].get("type") != "header":
         raise JournalError(f"journal {path} has no header record")
     return records
-
-
-@dataclass
-class WorkerCellResult:
-    """One cell as settled by a supervised worker batch (shard replay)."""
-
-    outcome: CellOutcome
-    degradations: list[Degradation] = field(default_factory=list)
-    budget_events: list[BudgetEvent] = field(default_factory=list)
-    #: ``str(rfd)`` of key RFDs the worker re-activated after this fill.
-    reactivated: list[str] = field(default_factory=list)
-
-
-def read_shard(
-    path: str | Path, *, telemetry: Telemetry = NULL_TELEMETRY
-) -> list[WorkerCellResult]:
-    """Parse a worker journal shard into per-cell results, in order.
-
-    Shards carry no header; a truncated tail (the worker died or was
-    killed mid-record) is tolerated — the supervisor retries the batch,
-    so a partial shard is never replayed as complete.  Degradation and
-    budget records are attached to the *following* cell record (workers
-    write them while the cell is being settled); reactivation records
-    attach to the preceding cell.
-    """
-    results: list[WorkerCellResult] = []
-    pending_degradations: list[Degradation] = []
-    pending_budget: list[BudgetEvent] = []
-    for record in _parse_records(Path(path), telemetry=telemetry):
-        kind = record.get("type")
-        if kind == "cell":
-            results.append(WorkerCellResult(
-                outcome=outcome_from_record(record),
-                degradations=pending_degradations,
-                budget_events=pending_budget,
-            ))
-            pending_degradations, pending_budget = [], []
-        elif kind == "degradation":
-            pending_degradations.append(Degradation(
-                record["row"], record["attribute"],
-                record.get("from_tier", ""), record.get("to_tier", ""),
-                record.get("reason", ""),
-            ))
-        elif kind == "budget":
-            pending_budget.append(BudgetEvent(
-                scope=record.get("scope", "cell"),
-                kind=record.get("kind", "time"),
-                context=record.get("context", ""),
-                elapsed_seconds=record.get("elapsed_seconds"),
-                peak_bytes=record.get("peak_bytes"),
-                row=record.get("row"),
-                attribute=record.get("attribute"),
-            ))
-        elif kind == "reactivation" and results:
-            results[-1].reactivated = list(record.get("rfds", ()))
-    return results
 
 
 def replay_journal(

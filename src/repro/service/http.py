@@ -32,16 +32,15 @@ bypass admission so operators can always see in.
 
 Deadlines propagate end to end: the request's budget (body or service
 default) fixes an absolute deadline at arrival; queueing consumes it,
-the engine receives only the *remaining* budget (which the supervised
-runtime ships into its workers), and the response reports what was
-left as ``X-Budget-Remaining-Seconds``.
+the engine receives only the *remaining* budget, and the response
+reports what was left as ``X-Budget-Remaining-Seconds``.
 
 Every request runs under a fresh ``service.request`` span (the tracer
 is per-request; the metrics registry is process-wide) and lands in
 ``renuver_http_requests_total{route,code}`` and
 ``renuver_http_request_seconds{route}``.
 
-Graceful drain (modeled on the supervised runtime's shutdown path):
+Graceful drain:
 :meth:`ImputationHTTPServer.drain` stops the accept loop, waits for
 in-flight handler threads, and leaves settled state behind — the CLI
 ``serve`` subcommand maps SIGTERM/SIGINT onto it and exits 0.  With a
@@ -84,7 +83,7 @@ from repro.telemetry.logs import get_logger
 logger = get_logger("service.http")
 
 #: RenuverConfig fields a request may override per call.  Everything
-#: else (budgets, workers, journals) is owned by the operator.
+#: else (budgets, blocking, journals) is owned by the operator.
 _CONFIG_OVERRIDES = frozenset(
     {"engine", "verify", "fallback", "max_candidates", "cluster_order"}
 )

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.core import CellOutcome, Degradation, OutcomeStatus, Renuver
+from repro.core import Renuver
 from repro.dataset.csv_io import to_csv_text
 from repro.exceptions import JournalError
 from repro.robustness import (
@@ -15,7 +15,6 @@ from repro.robustness import (
     JournalWriter,
     fingerprint_matches,
     load_journal,
-    read_shard,
     relation_fingerprint,
     replay_journal,
 )
@@ -302,42 +301,45 @@ class TestResumeEdgeCases:
             replay_journal(path, restaurant_sample.copy())
 
 
-class TestShards:
-    def test_read_shard_groups_records_per_cell(self, tmp_path):
-        path = tmp_path / "r0.b0.a1.jsonl"
-        writer = JournalWriter(path)
-        writer.record_degradation(
-            Degradation(0, "City", "vectorized", "scalar", "boom")
+class TestOlderJournals:
+    def test_worker_tags_and_reactivations_replay_and_resume(
+        self, restaurant_sample, paper_rfds, tmp_path
+    ):
+        # Older versions tagged cell and degradation records with a
+        # ``worker`` key and wrote ``reactivation`` records.  A prefix
+        # of such a journal still replays and resumes as before.
+        path = tmp_path / "run.jsonl"
+        done = Renuver(paper_rfds).impute(
+            restaurant_sample.copy(), journal=path
         )
-        writer.record_cell(
-            CellOutcome(0, "City", OutcomeStatus.IMPUTED, value="rome")
+        header, *records = [
+            json.loads(line) for line in path.read_text().splitlines()
+        ]
+        first, second = [r for r in records if r["type"] == "cell"][:2]
+        first["worker"] = "r0.b0"
+        prefix = [
+            header,
+            {"type": "degradation", "row": first["row"],
+             "attribute": first["attribute"], "from_tier": "worker",
+             "to_tier": "scalar", "reason": "crash", "worker": "r0.b0"},
+            first,
+            {"type": "reactivation", "row": first["row"],
+             "attribute": first["attribute"], "rfds": []},
+            second,
+        ]
+        path.write_text(
+            "".join(json.dumps(record) + "\n" for record in prefix)
         )
-        writer.record_reactivation(0, "City", ["Zip(0.0) -> City(2.0)"])
-        writer.record_cell(
-            CellOutcome(2, "Phone", OutcomeStatus.NO_CANDIDATES)
+        fresh = restaurant_sample.copy()
+        replayed = replay_journal(path, fresh)
+        assert replayed == done.report.outcomes[:2]
+        for outcome in replayed:
+            assert fresh.value(
+                outcome.row, outcome.attribute
+            ) == outcome.value
+        resumed = Renuver(paper_rfds).impute(
+            restaurant_sample.copy(), resume_from=path
         )
-        writer.close()
-        results = read_shard(path)
-        assert len(results) == 2
-        first, second = results
-        assert first.outcome.value == "rome"
-        assert [d.reason for d in first.degradations] == ["boom"]
-        assert first.reactivated == ["Zip(0.0) -> City(2.0)"]
-        assert second.outcome.row == 2
-        assert not second.degradations and not second.reactivated
-
-    def test_read_shard_tolerates_truncated_tail(self, tmp_path):
-        path = tmp_path / "r0.b1.a1.jsonl"
-        writer = JournalWriter(path)
-        writer.record_cell(
-            CellOutcome(1, "Type", OutcomeStatus.IMPUTED, value="bar")
-        )
-        writer.record_cell(
-            CellOutcome(3, "Class", OutcomeStatus.IMPUTED, value="5")
-        )
-        writer.close()
-        text = path.read_text()
-        path.write_text(text[: len(text) - 10])  # cut into the tail
-        results = read_shard(path)
-        assert len(results) == 1
-        assert results[0].outcome.row == 1
+        assert resumed.report.replayed_count == 2
+        assert resumed.report.outcomes == done.report.outcomes
+        assert to_csv_text(resumed.relation) == to_csv_text(done.relation)

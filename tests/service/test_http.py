@@ -206,10 +206,10 @@ class TestErrorMapping:
 
     def test_unknown_config_override_is_400(self, base):
         status, body = call(base, "POST", "/v1/impute", {
-            "csv": CSV, "rfds": RFD_TEXTS, "config": {"workers": 4},
+            "csv": CSV, "rfds": RFD_TEXTS, "config": {"time_budget_seconds": 4},
         })
         assert status == 400
-        assert "workers" in body["error"]
+        assert "time_budget_seconds" in body["error"]
 
     def test_unknown_discovery_option_is_400(self, base):
         status, body = call(base, "POST", "/v1/impute", {
