@@ -209,13 +209,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print per-cell provenance to stderr",
     )
     impute.add_argument(
-        "--engine", choices=("vectorized", "scalar"),
-        default="vectorized", help="donor-scan engine",
-    )
-    impute.add_argument(
         "--blocking", choices=("auto", "on", "off"), default="auto",
         help="blocking-index donor retrieval: auto engages on large "
-             "vectorized runs, on forces it, off keeps full scans "
+             "runs, on forces it, off keeps full scans "
              "(outcomes are bit-identical either way)",
     )
     impute.add_argument(
@@ -343,8 +339,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--no-brownout", action="store_true",
-        help="disable the overload brownout ladder (vectorized -> "
-             "scalar -> cache-only); sheds still answer 429",
+        help="disable the overload brownout ladder (normal -> "
+             "cache-only); sheds still answer 429",
     )
     serve.add_argument(
         "--no-durable-sessions", action="store_true",
@@ -479,7 +475,6 @@ def _cmd_impute(args: argparse.Namespace) -> int:
         rfds,
         RenuverConfig(
             verify=not args.no_verify,
-            engine=args.engine,
             blocking=args.blocking,
             max_group_size=args.max_group_size,
             time_budget_seconds=args.budget,

@@ -91,24 +91,15 @@ class RenuverConfig:
     cluster_order:
         ``"ascending"`` (default; the worked example's tightest-first
         order) or ``"descending"`` (Algorithm 2's literal wording).
-    engine:
-        Donor-scan engine: ``"vectorized"`` (default; columnar one-vs-all
-        distance kernels with length-blocked string DPs) or ``"scalar"``
-        (the original pair-at-a-time reference path).  Both produce
-        bit-identical imputation outcomes; the scalar engine is kept for
-        equivalence testing and as executable documentation of
-        Algorithms 3 and 4.
     blocking:
-        Blocking-index pre-filtering for the vectorized engine
+        Blocking-index pre-filtering for the donor scans
         (``repro.index``; see docs/INDEXING.md): ``"auto"`` (default)
         engages it when the relation has at least
         ``AUTO_BLOCKING_MIN_TUPLES`` tuples, ``"on"`` forces it at any
         size, ``"off"`` always runs the full scan.  Candidate sets and
         imputed values stay bit-identical either way — indexes only
         prune pairs the RFD thresholds already reject, and every
-        surviving pair's distance is recomputed exactly.  Requires the
-        vectorized engine (``"on"`` with ``engine="scalar"`` is a
-        configuration error; ``"auto"`` simply never engages there).
+        surviving pair's distance is recomputed exactly.
     max_group_size:
         Anchor cap of the blocking indexes: any probe whose candidate
         group exceeds this many rows falls back to the full scan for
@@ -158,7 +149,6 @@ class RenuverConfig:
     """
 
     cluster_order: str = "ascending"
-    engine: str = "vectorized"
     verify: bool = True
     check_rhs_rfds: bool = False
     recheck_keys: bool = True
@@ -180,20 +170,10 @@ class RenuverConfig:
                 f"cluster_order must be 'ascending' or 'descending', "
                 f"got {self.cluster_order!r}"
             )
-        if self.engine not in ("scalar", "vectorized"):
-            raise ImputationError(
-                f"engine must be 'scalar' or 'vectorized', "
-                f"got {self.engine!r}"
-            )
         if self.blocking not in ("auto", "on", "off"):
             raise ImputationError(
                 f"blocking must be 'auto', 'on' or 'off', "
                 f"got {self.blocking!r}"
-            )
-        if self.blocking == "on" and self.engine == "scalar":
-            raise ImputationError(
-                "blocking='on' requires engine='vectorized': the scalar "
-                "reference path has no index seam"
             )
         if self.max_group_size < 1:
             raise ImputationError(
@@ -336,7 +316,7 @@ class Renuver:
         telemetry = self.telemetry
         with telemetry.tracer.span(
             "impute",
-            engine=self.config.engine,
+            engine=VectorizedEngine.name,
             relation=relation.name,
             n_tuples=relation.n_tuples,
             n_rfds=len(self.rfds),
@@ -385,7 +365,7 @@ class Renuver:
             metrics.counter(
                 "renuver_kernel_counter_total",
                 "Engine kernel counters (seam ops and vector layer).",
-                engine=self.config.engine,
+                engine=VectorizedEngine.name,
                 counter=name,
             ).inc(value)
         logger.info(
@@ -433,7 +413,7 @@ class Renuver:
             from repro.robustness.journal import JournalWriter
 
             writer = JournalWriter(journal)
-            writer.write_header(working, engine=self.config.engine)
+            writer.write_header(working)
 
         clock = getattr(chaos, "clock", None)
         timer = Timer(
@@ -642,16 +622,16 @@ class Renuver:
     ) -> CellOutcome:
         """One cell under the degradation ladder.
 
-        Tier 0 is the configured engine; a fault retries on the scalar
-        reference engine (tier 1, when tier 0 was vectorized); whatever
-        remains goes to the last resort (``fallback``).  Per-cell
-        deadline overruns jump straight to the last resort — the scalar
-        engine would only overrun again.  Run-scope budget errors and
-        ``BaseException`` (kill switch, Ctrl-C) propagate.
+        Tier 0 is the run's engine; a fault retries on the scalar
+        reference engine (tier 1); whatever remains goes to the last
+        resort (``fallback``).  Per-cell deadline overruns jump straight
+        to the last resort — the scalar engine would only overrun
+        again.  Run-scope budget errors and ``BaseException`` (kill
+        switch, Ctrl-C) propagate.
         """
         config = self.config
-        tiers = [(config.engine, state.engine)]
-        if config.fallback != "raise" and config.engine == "vectorized":
+        tiers = [(state.engine.name, state.engine)]
+        if config.fallback != "raise":
             tiers.append(("scalar", self._scalar_retry_engine(state)))
         last_reason = "degradation ladder exhausted"
         for tier_index, (tier_name, engine) in enumerate(tiers):
@@ -1087,47 +1067,41 @@ class Renuver:
             cached=self.config.distance_cache,
         )
 
-    def _make_engine(
-        self, calculator: PatternCalculator
-    ) -> ScalarEngine | VectorizedEngine:
-        """The configured donor-scan engine, bound to one calculator.
+    def _make_engine(self, calculator: PatternCalculator) -> VectorizedEngine:
+        """The run's donor-scan engine, bound to one calculator.
 
         The only place that decides blocking: when it engages, the
-        vectorized engine probes the shared plan if that shadows this
-        relation instance, else a plan built (and closed) for this run.
+        engine probes the shared plan if that shadows this relation
+        instance, else a plan built (and closed) for this run.
         """
-        engine: ScalarEngine | VectorizedEngine
-        if self.config.engine == "scalar":
-            engine = ScalarEngine(calculator)
-        else:
-            relation = calculator.relation
-            overrides = set(self._distance_overrides)
-            plan = None
-            owns_plan = False
-            if self._blocking_engages(relation):
-                plan = self._index_plan
-                if getattr(plan, "relation", None) is not relation:
-                    from repro.index.plan import IndexPlan
+        relation = calculator.relation
+        overrides = set(self._distance_overrides)
+        plan = None
+        owns_plan = False
+        if self._blocking_engages(relation):
+            plan = self._index_plan
+            if getattr(plan, "relation", None) is not relation:
+                from repro.index.plan import IndexPlan
 
-                    plan = IndexPlan(
-                        relation,
-                        self.rfds,
-                        max_group_size=self.config.max_group_size,
-                        override_names=overrides,
-                    )
-                    owns_plan = True
-            engine = VectorizedEngine(
-                calculator,
-                self.rfds,
-                override_names=overrides,
-                plan=plan,
-                owns_plan=owns_plan,
-            )
+                plan = IndexPlan(
+                    relation,
+                    self.rfds,
+                    max_group_size=self.config.max_group_size,
+                    override_names=overrides,
+                )
+                owns_plan = True
+        engine = VectorizedEngine(
+            calculator,
+            self.rfds,
+            override_names=overrides,
+            plan=plan,
+            owns_plan=owns_plan,
+        )
         engine.set_telemetry(self.telemetry)
         return engine
 
     def _blocking_engages(self, relation: Relation) -> bool:
-        """Whether this (vectorized) run uses the blocking indexes."""
+        """Whether this run uses the blocking indexes."""
         if self.config.blocking == "on":
             return True
         if self.config.blocking == "off":

@@ -72,7 +72,7 @@ class ImputationSession:
         rebuilding them per round (``docs/INDEXING.md``).  Only built
         when blocking can engage at some size.
         """
-        if config.engine != "vectorized" or config.blocking == "off":
+        if config.blocking == "off":
             return None
         from repro.index.plan import IndexPlan
 

@@ -588,9 +588,7 @@ class Pipeline:
         """
         writer = JournalWriter(journal)
         try:
-            writer.write_header(
-                dirty, engine=self.config.renuver.engine
-            )
+            writer.write_header(dirty)
             for entry in state.unresolved:
                 writer.record_cell(outcome_from_record(entry))
         finally:

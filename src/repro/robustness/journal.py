@@ -119,7 +119,7 @@ class JournalWriter:
         )
         self._fresh = self.path.stat().st_size == 0
 
-    def write_header(self, relation: Relation, *, engine: str) -> None:
+    def write_header(self, relation: Relation) -> None:
         """Record the run's identity; skipped when resuming an existing
         journal (the original header stands)."""
         if not self._fresh:
@@ -133,7 +133,9 @@ class JournalWriter:
             "attributes": list(relation.attribute_names),
             "missing": relation.count_missing(),
             "fingerprint": relation_fingerprint(relation),
-            "engine": engine,
+            # Every run uses the columnar engine; the field stays so
+            # journal bytes match those older versions wrote.
+            "engine": "vectorized",
         })
         self._fresh = False
         logger.info(

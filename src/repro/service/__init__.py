@@ -18,7 +18,7 @@ Turns the batch reproduction into a servable engine (the ROADMAP's
   makes warm sessions survive ``kill -9``.
 * :mod:`repro.service.admission` — the bounded deadline-aware
   admission queue and the overload brownout ladder
-  (vectorized → scalar → cache-only).
+  (normal → cache-only).
 * :mod:`repro.service.http` — the stdlib ``ThreadingHTTPServer`` JSON
   API with liveness/readiness probes, per-request ``service.request``
   spans, Prometheus ``/metrics`` and a graceful drain for the CLI

@@ -27,13 +27,10 @@ fault-tolerant runtime (``docs/ROBUSTNESS.md``):
 lvl   tier         behaviour
 ====  ===========  ====================================================
 0     ``normal``      requests run as configured
-1     ``scalar``      donor scans forced onto the constant-memory
-                      scalar engine (smaller allocation bursts; the
-                      same bit-identical results)
-2     ``cache_only``  only requests answerable from warm artifacts are
+1     ``cache_only``  only requests answerable from warm artifacts are
                       admitted: pinned RFD sets and artifact-cache hits
-                      run (scalar); anything needing fresh discovery is
-                      shed with 429 + Retry-After
+                      run; anything needing fresh discovery is shed
+                      with 429 + Retry-After
 ====  ===========  ====================================================
 
 Every transition is recorded as a :class:`~repro.core.report
@@ -60,7 +57,7 @@ from repro.telemetry.logs import get_logger
 logger = get_logger("service.admission")
 
 #: Brownout ladder tier names, by level.
-BROWNOUT_TIERS = ("normal", "scalar", "cache_only")
+BROWNOUT_TIERS = ("normal", "cache_only")
 
 #: Audit-record coordinates marking a *service-scope* degradation (the
 #: per-cell ladder uses real cell coordinates).
@@ -289,14 +286,10 @@ class BrownoutController:
     def tier(self) -> str:
         return BROWNOUT_TIERS[self.level]
 
-    def overrides(self) -> dict[str, Any]:
-        """RenuverConfig overrides the current level imposes."""
-        return {"engine": "scalar"} if self.level >= 1 else {}
-
     @property
     def cache_only(self) -> bool:
         """Whether discovery-requiring requests must be shed."""
-        return self.level >= 2
+        return self.level >= 1
 
     # ------------------------------------------------------------------
     def record_shed(self) -> None:

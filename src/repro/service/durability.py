@@ -272,8 +272,17 @@ def rebuild_components(
         raise SessionRecoveryError(
             f"cannot rebuild the session relation: {exc}"
         ) from exc
+    overrides = created.get("overrides")
+    if isinstance(overrides, dict) and "engine" in overrides:
+        # Sessions opened under the retired scalar brownout tier (or
+        # with the retired ``engine`` override) journaled the field;
+        # every engine gives bit-identical outcomes, so drop it.
+        overrides = {k: v for k, v in overrides.items() if k != "engine"}
+        logger.warning(
+            "session replay: dropping retired 'engine' config override"
+        )
     config = engine._request_config(
-        created.get("overrides"), created.get("budget_seconds")
+        overrides, created.get("budget_seconds")
     )
     rfd_texts = created.get("rfd_texts")
     if rfd_texts is not None:

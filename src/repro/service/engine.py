@@ -75,7 +75,7 @@ class ServiceConfig:
         Queue-wait cap for requests without a deadline of their own.
     brownout_enabled:
         Whether sustained shedding steps the service down the brownout
-        ladder (vectorized → scalar → cache-only; ``docs/SERVICE.md``).
+        ladder (normal → cache-only; ``docs/SERVICE.md``).
     brownout_step_up_sheds / brownout_window_seconds:
         Sheds within the sliding window that climb one ladder rung.
     brownout_cooldown_seconds:

@@ -27,7 +27,7 @@ more wait — but only while their deadline still permits — and
 everything else is shed with ``429`` and a *load-derived*
 ``Retry-After``.  Sustained shedding engages the
 :class:`~repro.service.admission.BrownoutController` ladder
-(vectorized → scalar → cache-only).  ``/healthz*`` and ``/metrics``
+(normal → cache-only).  ``/healthz*`` and ``/metrics``
 bypass admission so operators can always see in.
 
 Deadlines propagate end to end: the request's budget (body or service
@@ -85,7 +85,7 @@ logger = get_logger("service.http")
 #: RenuverConfig fields a request may override per call.  Everything
 #: else (budgets, blocking, journals) is owned by the operator.
 _CONFIG_OVERRIDES = frozenset(
-    {"engine", "verify", "fallback", "max_candidates", "cluster_order"}
+    {"verify", "fallback", "max_candidates", "cluster_order"}
 )
 
 _DISCOVERY_ALIASES = {"limit": "threshold_limit", "max_lhs": "max_lhs_size"}
@@ -93,10 +93,6 @@ _DISCOVERY_FIELDS = frozenset(
     f.name for f in dataclass_fields(DiscoveryConfig)
 )
 
-_DEGRADED = "renuver_service_degraded_requests_total"
-_HELP_DEGRADED = (
-    "Requests that ran under a brownout tier below normal, by tier."
-)
 _CHAOS = "renuver_http_chaos_faults_total"
 _HELP_CHAOS = "Injected HTTP faults applied to requests, by kind."
 
@@ -458,7 +454,7 @@ class _Handler(BaseHTTPRequestHandler):
             relation,
             rfds,
             discovery=discovery,
-            overrides=self._effective_overrides(body),
+            overrides=self._overrides_from(body),
             budget_seconds=self._remaining_budget(),
             telemetry=telemetry,
         )
@@ -481,7 +477,7 @@ class _Handler(BaseHTTPRequestHandler):
         rfds = self._rfds_from(body)
         if rfds is None:
             self._enforce_cache_only(relation, discovery)
-        overrides = self._effective_overrides(body)
+        overrides = self._overrides_from(body)
         budget = self._budget_from(body)
         imputation, maintainer, source, result = (
             self.server.engine.open_session(
@@ -587,26 +583,11 @@ class _Handler(BaseHTTPRequestHandler):
         remaining = max(0.0, self._deadline - perf_counter())
         return {"X-Budget-Remaining-Seconds": f"{remaining:.3f}"}
 
-    def _effective_overrides(
-        self, body: dict[str, Any]
-    ) -> dict[str, Any] | None:
-        """Request overrides with the brownout tier's forced fields on
-        top (the ladder's engine downgrade is result-identical — the
-        scalar engine is the vectorized engine's reference)."""
-        overrides = self._overrides_from(body)
-        forced = self.server.brownout.overrides()
-        if forced:
-            self.server.telemetry.metrics.counter(
-                _DEGRADED, _HELP_DEGRADED,
-                tier=self.server.brownout.tier,
-            ).inc()
-            overrides = {**(overrides or {}), **forced}
-        return overrides
-
     def _enforce_cache_only(
         self, relation: Any, discovery: DiscoveryConfig | None
     ) -> None:
-        """At brownout level 2, shed discovery-requiring requests.
+        """At the ``cache_only`` brownout tier, shed discovery-requiring
+        requests.
 
         A request with a pinned RFD set never discovers; one without is
         admitted only when the artifact cache already holds the

@@ -33,9 +33,9 @@ from repro.distance.kernels import DonorScanKernels
 from repro.distance.levenshtein import levenshtein, levenshtein_bounded
 from repro.distance.pattern import PatternCalculator
 from repro.evaluation.injection import inject_missing
-from repro.exceptions import ImputationError
 from repro.index import IndexPlan
 from repro.rfd import parse_rfd
+from tests.oracle import ScalarRenuver
 
 #: Index plans the vectorized engine runs with: none (full scans), the
 #: default cap, and caps small enough that some probes of one cluster
@@ -529,13 +529,13 @@ def test_oracle_on_seed_dataset(seed_case, plan):
 
 class TestEngineConfig:
     def test_invalid_engine_rejected(self):
-        with pytest.raises(ImputationError):
-            RenuverConfig(engine="warp")
+        # The engine is not a setting: the scalar engine is only the
+        # test oracle (tests/oracle.py).
+        with pytest.raises(TypeError):
+            RenuverConfig(engine="scalar")
 
     def test_scalar_engine_selectable(self, restaurant_sample, paper_rfds):
-        result = Renuver(
-            paper_rfds, RenuverConfig(engine="scalar")
-        ).impute(restaurant_sample)
+        result = ScalarRenuver(paper_rfds).impute(restaurant_sample)
         # Unified seam counters: the scalar engine reports per-op kernel
         # call counts through the same code path as the vectorized one.
         counters = result.report.kernel_counters
@@ -547,12 +547,8 @@ class TestEngineConfig:
     def test_engines_agree_on_paper_example(
         self, restaurant_sample, paper_rfds
     ):
-        scalar = Renuver(
-            paper_rfds, RenuverConfig(engine="scalar")
-        ).impute(restaurant_sample)
-        vectorized = Renuver(
-            paper_rfds, RenuverConfig(engine="vectorized")
-        ).impute(restaurant_sample)
+        scalar = ScalarRenuver(paper_rfds).impute(restaurant_sample)
+        vectorized = Renuver(paper_rfds).impute(restaurant_sample)
         assert scalar.report.outcomes == vectorized.report.outcomes
         assert scalar.relation.equals(vectorized.relation)
 
@@ -576,8 +572,8 @@ class TestEngineConfig:
     def test_explain_matches_engine_candidates(
         self, restaurant_sample, paper_rfds
     ):
-        scalar = Renuver(paper_rfds, RenuverConfig(engine="scalar"))
-        vectorized = Renuver(paper_rfds, RenuverConfig(engine="vectorized"))
+        scalar = ScalarRenuver(paper_rfds)
+        vectorized = Renuver(paper_rfds)
         assert scalar.explain(
             restaurant_sample, 3, "Phone"
         ) == vectorized.explain(restaurant_sample, 3, "Phone")
@@ -590,15 +586,11 @@ class TestOverrides:
         from repro.distance import jaro_winkler_function
 
         overrides = {"Name": jaro_winkler_function()}
-        scalar = Renuver(
-            paper_rfds,
-            RenuverConfig(engine="scalar"),
-            distance_overrides=overrides,
+        scalar = ScalarRenuver(
+            paper_rfds, distance_overrides=overrides
         ).impute(restaurant_sample)
         vectorized = Renuver(
-            paper_rfds,
-            RenuverConfig(engine="vectorized"),
-            distance_overrides=overrides,
+            paper_rfds, distance_overrides=overrides
         ).impute(restaurant_sample)
         assert scalar.report.outcomes == vectorized.report.outcomes
         assert scalar.relation.equals(vectorized.relation)

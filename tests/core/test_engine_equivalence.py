@@ -22,6 +22,7 @@ from repro import (
     inject_missing,
     load_dataset,
 )
+from tests.oracle import ScalarRenuver
 
 SMOKE_SIZES = {
     "restaurant": 120,
@@ -44,8 +45,8 @@ DISCOVERY = DiscoveryConfig(
 #: vectorized engine scanning full columns, and the same engine probing
 #: a blocking-index plan first.
 CONFIGS = {
-    "vectorized": {"engine": "vectorized", "blocking": "off"},
-    "blocked": {"engine": "vectorized", "blocking": "on"},
+    "vectorized": {"blocking": "off"},
+    "blocked": {"blocking": "on"},
 }
 
 
@@ -54,8 +55,8 @@ def run_all(name: str, **config_changes):
     relation = load_dataset(name, n_tuples=SMOKE_SIZES[name], seed=0)
     rfds = discover_rfds(relation, DISCOVERY).all_rfds
     dirty = inject_missing(relation, rate=0.03, seed=7).relation
-    scalar = Renuver(
-        rfds, RenuverConfig(engine="scalar", **config_changes)
+    scalar = ScalarRenuver(
+        rfds, RenuverConfig(**config_changes)
     ).impute(dirty)
     others = {
         label: Renuver(

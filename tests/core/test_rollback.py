@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Renuver, RenuverConfig
+from repro.core import RenuverConfig
 from repro.core.donor_scan import ScalarEngine, VectorizedEngine
 from repro.core.report import OutcomeStatus
 from repro.dataset import MISSING, Relation
 from repro.dataset.csv_io import to_csv_text
 from repro.exceptions import InjectedFaultError
 from repro.rfd import make_rfd
+from tests.oracle import renuver_for
 
 ENGINES = ("scalar", "vectorized")
 
@@ -55,9 +56,7 @@ class TestVerificationRollback:
     def test_all_rejected_leaves_relation_bit_identical(self, engine):
         relation, sigma = _rejection_setup()
         before = to_csv_text(relation)
-        result = Renuver(sigma, RenuverConfig(engine=engine)).impute(
-            relation
-        )
+        result = renuver_for(engine, sigma).impute(relation)
         outcome = result.report.outcome_for(0, "City")
         assert outcome.status is OutcomeStatus.ALL_REJECTED
         assert outcome.candidates_tried > 0
@@ -68,9 +67,7 @@ class TestVerificationRollback:
     def test_all_rejected_inplace_restores_input(self, engine):
         relation, sigma = _rejection_setup()
         before = to_csv_text(relation)
-        Renuver(sigma, RenuverConfig(engine=engine)).impute(
-            relation, inplace=True
-        )
+        renuver_for(engine, sigma).impute(relation, inplace=True)
         assert to_csv_text(relation) == before
 
 
@@ -91,9 +88,7 @@ class TestCrashRollback:
         relation.set_value(0, "City", MISSING)
         before = to_csv_text(relation)
         sigma = [make_rfd({"Zip": 0}, ("City", 1))]
-        result = Renuver(sigma, RenuverConfig(engine=engine)).impute(
-            relation
-        )
+        result = renuver_for(engine, sigma).impute(relation)
         outcome = result.report.outcome_for(0, "City")
         assert outcome.status is OutcomeStatus.SKIPPED
         assert to_csv_text(result.relation) == before
@@ -105,8 +100,8 @@ class TestCrashRollback:
         relation.set_value(0, "City", MISSING)
         before = to_csv_text(relation)
         sigma = [make_rfd({"Zip": 0}, ("City", 1))]
-        engine_obj = Renuver(
-            sigma, RenuverConfig(engine=engine, fallback="raise")
+        engine_obj = renuver_for(
+            engine, sigma, RenuverConfig(fallback="raise")
         )
         with pytest.raises(InjectedFaultError):
             engine_obj.impute(relation, inplace=True)

@@ -17,6 +17,7 @@ import pytest
 from repro.core import Renuver, RenuverConfig
 from repro.dataset.csv_io import to_csv_text
 from repro.robustness import ChaosConfig, ChaosInjector, ChaosKill
+from tests.oracle import renuver_for
 
 pytestmark = pytest.mark.chaos
 
@@ -38,8 +39,8 @@ class TestKernelFaults:
     ):
         expected = _missing_cells(restaurant_sample)
         chaos = ChaosInjector(ChaosConfig(seed=7, kernel_fault_rate=0.3))
-        result = Renuver(paper_rfds, RenuverConfig(
-            engine=engine, fallback="mean_mode"
+        result = renuver_for(engine, paper_rfds, RenuverConfig(
+            fallback="mean_mode"
         )).impute(restaurant_sample, chaos=chaos)
         assert set(result.report.cell_outcomes) == expected
         assert chaos.faults_injected > 0
@@ -72,8 +73,8 @@ class TestListenerFaults:
     ):
         expected = _missing_cells(restaurant_sample)
         chaos = ChaosInjector(ChaosConfig(seed=3, listener_fault_rate=0.5))
-        result = Renuver(paper_rfds, RenuverConfig(
-            engine=engine, fallback="skip"
+        result = renuver_for(engine, paper_rfds, RenuverConfig(
+            fallback="skip"
         )).impute(restaurant_sample, chaos=chaos)
         assert set(result.report.cell_outcomes) == expected
         assert chaos.faults_injected > 0
@@ -102,8 +103,8 @@ class TestCorruptedDonors:
         self, restaurant_sample, paper_rfds, engine
     ):
         chaos = ChaosInjector(ChaosConfig(seed=11, corrupt_cells=5))
-        result = Renuver(paper_rfds, RenuverConfig(
-            engine=engine, fallback="mean_mode"
+        result = renuver_for(engine, paper_rfds, RenuverConfig(
+            fallback="mean_mode"
         )).impute(restaurant_sample, chaos=chaos)
         assert len(chaos.corrupted) == 5
         assert set(result.report.cell_outcomes) == _missing_cells(
@@ -117,7 +118,7 @@ class TestKillAndResume:
     def test_resume_is_bit_identical_to_uninterrupted(
         self, restaurant_sample, paper_rfds, engine, kill_after, tmp_path
     ):
-        renuver = Renuver(paper_rfds, RenuverConfig(engine=engine))
+        renuver = renuver_for(engine, paper_rfds)
         uninterrupted = renuver.impute(restaurant_sample)
 
         journal = tmp_path / f"killed-{engine}-{kill_after}.jsonl"

@@ -259,7 +259,7 @@ class TestResumeEdgeCases:
     ):
         path = tmp_path / "header-only.jsonl"
         writer = JournalWriter(path)
-        writer.write_header(restaurant_sample, engine="vectorized")
+        writer.write_header(restaurant_sample)
         writer.close()
         engine = Renuver(paper_rfds)
         baseline = engine.impute(restaurant_sample)

@@ -129,20 +129,15 @@ class TestBrownoutController:
         for _ in range(2):
             controller.record_shed()
         assert controller.level == 0
+        assert not controller.cache_only
         controller.record_shed()
         assert controller.level == 1
-        assert controller.tier == "scalar"
-        assert controller.overrides() == {"engine": "scalar"}
-        assert not controller.cache_only
-        for _ in range(3):
-            controller.record_shed()
-        assert controller.level == 2
         assert controller.tier == "cache_only"
         assert controller.cache_only
         # The ladder tops out.
         for _ in range(6):
             controller.record_shed()
-        assert controller.level == 2
+        assert controller.level == 1
 
     def test_sheds_outside_the_window_do_not_accumulate(self):
         clock = FakeClock()
@@ -159,13 +154,10 @@ class TestBrownoutController:
         controller = self.make(clock)
         for _ in range(6):
             controller.record_shed()
-        assert controller.level == 2
+        assert controller.level == 1
         clock.advance(9.0)
-        assert controller.observe() == 2  # cooldown not yet elapsed
+        assert controller.observe() == 1  # cooldown not yet elapsed
         clock.advance(2.0)
-        assert controller.observe() == 1  # one rung, not a free-fall
-        assert controller.observe() == 1
-        clock.advance(11.0)
         assert controller.observe() == 0
         assert controller.tier == "normal"
 
@@ -178,7 +170,7 @@ class TestBrownoutController:
         record = controller.audit[-1]
         assert (record.row, record.attribute) == SERVICE_SCOPE
         assert record.from_tier == "normal"
-        assert record.to_tier == "scalar"
+        assert record.to_tier == "cache_only"
         assert "sheds" in record.reason
 
     def test_snapshot_shape(self):
@@ -191,7 +183,7 @@ class TestBrownoutController:
         assert snapshot["tier"] == BROWNOUT_TIERS[1]
         assert snapshot["enabled"] is True
         assert snapshot["transitions"] == 1
-        assert snapshot["recent"][-1]["to"] == "scalar"
+        assert snapshot["recent"][-1]["to"] == "cache_only"
 
     def test_disabled_controller_never_moves(self):
         clock = FakeClock()
@@ -200,4 +192,3 @@ class TestBrownoutController:
             controller.record_shed()
         assert controller.level == 0
         assert controller.observe() == 0
-        assert controller.overrides() == {}

@@ -210,6 +210,45 @@ class TestJournalReplayRecovery:
         finally:
             revived.drain()
 
+    def test_retired_engine_override_replays_identically(
+        self, tmp_path, caplog
+    ):
+        """A session journaled under the retired scalar brownout tier
+        (creation record ``overrides={"engine": "scalar"}``) recovers
+        and answers byte-identically to the same session without it."""
+        body = {"csv": CSV, "rfds": RFD_TEXTS}
+        first = _serve(tmp_path / "plain")
+        sid = _call(first, "POST", "/v1/sessions", body)["id"]
+        _call(first, "POST", f"/v1/sessions/{sid}/tuples",
+              {"rows": [["ann", "rome", None], ["dot", "kiev", "444"]]})
+        first.drain()
+
+        plain_dir = tmp_path / "plain" / "sessions"
+        payload = SessionStore(plain_dir).load(sid)
+        assert payload["created"]["overrides"] is None
+        payload["created"]["overrides"] = {"engine": "scalar"}
+        SessionStore(tmp_path / "legacy" / "sessions").save(sid, payload)
+
+        answers = []
+        for name in ("plain", "legacy"):
+            revived = _serve(tmp_path / name)
+            try:
+                assert revived.recovery == {"recovered": 1, "dropped": 0}
+                answers.append(
+                    _call(revived, "POST", f"/v1/sessions/{sid}/impute")
+                )
+            finally:
+                revived.drain()
+        plain, legacy = answers
+        assert legacy["csv"] == plain["csv"]
+        assert legacy["outcomes"] == plain["outcomes"]
+        assert plain["report"]["imputed_cells"] >= 1
+        retired = [
+            record for record in caplog.records
+            if "retired 'engine'" in record.getMessage()
+        ]
+        assert len(retired) == 1
+
     def test_discovery_session_recovers_without_rediscovery(
         self, tmp_path
     ):

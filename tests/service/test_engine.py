@@ -105,14 +105,16 @@ class TestImputeOnce:
     def test_overrides_patch_the_run_config(self, relation):
         engine = PreparedEngine()
         result, _ = engine.impute_once(
-            relation, RFDS, overrides={"engine": "scalar"}
+            relation, RFDS, overrides={"verify": False}
         )
         assert result.report.imputed_count == 1
+        assert "calls_is_faultless" not in result.report.kernel_counters
 
     def test_unknown_override_raises_imputation_error(self, relation):
         engine = PreparedEngine()
-        with pytest.raises(ImputationError):
-            engine.impute_once(relation, RFDS, overrides={"bogus": 1})
+        for overrides in ({"bogus": 1}, {"engine": "scalar"}):
+            with pytest.raises(ImputationError):
+                engine.impute_once(relation, RFDS, overrides=overrides)
 
     def test_budget_degrades_to_partial_instead_of_raising(
         self, relation

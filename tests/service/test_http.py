@@ -205,11 +205,12 @@ class TestErrorMapping:
         assert status == 400
 
     def test_unknown_config_override_is_400(self, base):
-        status, body = call(base, "POST", "/v1/impute", {
-            "csv": CSV, "rfds": RFD_TEXTS, "config": {"time_budget_seconds": 4},
-        })
-        assert status == 400
-        assert "time_budget_seconds" in body["error"]
+        for option in ({"time_budget_seconds": 4}, {"engine": "scalar"}):
+            status, body = call(base, "POST", "/v1/impute", {
+                "csv": CSV, "rfds": RFD_TEXTS, "config": option,
+            })
+            assert status == 400
+            assert next(iter(option)) in body["error"]
 
     def test_unknown_discovery_option_is_400(self, base):
         status, body = call(base, "POST", "/v1/impute", {

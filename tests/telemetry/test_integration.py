@@ -12,6 +12,7 @@ import pytest
 from repro import Renuver, RenuverConfig, Telemetry, make_rfd
 from repro.dataset import read_csv_text
 from repro.telemetry import read_trace, write_metrics, write_trace
+from tests.oracle import renuver_for
 
 CSV = (
     "Zip,City,Age\n"
@@ -26,12 +27,12 @@ CSV = (
 RFDS = [make_rfd({"Zip": 0}, ("City", 1))]
 
 
-def run_with_telemetry(**config):
+def run_with_telemetry(engine="vectorized", **config):
     telemetry = Telemetry()
-    engine = Renuver(
-        RFDS, RenuverConfig(**config), telemetry=telemetry
+    renuver = renuver_for(
+        engine, RFDS, RenuverConfig(**config), telemetry=telemetry
     )
-    result = engine.impute(read_csv_text(CSV, name="toy"))
+    result = renuver.impute(read_csv_text(CSV, name="toy"))
     return result, telemetry
 
 

@@ -261,16 +261,6 @@ class TestRobustnessFlags:
         ]) == 0
         assert out1.read_text() == out2.read_text()
 
-    def test_scalar_engine_flag(self, dirty_csv, tmp_path):
-        rfds = tmp_path / "rfds.txt"
-        rfds.write_text("Zip(<=0) -> City(<=1)\n")
-        out = tmp_path / "clean.csv"
-        assert main([
-            "impute", str(dirty_csv), "--rfds", str(rfds),
-            "--engine", "scalar", "--out", str(out),
-        ]) == 0
-        assert read_csv(out).count_missing() == 0
-
 
 class TestTelemetryFlags:
     """--trace / --metrics / --profile and the logging flags."""
