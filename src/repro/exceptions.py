@@ -109,8 +109,8 @@ class PipelineError(ReproError):
 class StateError(PipelineError):
     """The pipeline's run-state store is unreadable or inconsistent.
 
-    Raised when both ``state.json`` and its ``state.json.prev`` fallback
-    fail to parse, or when an envelope's fields do not validate.  A
+    Raised when neither ``state.json`` nor ``state.json.prev`` loads
+    (unparsable, failed checksum or invalid fields), or a save fails.  A
     truncated ``state.json`` alone never raises: the store falls back to
     the previous envelope with a counted warning.
     """

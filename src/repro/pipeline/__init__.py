@@ -3,9 +3,9 @@
 Watermarked FULL/INCR imputation runs over an append-only ingest
 directory, driven by a persistent leased run state:
 
-* :mod:`repro.pipeline.state` — the atomic ``state.json`` envelope
-  (with ``.prev`` fallback) and the single-writer lease with stale
-  takeover;
+* :mod:`repro.pipeline.state` — the two-generation ``state.json``
+  envelope (:mod:`repro.utils.envelope`) and the single-writer lease
+  with stale takeover;
 * :mod:`repro.pipeline.ingest` — sorted ingest scans and deterministic
   batch loading;
 * :mod:`repro.pipeline.runs` — per-run artifact directories

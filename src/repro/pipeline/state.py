@@ -3,15 +3,15 @@
 Two crash-safety primitives live here:
 
 :class:`RunStateStore`
-    ``state.json`` — a versioned, checksummed envelope holding the
-    pipeline's :class:`PipelineState` (watermark, store version, the
-    run in flight, history, and the carried-forward unresolved-cell
-    ledger).  Every save atomically stages the previous envelope to
-    ``state.json.prev`` before replacing ``state.json``, so a torn or
-    corrupted current envelope degrades to a *counted* one-version
-    rollback (``renuver_pipeline_state_recoveries_total``) instead of a
-    crash.  Only when both copies are unreadable does the store raise
-    :class:`~repro.exceptions.StateError`.
+    ``state.json`` — a two-generation
+    :class:`~repro.utils.envelope.Envelope` holding the pipeline's
+    :class:`PipelineState` (watermark, store version, the run in
+    flight, history, and the carried-forward unresolved-cell ledger).
+    A torn or corrupted current envelope degrades to a *counted*
+    one-version rollback to ``state.json.prev``
+    (``renuver_envelope_recoveries_total{store="pipeline_state"}``)
+    instead of a crash.  Only when both copies are unreadable does the
+    store raise :class:`~repro.exceptions.StateError`.
 
 :class:`Lease`
     ``pipeline.lock`` — a single-writer lease guarding the whole
@@ -46,19 +46,13 @@ from contextlib import contextmanager
 from repro.exceptions import LeaseError, StateError
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.telemetry.logs import get_logger
-from repro.utils.atomic import atomic_write_text
-from repro.utils.fingerprint import payload_fingerprint
+from repro.utils.envelope import Envelope
 
 logger = get_logger("pipeline.state")
 
 #: Envelope schema version; any other version is treated as corruption
 #: (fall back to ``.prev``, then raise), never silently reinterpreted.
 STATE_VERSION = 1
-
-_RECOVERIES = "renuver_pipeline_state_recoveries_total"
-_HELP_RECOVERIES = (
-    "Pipeline state loads that fell back to the .prev envelope."
-)
 
 _RUN_MODES = ("full", "incr")
 _RUN_STATUSES = ("running", "committed", "failed")
@@ -331,11 +325,10 @@ class RunStateStore:
         state.json        the current envelope
         state.json.prev   the envelope one save earlier
 
-    The envelope wraps the payload with a schema version, a
-    monotonically increasing ``envelope_seq`` and a canonical-JSON
-    SHA-256 checksum, so silent truncation or bit rot is *detected* —
-    and recovered from, via ``.prev`` — rather than deserialized into
-    nonsense.
+    Both are :class:`~repro.utils.envelope.Envelope` generations with a
+    monotonically increasing ``envelope_seq``.  This wrapper adds only
+    the pipeline's policy: a failed save or a lost state raises
+    :class:`StateError`.
     """
 
     def __init__(
@@ -344,117 +337,42 @@ class RunStateStore:
         *,
         telemetry: Telemetry | None = None,
     ) -> None:
-        self.root = Path(root)
-        self.path = self.root / "state.json"
-        self.previous_path = self.root / "state.json.prev"
+        self.envelope = Envelope(
+            Path(root) / "state.json", ("state_version", STATE_VERSION)
+        )
         self.telemetry = telemetry or NULL_TELEMETRY
-        #: Sequence number of the last envelope read or written.
-        self.envelope_seq = 0
 
-    # ------------------------------------------------------------------
     def load(self) -> PipelineState:
         """The persisted state; a fresh one when nothing exists yet.
 
-        A corrupt ``state.json`` falls back to ``state.json.prev`` with
-        a counted warning (one committed run's worth of rollback — the
-        reconciler re-derives the rest).  Both corrupt raises
-        :class:`StateError`.
+        A corrupt ``state.json`` falls back to ``state.json.prev`` (one
+        committed run's worth of rollback — the reconciler re-derives
+        the rest).  Both unreadable raises :class:`StateError`.
         """
-        current = self._read(self.path)
-        if current is not None:
-            return current
-        if not self.path.exists() and not self.previous_path.exists():
-            return PipelineState()
-        previous = self._read(self.previous_path)
-        if previous is not None:
-            self.telemetry.metrics.counter(
-                _RECOVERIES, _HELP_RECOVERIES
-            ).inc()
-            logger.warning(
-                "state %s is unreadable; recovered envelope seq %d "
-                "from %s", self.path, self.envelope_seq,
-                self.previous_path,
-            )
-            return previous
-        raise StateError(
-            f"pipeline state {self.path} and fallback "
-            f"{self.previous_path} are both unreadable"
+        read = self.envelope.load(
+            store="pipeline_state",
+            metrics=self.telemetry.metrics,
+            decode=PipelineState.from_payload,
         )
+        if read.reason == "absent":
+            return PipelineState()
+        if not read.ok:
+            raise StateError(
+                f"pipeline state {self.envelope.path} and fallback "
+                f"{self.envelope.previous_path} are both unreadable "
+                f"({read.reason}: {read.detail})"
+            )
+        return read.payload
 
     def save(self, state: PipelineState) -> int:
-        """Persist ``state``; returns the new envelope sequence number.
-
-        The previous envelope is staged to ``.prev`` *before* the
-        current file is replaced, so at every instant at least one
-        complete, checksummed envelope exists on disk.
-        """
-        self.root.mkdir(parents=True, exist_ok=True)
-        if self.path.exists():
-            try:
-                atomic_write_text(
-                    self.previous_path,
-                    self.path.read_text(encoding="utf-8"),
-                )
-            except OSError as exc:
-                raise StateError(
-                    f"cannot stage previous state to "
-                    f"{self.previous_path}: {exc}"
-                ) from exc
-        self.envelope_seq += 1
-        payload = state.to_payload()
-        envelope = {
-            "state_version": STATE_VERSION,
-            "envelope_seq": self.envelope_seq,
-            "checksum": payload_fingerprint(payload),
-            "payload": payload,
-        }
+        """Persist ``state``; returns the new envelope sequence number."""
         try:
-            atomic_write_text(
-                self.path,
-                json.dumps(envelope, ensure_ascii=False, indent=2),
-            )
+            return self.envelope.save(state.to_payload())
         except OSError as exc:
             raise StateError(
-                f"cannot persist pipeline state {self.path}: {exc}"
+                f"cannot persist pipeline state {self.envelope.path}: "
+                f"{exc}"
             ) from exc
-        return self.envelope_seq
-
-    # ------------------------------------------------------------------
-    def _read(self, path: Path) -> PipelineState | None:
-        """Parse one envelope file; ``None`` when absent or corrupt."""
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError:
-            return None
-        try:
-            envelope = json.loads(text)
-        except json.JSONDecodeError as exc:
-            logger.warning("state envelope %s is corrupt: %s", path, exc)
-            return None
-        if not isinstance(envelope, dict):
-            logger.warning("state envelope %s is not an object", path)
-            return None
-        if envelope.get("state_version") != STATE_VERSION:
-            logger.warning(
-                "state envelope %s has version %r, expected %d",
-                path, envelope.get("state_version"), STATE_VERSION,
-            )
-            return None
-        payload = envelope.get("payload")
-        if payload_fingerprint(payload) != envelope.get("checksum"):
-            logger.warning(
-                "state envelope %s fails its checksum", path
-            )
-            return None
-        try:
-            state = PipelineState.from_payload(payload)
-        except StateError as exc:
-            logger.warning("state envelope %s: %s", path, exc)
-            return None
-        seq = envelope.get("envelope_seq")
-        if isinstance(seq, int) and seq >= 0:
-            self.envelope_seq = seq
-        return state
 
 
 # ----------------------------------------------------------------------

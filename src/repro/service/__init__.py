@@ -13,9 +13,9 @@ Turns the batch reproduction into a servable engine (the ROADMAP's
   per-request deadlines riding the budget/degradation machinery.
 * :mod:`repro.service.sessions` — the bounded, thread-safe session
   registry behind the ``/v1/sessions`` API.
-* :mod:`repro.service.durability` — journaled, checksummed session
-  envelopes (PR 6 ``.prev`` discipline) and the replay recovery that
-  makes warm sessions survive ``kill -9``.
+* :mod:`repro.service.durability` — journaled session envelopes (two
+  generations of :mod:`repro.utils.envelope`) and the replay recovery
+  that makes warm sessions survive ``kill -9``.
 * :mod:`repro.service.admission` — the bounded deadline-aware
   admission queue and the overload brownout ladder
   (normal → cache-only).

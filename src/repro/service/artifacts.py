@@ -22,15 +22,16 @@ Layout (``docs/SERVICE.md``)::
 
     <root>/<kind>/<fingerprint[:2]>/<fingerprint>-<confighash>.json
 
-Every file is a versioned envelope written via
-:func:`repro.utils.atomic.atomic_write_text`: readers see the previous
-complete artifact or the new complete artifact, never a torn file.
+Every file is a checksummed :class:`~repro.utils.envelope.Envelope`
+written atomically: readers see the previous complete artifact or the
+new complete artifact, never a torn file.  Being a cache, it keeps no
+``.prev`` generation.
 
 Loads are corruption-tolerant by contract: a missing file, malformed
-JSON, wrong envelope version, mismatched key or a payload the
-deserializer rejects all count as a cache *miss* (logged, counted in
-``renuver_artifact_cache_misses_total{kind,reason}``) — the caller
-recomputes and overwrites.  *Saves* are tolerant the same way: a write
+JSON, wrong envelope version, mismatched key, a failed checksum or a
+payload the deserializer rejects all count as a cache *miss* (logged,
+counted in ``renuver_artifact_cache_misses_total{kind,reason}``) — the
+caller recomputes and overwrites.  *Saves* are tolerant the same way: a write
 that fails at the OS level (full disk, permissions) is logged and
 counted as a miss (reason ``write_error``) instead of raising — the
 cache is an optimization, and a disk problem must never fail the
@@ -40,9 +41,8 @@ artifact, or a bad disk, crash a request.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.dataset.relation import Relation
 from repro.discovery.config import DiscoveryConfig
@@ -51,7 +51,7 @@ from repro.discovery.pattern_matrix import PairDistanceMatrix
 from repro.exceptions import ServiceError
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.telemetry.logs import get_logger
-from repro.utils.atomic import atomic_write_text
+from repro.utils.envelope import Envelope
 from repro.utils.fingerprint import payload_fingerprint, relation_fingerprint
 
 logger = get_logger("service.artifacts")
@@ -59,7 +59,7 @@ logger = get_logger("service.artifacts")
 #: Envelope schema version; bumped on incompatible layout changes.
 #: Readers treat any other version as a cache miss, so old caches are
 #: silently recomputed rather than crashing a newer server.
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
 
 _HITS = "renuver_artifact_cache_hits_total"
 _MISSES = "renuver_artifact_cache_misses_total"
@@ -96,7 +96,7 @@ class ArtifactStore:
         self.hits = 0
         self.misses = 0
         #: Misses caused by damaged on-disk state (torn/garbled files,
-        #: wrong versions, undeserializable payloads) as opposed to
+        #: wrong versions or checksums, undeserializable payloads) — not
         #: plain absence — surfaced on ``GET /healthz/ready`` so an
         #: operator sees disk rot before it becomes a latency problem.
         self.corruptions = 0
@@ -112,18 +112,10 @@ class ArtifactStore:
         Returns ``None`` on any miss — including a corrupt or
         incompatible artifact — so the caller simply recomputes.
         """
-        payload = self._load("discovery", *self._discovery_key(
-            relation, config
-        ))
-        if payload is None:
-            return None
-        try:
-            result = DiscoveryResult.from_json(payload)
-        except Exception as exc:  # noqa: BLE001 - miss, never crash
-            self._miss("discovery", "undeserializable", detail=str(exc))
-            return None
-        self._hit("discovery")
-        return result
+        return self._load(
+            "discovery", *self._discovery_key(relation, config),
+            DiscoveryResult.from_json,
+        )
 
     def save_discovery(
         self,
@@ -154,16 +146,9 @@ class ArtifactStore:
         """A cached discovery result by journaled reference (session
         recovery path); ``None`` on any miss, same tolerance as
         :meth:`load_discovery`."""
-        payload = self._load("discovery", fingerprint, config_key)
-        if payload is None:
-            return None
-        try:
-            result = DiscoveryResult.from_json(payload)
-        except Exception as exc:  # noqa: BLE001 - miss, never crash
-            self._miss("discovery", "undeserializable", detail=str(exc))
-            return None
-        self._hit("discovery")
-        return result
+        return self._load(
+            "discovery", fingerprint, config_key, DiscoveryResult.from_json
+        )
 
     # ------------------------------------------------------------------
     # Pattern matrices
@@ -174,16 +159,10 @@ class ArtifactStore:
         """The cached pair-distance matrix for ``relation`` under the
         matrix-relevant parameters of ``config`` (string limit, pair
         sampling), or ``None`` on any miss."""
-        payload = self._load("matrix", *self._matrix_key(relation, config))
-        if payload is None:
-            return None
-        try:
-            matrix = PairDistanceMatrix.from_json(payload, relation)
-        except Exception as exc:  # noqa: BLE001 - miss, never crash
-            self._miss("matrix", "undeserializable", detail=str(exc))
-            return None
-        self._hit("matrix")
-        return matrix
+        return self._load(
+            "matrix", *self._matrix_key(relation, config),
+            lambda payload: PairDistanceMatrix.from_json(payload, relation),
+        )
 
     def save_matrix(
         self,
@@ -236,68 +215,47 @@ class ArtifactStore:
             / f"{fingerprint}-{key[:16]}.json"
         )
 
+    def _envelope(self, kind: str, fingerprint: str, key: str) -> Envelope:
+        return Envelope(
+            self.path_for(kind, fingerprint, key),
+            ("artifact_version", ARTIFACT_VERSION),
+            {"kind": kind, "fingerprint": fingerprint, "config_key": key},
+        )
+
     def _save(
         self, kind: str, fingerprint: str, key: str, payload: dict
     ) -> Path | None:
-        path = self.path_for(kind, fingerprint, key)
+        envelope = self._envelope(kind, fingerprint, key)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            atomic_write_text(path, json.dumps({
-                "artifact_version": ARTIFACT_VERSION,
-                "kind": kind,
-                "fingerprint": fingerprint,
-                "config_key": key,
-                "payload": payload,
-            }, ensure_ascii=False))
+            envelope.write(payload)
         except OSError as exc:
             # A failed save (ENOSPC, permissions) degrades to a miss:
             # the next load recomputes.  The artifact cache must never
             # fail the request that was merely trying to warm it.
-            self._miss(kind, "write_error", detail=f"{path}: {exc}")
+            self._miss(kind, "write_error", detail=f"{envelope.path}: {exc}")
             return None
-        logger.info("saved %s artifact to %s", kind, path)
-        return path
+        logger.info("saved %s artifact to %s", kind, envelope.path)
+        return envelope.path
 
     def _load(
-        self, kind: str, fingerprint: str, key: str
-    ) -> dict[str, Any] | None:
-        """The envelope's payload, or ``None`` on any kind of miss."""
-        path = self.path_for(kind, fingerprint, key)
+        self,
+        kind: str,
+        fingerprint: str,
+        key: str,
+        decode: Callable[[dict[str, Any]], Any],
+    ) -> Any:
+        """The decoded artifact, or ``None`` on any kind of miss."""
+        read = self._envelope(kind, fingerprint, key).read()
+        if not read.ok:
+            self._miss(kind, read.reason, detail=read.detail)
+            return None
         try:
-            text = path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            self._miss(kind, "absent")
+            value = decode(read.payload)
+        except Exception as exc:  # noqa: BLE001 - miss, never crash
+            self._miss(kind, "undeserializable", detail=str(exc))
             return None
-        except OSError as exc:
-            self._miss(kind, "unreadable", detail=str(exc))
-            return None
-        try:
-            envelope = json.loads(text)
-        except json.JSONDecodeError as exc:
-            self._miss(kind, "corrupt", detail=f"{path}: {exc}")
-            return None
-        if not isinstance(envelope, dict):
-            self._miss(kind, "corrupt", detail=f"{path}: not an object")
-            return None
-        if envelope.get("artifact_version") != ARTIFACT_VERSION:
-            self._miss(
-                kind, "version",
-                detail=f"{path}: version "
-                       f"{envelope.get('artifact_version')!r}",
-            )
-            return None
-        if (
-            envelope.get("kind") != kind
-            or envelope.get("fingerprint") != fingerprint
-            or envelope.get("config_key") != key
-        ):
-            self._miss(kind, "key_mismatch", detail=str(path))
-            return None
-        payload = envelope.get("payload")
-        if not isinstance(payload, dict):
-            self._miss(kind, "corrupt", detail=f"{path}: no payload")
-            return None
-        return payload
+        self._hit(kind)
+        return value
 
     # ------------------------------------------------------------------
     def _hit(self, kind: str) -> None:
@@ -306,7 +264,7 @@ class ArtifactStore:
 
     def _miss(self, kind: str, reason: str, *, detail: str = "") -> None:
         self.misses += 1
-        if reason in {"unreadable", "corrupt", "version", "undeserializable"}:
+        if reason not in {"absent", "key_mismatch", "write_error"}:
             self.corruptions += 1
         self.telemetry.metrics.counter(
             _MISSES, _HELP_MISSES, kind=kind, reason=reason

@@ -1,19 +1,16 @@
 """Durable warm-start sessions: journaled envelopes + replay recovery.
 
-PR 5's sessions lived only in process memory: a crash lost every warm
-session, and clients had to rebuild them from scratch.  This module
-makes a session survive ``kill -9``:
+A warm session that lived only in process memory would be lost to a
+crash.  This module makes a session survive ``kill -9``:
 
 :class:`SessionStore`
-    One checksummed, versioned envelope per session under
-    ``<root>/<id>.json`` (the artifact directory's ``sessions/`` area),
-    written via :func:`repro.utils.atomic.atomic_write_text` with the
-    PR 6 ``.prev`` staging discipline: the previous envelope is staged
-    to ``<id>.json.prev`` before the current file is replaced, so at
-    every instant at least one complete envelope exists on disk.  A
-    torn current envelope degrades to a *counted* one-event rollback
-    (``renuver_session_envelope_recoveries_total``); only both copies
-    unreadable drops the session (counted, never a crash).
+    One two-generation :class:`~repro.utils.envelope.Envelope` per
+    session under ``<root>/<id>.json`` (the artifact directory's
+    ``sessions/`` area), with ``<id>.json.prev`` one save earlier.  A
+    torn current envelope degrades to a *counted* one-event rollback;
+    only both copies unreadable drops the session (counted too, in
+    ``renuver_envelope_recoveries_total{store="session"}``, never a
+    crash).
 
 The envelope payload is a **journal**, not a snapshot: the session's
 creation record (initial CSV, RFD source, config) plus the ordered
@@ -34,7 +31,6 @@ discovery.
 
 from __future__ import annotations
 
-import json
 import re
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -48,8 +44,7 @@ from repro.extensions.incremental import ImputationSession
 from repro.rfd.parser import parse_rfd
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.telemetry.logs import get_logger
-from repro.utils.atomic import atomic_write_text
-from repro.utils.fingerprint import payload_fingerprint
+from repro.utils.envelope import Envelope
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.engine import PreparedEngine
@@ -60,14 +55,6 @@ logger = get_logger("service.durability")
 #: (fall back to ``.prev``, then drop the session), never reinterpreted.
 SESSION_VERSION = 1
 
-_RECOVERIES = "renuver_session_envelope_recoveries_total"
-_HELP_RECOVERIES = (
-    "Session envelope loads that fell back to the .prev copy."
-)
-_CORRUPT = "renuver_session_envelope_corrupt_total"
-_HELP_CORRUPT = (
-    "Session envelopes dropped because both copies were unreadable."
-)
 _PERSIST_FAILURES = "renuver_session_persist_failures_total"
 _HELP_PERSIST = (
     "Session envelope saves that failed at the OS level."
@@ -82,14 +69,14 @@ class SessionRecoveryError(ServiceError):
 
 
 class SessionStore:
-    """Checksummed per-session envelopes with ``.prev`` staging.
+    """Per-session journals, each a two-generation envelope.
 
     Persistence is *best effort by contract*: a failed save is logged
     and counted (``renuver_session_persist_failures_total``), and the
     session keeps serving from memory — a full disk degrades
     durability, it must never fail the request that was trying to be
-    durable.  Loads are corruption-tolerant the same way the artifact
-    cache is.
+    durable.  A session whose envelope and ``.prev`` are both
+    unreadable is dropped (``load`` returns ``None``), never a crash.
     """
 
     def __init__(
@@ -100,11 +87,7 @@ class SessionStore:
     ) -> None:
         self.root = Path(root)
         self.telemetry = telemetry or NULL_TELEMETRY
-        self._seqs: dict[str, int] = {}
-        self.saves = 0
         self.persist_failures = 0
-        self.envelope_recoveries = 0
-        self.corrupt_envelopes = 0
 
     # ------------------------------------------------------------------
     def path_for(self, session_id: str) -> Path:
@@ -121,28 +104,18 @@ class SessionStore:
         }
         return sorted(ids)
 
+    def _envelope(self, session_id: str) -> Envelope:
+        return Envelope(
+            self.path_for(session_id),
+            ("session_version", SESSION_VERSION),
+            {"session_id": session_id},
+        )
+
     # ------------------------------------------------------------------
     def save(self, session_id: str, payload: dict[str, Any]) -> bool:
         """Persist one session's journal; ``False`` on a failed write."""
-        path = self.path_for(session_id)
-        previous = path.with_name(path.name + ".prev")
-        seq = self._seqs.get(session_id, 0) + 1
-        envelope = {
-            "session_version": SESSION_VERSION,
-            "session_id": session_id,
-            "envelope_seq": seq,
-            "checksum": payload_fingerprint(payload),
-            "payload": payload,
-        }
         try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            if path.exists():
-                atomic_write_text(
-                    previous, path.read_text(encoding="utf-8")
-                )
-            atomic_write_text(
-                path, json.dumps(envelope, ensure_ascii=False)
-            )
+            self._envelope(session_id).save(payload)
         except OSError as exc:
             self.persist_failures += 1
             self.telemetry.metrics.counter(
@@ -153,77 +126,28 @@ class SessionStore:
                 "memory only", session_id, exc,
             )
             return False
-        self._seqs[session_id] = seq
-        self.saves += 1
         return True
 
     def load(self, session_id: str) -> dict[str, Any] | None:
         """One session's journal payload, or ``None`` when unreadable.
 
-        A torn current envelope falls back to ``.prev`` (counted); both
-        unreadable counts as a corrupt envelope and returns ``None``.
+        A torn current envelope falls back to ``.prev``; both
+        unreadable drops the session (both counted in
+        ``renuver_envelope_recoveries_total{store="session"}``).
         """
-        path = self.path_for(session_id)
-        current = self._read(session_id, path)
-        if current is not None:
-            return current
-        previous = self._read(
-            session_id, path.with_name(path.name + ".prev")
+        read = self._envelope(session_id).load(
+            store="session", metrics=self.telemetry.metrics
         )
-        if previous is not None:
-            self.envelope_recoveries += 1
-            self.telemetry.metrics.counter(
-                _RECOVERIES, _HELP_RECOVERIES
-            ).inc()
-            logger.warning(
-                "session %s: envelope is unreadable; recovered the "
-                ".prev copy (one acknowledged event may be lost)",
-                session_id,
-            )
-            return previous
-        self.corrupt_envelopes += 1
-        self.telemetry.metrics.counter(_CORRUPT, _HELP_CORRUPT).inc()
-        logger.error(
-            "session %s: envelope and .prev are both unreadable; "
-            "dropping the session", session_id,
-        )
-        return None
+        return read.payload if read.ok else None
 
     def delete(self, session_id: str) -> None:
         """Remove a closed session's envelope (and its ``.prev``)."""
-        path = self.path_for(session_id)
-        for target in (path, path.with_name(path.name + ".prev")):
+        envelope = self._envelope(session_id)
+        for target in (envelope.path, envelope.previous_path):
             try:
                 target.unlink()
             except OSError:
                 pass
-        self._seqs.pop(session_id, None)
-
-    # ------------------------------------------------------------------
-    def _read(self, session_id: str, path: Path) -> dict[str, Any] | None:
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError:
-            return None
-        try:
-            envelope = json.loads(text)
-        except json.JSONDecodeError:
-            return None
-        if not isinstance(envelope, dict):
-            return None
-        if envelope.get("session_version") != SESSION_VERSION:
-            return None
-        if envelope.get("session_id") != session_id:
-            return None
-        payload = envelope.get("payload")
-        if not isinstance(payload, dict):
-            return None
-        if payload_fingerprint(payload) != envelope.get("checksum"):
-            return None
-        seq = envelope.get("envelope_seq")
-        if isinstance(seq, int) and seq > self._seqs.get(session_id, 0):
-            self._seqs[session_id] = seq
-        return payload
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 POSIX ``rename`` within one directory is atomic, so readers of the
 target path either see the old complete content or the new complete
-content — never a half-written file.  The imputation journal and the
-CSV writer use this so a run killed mid-write cannot corrupt outputs it
-already produced.
+content — never a half-written file.  The CSV writer, run artifacts
+and :mod:`repro.utils.envelope` use this so a run killed mid-write
+cannot corrupt outputs it already produced.
 
 Disk-fault seam
 ---------------
@@ -12,9 +12,9 @@ All writes funnel through :func:`check_disk_fault` before touching the
 filesystem.  Production runs pay one ``None`` check; the chaos harness
 (:meth:`repro.robustness.chaos.ChaosInjector.disk_faults`) installs a
 seeded hook here that raises ``OSError(ENOSPC)`` deterministically, so
-every consumer of atomic writes — the artifact cache, the run-state
-store, the CSV writer, the checkpoint journal — gets its full-disk
-behaviour exercised in tests.
+every consumer of atomic writes — the envelope stores, the CSV writer,
+the checkpoint journal's appends — gets its full-disk behaviour
+exercised in tests.
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ from typing import Any
 from repro.dataset.relation import Relation
 
 __all__ = [
+    "canonical_json",
     "fingerprint_matches",
     "payload_fingerprint",
     "relation_fingerprint",
@@ -77,9 +78,13 @@ def payload_fingerprint(payload: Any) -> str:
     payloads that are structurally equal hash identically regardless of
     construction order.
     """
-    rendered = json.dumps(
+    return hashlib.sha256(
+        canonical_json(payload).encode("utf-8")
+    ).hexdigest()
+
+
+def canonical_json(payload: Any) -> str:
+    """The canonical JSON text :func:`payload_fingerprint` hashes."""
+    return json.dumps(
         payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False
     )
-    digest = hashlib.sha256()
-    digest.update(rendered.encode("utf-8"))
-    return digest.hexdigest()

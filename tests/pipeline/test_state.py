@@ -1,4 +1,9 @@
-"""Run-state envelopes and the pipeline lease."""
+"""Run-state payloads and the pipeline lease.
+
+The ``state.json`` envelope itself (round trip, torn files, ``.prev``
+fallback) is covered with the other envelope stores in
+``tests/utils/test_envelope.py``.
+"""
 
 from __future__ import annotations
 
@@ -19,11 +24,9 @@ from repro.pipeline.state import (
     Lease,
     PipelineState,
     RunRecord,
-    RunStateStore,
     StoreVersion,
     Watermark,
 )
-from repro.telemetry import Telemetry
 
 pytestmark = pytest.mark.pipeline
 
@@ -100,14 +103,6 @@ class TestEnvelopeRoundTrip:
     def test_payload_round_trip_is_identity(self, state):
         assert PipelineState.from_payload(state.to_payload()) == state
 
-    @given(state=pipeline_states)
-    @settings(max_examples=20, deadline=None)
-    def test_disk_round_trip_is_identity(self, state, tmp_path_factory):
-        root = tmp_path_factory.mktemp("envelope")
-        store = RunStateStore(root)
-        store.save(state)
-        assert RunStateStore(root).load() == state
-
     def test_payload_is_json_serializable(self):
         state = PipelineState(
             runs_started=2,
@@ -128,54 +123,6 @@ class TestEnvelopeRoundTrip:
         for payload in bad:
             with pytest.raises(StateError):
                 PipelineState.from_payload(payload)
-
-
-class TestRunStateStore:
-    def test_fresh_root_loads_empty_state(self, tmp_path):
-        assert RunStateStore(tmp_path).load() == PipelineState()
-
-    def test_envelope_seq_increases(self, tmp_path):
-        store = RunStateStore(tmp_path)
-        assert store.save(PipelineState()) == 1
-        assert store.save(PipelineState(runs_started=1)) == 2
-
-    def test_truncated_state_recovers_from_prev(self, tmp_path):
-        telemetry = Telemetry()
-        store = RunStateStore(tmp_path, telemetry=telemetry)
-        first = PipelineState(runs_started=1)
-        second = PipelineState(runs_started=2)
-        store.save(first)
-        store.save(second)
-        # Tear the current envelope mid-file, as a crash would.
-        state_file = tmp_path / "state.json"
-        text = state_file.read_text()
-        state_file.write_text(text[: len(text) // 2])
-        recovered = RunStateStore(tmp_path, telemetry=telemetry).load()
-        assert recovered == first  # one committed save's rollback
-        families = {
-            f.name: f for f in telemetry.metrics.families()
-        }
-        counter = families["renuver_pipeline_state_recoveries_total"]
-        assert sum(i.value for i in counter.instruments.values()) == 1
-
-    def test_checksum_mismatch_is_corruption(self, tmp_path):
-        store = RunStateStore(tmp_path)
-        store.save(PipelineState(runs_started=1))
-        store.save(PipelineState(runs_started=2))
-        state_file = tmp_path / "state.json"
-        envelope = json.loads(state_file.read_text())
-        envelope["payload"]["runs_started"] = 99  # silent bit flip
-        state_file.write_text(json.dumps(envelope))
-        assert RunStateStore(tmp_path).load().runs_started == 1
-
-    def test_both_envelopes_corrupt_raises(self, tmp_path):
-        store = RunStateStore(tmp_path)
-        store.save(PipelineState())
-        store.save(PipelineState(runs_started=1))
-        (tmp_path / "state.json").write_text("{torn")
-        (tmp_path / "state.json.prev").write_text("{also torn")
-        with pytest.raises(StateError, match="both unreadable"):
-            RunStateStore(tmp_path).load()
 
 
 # ----------------------------------------------------------------------

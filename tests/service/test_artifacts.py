@@ -1,6 +1,8 @@
-"""The fingerprint-keyed artifact store: round trips, misses, metrics."""
+"""The fingerprint-keyed artifact store: round trips, keys, metrics.
 
-import json
+Corrupt, edited and outdated artifacts are covered with the other
+envelope stores in ``tests/utils/test_envelope.py``.
+"""
 
 import pytest
 
@@ -8,7 +10,7 @@ from repro.dataset.csv_io import read_csv_text
 from repro.discovery import DiscoveryConfig, discover_rfds
 from repro.discovery.pattern_matrix import PairDistanceMatrix
 from repro.exceptions import ServiceError
-from repro.service.artifacts import ARTIFACT_VERSION, ArtifactStore
+from repro.service.artifacts import ArtifactStore
 from repro.telemetry import Telemetry
 
 CSV = (
@@ -102,62 +104,6 @@ class TestMatrixArtifacts:
         ]
 
 
-class TestCorruptionTolerance:
-    """Every failure mode is a miss, never an exception."""
-
-    def _saved_path(self, store, relation):
-        result = discover_rfds(relation, CONFIG)
-        return store.save_discovery(relation, CONFIG, result)
-
-    def test_absent_is_a_miss(self, store, relation):
-        assert store.load_discovery(relation, CONFIG) is None
-        assert store.misses == 1
-
-    def test_truncated_json_is_a_miss(self, store, relation):
-        path = self._saved_path(store, relation)
-        path.write_text(path.read_text()[:40], encoding="utf-8")
-        assert store.load_discovery(relation, CONFIG) is None
-
-    def test_wrong_version_is_a_miss(self, store, relation):
-        path = self._saved_path(store, relation)
-        envelope = json.loads(path.read_text(encoding="utf-8"))
-        envelope["artifact_version"] = ARTIFACT_VERSION + 1
-        path.write_text(json.dumps(envelope), encoding="utf-8")
-        assert store.load_discovery(relation, CONFIG) is None
-
-    def test_key_mismatch_is_a_miss(self, store, relation):
-        path = self._saved_path(store, relation)
-        envelope = json.loads(path.read_text(encoding="utf-8"))
-        envelope["fingerprint"] = "0" * 64
-        path.write_text(json.dumps(envelope), encoding="utf-8")
-        assert store.load_discovery(relation, CONFIG) is None
-
-    def test_undeserializable_payload_is_a_miss(self, store, relation):
-        path = self._saved_path(store, relation)
-        envelope = json.loads(path.read_text(encoding="utf-8"))
-        envelope["payload"] = {"rfds": "not-a-list"}
-        path.write_text(json.dumps(envelope), encoding="utf-8")
-        assert store.load_discovery(relation, CONFIG) is None
-
-    def test_non_object_envelope_is_a_miss(self, store, relation):
-        path = self._saved_path(store, relation)
-        path.write_text("[1, 2, 3]", encoding="utf-8")
-        assert store.load_discovery(relation, CONFIG) is None
-
-    def test_corrupt_artifact_is_recomputed_and_overwritten(
-        self, store, relation
-    ):
-        path = self._saved_path(store, relation)
-        path.write_text("garbage", encoding="utf-8")
-        assert store.load_discovery(relation, CONFIG) is None
-        # The service's contract: recompute, save, and the next load
-        # hits again.
-        store.save_discovery(
-            relation, CONFIG, discover_rfds(relation, CONFIG)
-        )
-        assert store.load_discovery(relation, CONFIG) is not None
-
-
 class TestMetrics:
     def test_hits_and_misses_reach_the_registry(self, tmp_path, relation):
         telemetry = Telemetry()
@@ -199,7 +145,7 @@ class TestStoreErrors:
             raise OSError("disk full")
 
         monkeypatch.setattr(
-            "repro.service.artifacts.atomic_write_text", boom
+            "repro.utils.envelope.atomic_write_text", boom
         )
         result = discover_rfds(relation, CONFIG)
         assert store.save_discovery(relation, CONFIG, result) is None

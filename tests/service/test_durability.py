@@ -1,10 +1,11 @@
-"""Session envelopes: round trip, torn-file recovery, journal replay."""
+"""Session files and journal replay recovery.
+
+The envelope itself (round trip, torn files, ``.prev`` fallback) is
+covered with the other envelope stores in ``tests/utils/test_envelope.py``.
+"""
 
 import json
 import threading
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.discovery import DiscoveryConfig
 from repro.service import ServiceConfig, SessionStore, build_server
@@ -22,107 +23,7 @@ RFD_TEXTS = ["Name(<=0),City(<=0) -> Phone(<=0)"]
 DISCOVERY = DiscoveryConfig(threshold_limit=1, max_lhs_size=1)
 
 
-# ----------------------------------------------------------------------
-# Envelope round trip (hypothesis)
-# ----------------------------------------------------------------------
-json_scalars = (
-    st.none()
-    | st.booleans()
-    | st.integers(min_value=-(10**9), max_value=10**9)
-    | st.floats(allow_nan=False, allow_infinity=False, width=32)
-    | st.text(max_size=30)
-)
-
-payloads = st.fixed_dictionaries({
-    "created": st.dictionaries(
-        st.text(
-            alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1,
-            max_size=12,
-        ),
-        json_scalars,
-        max_size=6,
-    ),
-    "events": st.lists(
-        st.fixed_dictionaries({
-            "type": st.sampled_from(["append", "impute"]),
-            "rows": st.lists(
-                st.lists(json_scalars, max_size=4), max_size=3
-            ),
-        }),
-        max_size=5,
-    ),
-})
-
-
-class TestEnvelopeRoundTrip:
-    @settings(max_examples=50, deadline=None)
-    @given(payload=payloads)
-    def test_save_then_load_is_identity(self, payload, tmp_path_factory):
-        store = SessionStore(tmp_path_factory.mktemp("envelopes"))
-        assert store.save("s000001", payload) is True
-        assert store.load("s000001") == payload
-        assert store.persist_failures == 0
-        assert store.corrupt_envelopes == 0
-
-    def test_envelope_seq_increments_per_save(self, tmp_path):
-        store = SessionStore(tmp_path)
-        store.save("s000001", {"created": {}, "events": []})
-        store.save("s000001", {"created": {}, "events": [1]})
-        envelope = json.loads(
-            store.path_for("s000001").read_text(encoding="utf-8")
-        )
-        assert envelope["envelope_seq"] == 2
-        assert envelope["session_id"] == "s000001"
-
-
-class TestTornFileRecovery:
-    def test_torn_current_falls_back_to_prev(self, tmp_path):
-        store = SessionStore(tmp_path)
-        first = {"created": {"a": 1}, "events": []}
-        second = {"created": {"a": 1}, "events": [{"type": "impute"}]}
-        store.save("s000001", first)
-        store.save("s000001", second)
-        path = store.path_for("s000001")
-        text = path.read_text(encoding="utf-8")
-        path.write_text(text[: len(text) // 2], encoding="utf-8")
-
-        reader = SessionStore(tmp_path)
-        assert reader.load("s000001") == first
-        assert reader.envelope_recoveries == 1
-        assert reader.corrupt_envelopes == 0
-
-    def test_both_copies_torn_drops_the_session(self, tmp_path):
-        store = SessionStore(tmp_path)
-        store.save("s000001", {"created": {}, "events": []})
-        store.save("s000001", {"created": {}, "events": [1]})
-        path = store.path_for("s000001")
-        path.write_text("{torn", encoding="utf-8")
-        path.with_name(path.name + ".prev").write_text(
-            "also torn", encoding="utf-8"
-        )
-        reader = SessionStore(tmp_path)
-        assert reader.load("s000001") is None
-        assert reader.corrupt_envelopes == 1
-
-    def test_checksum_mismatch_counts_as_torn(self, tmp_path):
-        store = SessionStore(tmp_path)
-        store.save("s000001", {"created": {"a": 1}, "events": []})
-        path = store.path_for("s000001")
-        envelope = json.loads(path.read_text(encoding="utf-8"))
-        envelope["payload"]["created"]["a"] = 2  # checksum now stale
-        path.write_text(json.dumps(envelope), encoding="utf-8")
-        reader = SessionStore(tmp_path)
-        assert reader.load("s000001") is None
-
-    def test_wrong_version_or_id_is_unreadable(self, tmp_path):
-        store = SessionStore(tmp_path)
-        store.save("s000001", {"created": {}, "events": []})
-        path = store.path_for("s000001")
-        envelope = json.loads(path.read_text(encoding="utf-8"))
-        envelope["session_version"] = 99
-        path.write_text(json.dumps(envelope), encoding="utf-8")
-        assert SessionStore(tmp_path).load("s000001") is None
-
+class TestSessionFiles:
     def test_delete_removes_both_copies(self, tmp_path):
         store = SessionStore(tmp_path)
         store.save("s000001", {"created": {}, "events": []})
