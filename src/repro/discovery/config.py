@@ -9,6 +9,7 @@ lattice search tractable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -72,13 +73,20 @@ class DiscoveryConfig:
     attribute_limits: Mapping[str, float] | None = field(default=None)
 
     def __post_init__(self) -> None:
-        if self.threshold_limit < 0:
-            raise DiscoveryError("threshold_limit must be >= 0")
-        if (
-            self.lhs_threshold_limit is not None
-            and self.lhs_threshold_limit < 0
+        # NaN passes every ``< 0`` check and ``min(limit, nan)`` ignores
+        # it, so non-finite limits are rejected explicitly.
+        if not _finite_nonnegative(self.threshold_limit):
+            raise DiscoveryError(
+                f"threshold_limit must be finite and >= 0, got "
+                f"{self.threshold_limit!r}"
+            )
+        if self.lhs_threshold_limit is not None and not _finite_nonnegative(
+            self.lhs_threshold_limit
         ):
-            raise DiscoveryError("lhs_threshold_limit must be >= 0")
+            raise DiscoveryError(
+                f"lhs_threshold_limit must be finite and >= 0, got "
+                f"{self.lhs_threshold_limit!r}"
+            )
         if self.max_lhs_size < 1:
             raise DiscoveryError("max_lhs_size must be >= 1")
         if self.grid_size < 1:
@@ -92,9 +100,10 @@ class DiscoveryConfig:
         if self.attribute_limits is not None:
             normalized = dict(self.attribute_limits)
             for attribute, limit in normalized.items():
-                if limit < 0:
+                if not _finite_nonnegative(limit):
                     raise DiscoveryError(
-                        f"attribute limit for {attribute!r} must be >= 0"
+                        f"attribute limit for {attribute!r} must be "
+                        f"finite and >= 0, got {limit!r}"
                     )
             object.__setattr__(self, "attribute_limits", normalized)
 
@@ -118,3 +127,7 @@ class DiscoveryConfig:
         if self.attribute_limits and attribute in self.attribute_limits:
             return min(limit, self.attribute_limits[attribute])
         return limit
+
+
+def _finite_nonnegative(limit: float) -> bool:
+    return math.isfinite(limit) and limit >= 0

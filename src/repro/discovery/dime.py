@@ -5,19 +5,27 @@ algorithm of Caruccio, Deufemia, Naumann and Polese (TKDE 2021), which is
 not publicly available; this module provides a faithful-in-interface
 substitute (see DESIGN.md, substitution 2).
 
-Method, per RHS attribute ``A`` and candidate LHS set ``X``:
+Method, per candidate LHS set ``X`` and RHS attribute ``A``:
 
 1. materialize all-pairs distances (:class:`PairDistanceMatrix`),
 2. pick a small grid of candidate thresholds per LHS attribute
-   (quantiles of the observed pair distances, capped at the LHS limit),
-3. for every grid combination ``alpha``, collect the pairs whose LHS
-   distances all fall within ``alpha`` and compute the minimal RHS
-   threshold ``beta = max d_A`` over them,
+   (quantiles of the observed pair distances, capped at the LHS limit)
+   and encode every pair distance once as its *rank*: the index of the
+   tightest grid threshold that admits it (one extra rank for "none"
+   and for missing),
+3. per LHS set, group the pairs inside the loosest grid by their rank
+   cell (one cell of a ``grid_size ** |X|`` cube).  A grid combination
+   ``alpha`` matches exactly the pairs whose cell is ``<= alpha`` on
+   every axis, so per RHS one grouped count and one grouped maximum of
+   ``d_A``, accumulated along each axis, give every combination's
+   support and minimal RHS threshold ``beta = max d_A`` at once,
 4. emit ``X(alpha) -> A(beta)`` when ``beta`` is within the run's
-   threshold limit; when *no* pair matches the LHS at its loosest grid,
-   emit a key RFD (Definition 3.4) so downstream pre-processing sees
-   realistic input,
-5. prune dominated dependencies.
+   threshold limit, unless one grid step looser on some axis keeps the
+   same ``beta`` (that combination dominates it); when *no* pair matches
+   the LHS at its loosest grid, emit a key RFD (Definition 3.4) so
+   downstream pre-processing sees realistic input,
+5. prune dominated dependencies across LHS sets
+   (:func:`~repro.discovery.pruning.remove_dominated`).
 
 All emitted non-key RFDs *hold* on the instance by construction (exactly
 when pairs are exhaustive; approximately under ``max_pairs`` sampling).
@@ -32,7 +40,6 @@ import numpy as np
 
 from repro.dataset.relation import Relation
 from repro.discovery.config import DiscoveryConfig
-from repro.discovery.lattice import iter_lhs_sets
 from repro.discovery.pattern_matrix import PairDistanceMatrix
 from repro.discovery.pruning import remove_dominated
 from repro.exceptions import DiscoveryError
@@ -133,7 +140,7 @@ def discover_rfds(
     See the module docstring for the method.  Returns non-key RFDs in
     :attr:`DiscoveryResult.rfds` and key RFDs separately.  A live
     ``telemetry`` wraps the run in a ``discover`` span with one child
-    span per RHS attribute's lattice walk (docs/OBSERVABILITY.md).
+    span per LHS-set size of the lattice walk (docs/OBSERVABILITY.md).
 
     ``matrix`` reuses a pre-materialized :class:`PairDistanceMatrix`
     (the service's artifact cache persists them): it must cover
@@ -184,43 +191,45 @@ def discover_rfds(
             )
             for name in names
         }
-        match_masks = {
-            name: _grid_masks(matrix.distances(name), grids[name])
+        ranks = {
+            name: _grid_ranks(matrix.distances(name), grids[name])
             for name in names
         }
 
-        emitted: list[RFD] = []
-        keys: list[RFD] = []
-        for rhs in names:
-            with telemetry.tracer.span("discover_rhs", rhs=rhs) as child:
-                d_rhs = matrix.distances(rhs)
-                rhs_defined = ~np.isnan(d_rhs)
-                before = len(emitted)
-                lhs_sets = 0
-                for lhs_set in iter_lhs_sets(
-                    names, rhs, config.max_lhs_size
-                ):
-                    lhs_sets += 1
-                    _discover_for_lhs(
-                        lhs_set,
-                        rhs,
-                        d_rhs,
-                        rhs_defined,
-                        grids,
-                        match_masks,
-                        config,
-                        emitted,
-                        keys,
+        # LHS sets outer, RHS inner: each set's grouping is built once
+        # and is the only one alive.  Per RHS, the sets arrive in
+        # ``iter_lhs_sets`` order, so concatenating the per-RHS lists in
+        # attribute order reproduces the RHS-outer emission order.
+        emitted: dict[str, list[RFD]] = {name: [] for name in names}
+        emitted_keys: dict[str, list[RFD]] = {name: [] for name in names}
+        pool = sorted(names)
+        lhs_sets_walked = telemetry.metrics.counter(
+            "renuver_discovery_lhs_sets_total",
+            "Candidate LHS sets walked by RFD discovery.",
+        )
+        for size in range(1, min(config.max_lhs_size, len(pool) - 1) + 1):
+            with telemetry.tracer.span("discover_level", size=size) as child:
+                walked = 0
+                level_emitted = 0
+                for lhs_set in itertools.combinations(pool, size):
+                    rhs_names = [
+                        name for name in names if name not in lhs_set
+                    ]
+                    walked += len(rhs_names)
+                    level_emitted += _walk_lhs_set(
+                        lhs_set, rhs_names, matrix, grids, ranks, config,
+                        emitted, emitted_keys,
                     )
-                child.set_attribute("lhs_sets", lhs_sets)
-                child.set_attribute("emitted", len(emitted) - before)
-            telemetry.metrics.counter(
-                "renuver_discovery_lhs_sets_total",
-                "Candidate LHS sets walked by RFD discovery.",
-            ).inc(lhs_sets)
+                child.set_attribute("lhs_sets", walked)
+                child.set_attribute("emitted", level_emitted)
+            lhs_sets_walked.inc(walked)
 
-        rfds = remove_dominated(emitted)
-        keys = remove_dominated(keys)
+        rfds = remove_dominated(
+            itertools.chain.from_iterable(emitted.values())
+        )
+        keys = remove_dominated(
+            itertools.chain.from_iterable(emitted_keys.values())
+        )
         if config.max_per_rhs is not None:
             rfds = _cap_per_rhs(rfds, config.max_per_rhs)
         per_rhs: dict[str, int] = {}
@@ -259,64 +268,113 @@ def discover_rfds(
 # ----------------------------------------------------------------------
 # Internals
 # ----------------------------------------------------------------------
-def _discover_for_lhs(
+def _walk_lhs_set(
     lhs_set: tuple[str, ...],
-    rhs: str,
-    d_rhs: np.ndarray,
-    rhs_defined: np.ndarray,
+    rhs_names: list[str],
+    matrix: PairDistanceMatrix,
     grids: dict[str, np.ndarray],
-    match_masks: dict[str, list[np.ndarray]],
+    ranks: dict[str, np.ndarray],
     config: DiscoveryConfig,
-    emitted: list[RFD],
-    keys: list[RFD],
-) -> None:
+    emitted: dict[str, list[RFD]],
+    keys: dict[str, list[RFD]],
+) -> int:
+    """Emit every RFD ``lhs_set(alpha) -> rhs(beta)`` for each RHS in
+    ``rhs_names``; returns how many non-key RFDs it emitted.
+
+    Grid combination ``alpha`` matches exactly the pairs whose rank cell
+    is ``<= alpha`` on every axis, so grouping the pairs by cell once
+    turns every combination's support and ``beta`` into a cumulative sum
+    and a cumulative maximum over a ``grid_size ** |X|`` cube.
+    """
     grid_lists = [grids[name] for name in lhs_set]
-    if any(grid.size == 0 for grid in grid_lists):
-        # An empty grid means no pair comes within the LHS limit on that
-        # attribute, so every threshold choice yields a key RFD
-        # (Definition 3.4): emit one at the loosest admissible LHS.
+    shape = tuple(grid.size for grid in grid_lists)
+    grouping = None if 0 in shape else _group_by_cell(lhs_set, shape, ranks)
+    if grouping is None or grouping[0].size == 0:
+        # No pair comes within the LHS limit on some attribute (an empty
+        # grid), or even the loosest grid matches no pair: every grid
+        # choice yields a key RFD (Definition 3.4).  Emit it at the
+        # loosest admissible LHS with the tightest RHS.
         if config.include_keys:
             constraints = tuple(
                 Constraint(
                     name,
-                    float(grid_lists[position][-1])
-                    if grid_lists[position].size
+                    float(grid[-1])
+                    if grid.size
                     else float(config.lhs_limit_for(name)),
                 )
+                for name, grid in zip(lhs_set, grid_lists)
+            )
+            for rhs in rhs_names:
+                keys[rhs].append(RFD(constraints, Constraint(rhs, 0.0)))
+        return 0
+    pairs, starts, occupied = grouping
+    thresholds = [grid.tolist() for grid in grid_lists]
+    n_cells = int(np.prod(shape))
+    count = 0
+    for rhs in rhs_names:
+        d_rhs = matrix.distances(rhs)[pairs]
+        support = np.zeros(n_cells, dtype=np.int64)
+        support[occupied] = np.add.reduceat(
+            ~np.isnan(d_rhs), starts, dtype=np.int64
+        )
+        group_max = np.fmax.reduceat(d_rhs, starts)
+        beta = np.full(n_cells, -np.inf)
+        beta[occupied] = np.where(np.isnan(group_max), -np.inf, group_max)
+        support = support.reshape(shape)
+        beta = beta.reshape(shape)
+        for axis in range(len(shape)):
+            np.cumsum(support, axis=axis, out=support)
+            np.maximum.accumulate(beta, axis=axis, out=beta)
+        emit = (support >= config.min_support_pairs) & (
+            beta <= config.rhs_limit_for(rhs)
+        )
+        # ``beta`` never falls as a threshold loosens, so a combination
+        # is dominated inside its own LHS set exactly when one grid step
+        # looser on some axis keeps ``beta``; that looser one is emitted
+        # too, and pruning would drop this one.
+        for axis in range(len(shape)):
+            tighter = [slice(None)] * len(shape)
+            looser = [slice(None)] * len(shape)
+            tighter[axis] = slice(None, -1)
+            looser[axis] = slice(1, None)
+            emit[tuple(tighter)] &= beta[tuple(tighter)] != beta[tuple(looser)]
+        cells = np.nonzero(emit)  # row-major: itertools.product order
+        for combo, value in zip(
+            zip(*(axis.tolist() for axis in cells)), beta[cells].tolist()
+        ):
+            constraints = tuple(
+                Constraint(name, thresholds[position][combo[position]])
                 for position, name in enumerate(lhs_set)
             )
-            keys.append(RFD(constraints, Constraint(rhs, 0.0)))
-        return
-    index_ranges = [range(grid.size) for grid in grid_lists]
-    saw_supported = False
-    for combo in itertools.product(*index_ranges):
-        mask = match_masks[lhs_set[0]][combo[0]]
-        for position in range(1, len(lhs_set)):
-            mask = mask & match_masks[lhs_set[position]][combo[position]]
-        if not mask.any():
-            continue
-        saw_supported = True
-        witnesses = mask & rhs_defined
-        support = int(witnesses.sum())
-        if support < config.min_support_pairs:
-            continue
-        beta = float(np.max(d_rhs[witnesses]))
-        if beta > config.rhs_limit_for(rhs):
-            continue
-        constraints = tuple(
-            Constraint(name, float(grid_lists[position][combo[position]]))
-            for position, name in enumerate(lhs_set)
-        )
-        emitted.append(RFD(constraints, Constraint(rhs, beta)))
-    if not saw_supported and config.include_keys:
-        # Even the loosest grid matches no pair: the dependency is a key
-        # (Definition 3.4) for every grid choice; emit it at the loosest
-        # LHS with the tightest RHS.
-        constraints = tuple(
-            Constraint(name, float(grid_lists[position][-1]))
-            for position, name in enumerate(lhs_set)
-        )
-        keys.append(RFD(constraints, Constraint(rhs, 0.0)))
+            emitted[rhs].append(RFD(constraints, Constraint(rhs, value)))
+        count += len(cells[0])
+    return count
+
+
+def _group_by_cell(
+    lhs_set: tuple[str, ...],
+    shape: tuple[int, ...],
+    ranks: dict[str, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs inside the loosest grid on every axis of ``lhs_set``,
+    sorted by rank cell, with each occupied cell's start offset and flat
+    index: ``(pairs, starts, occupied)``."""
+    inside = ranks[lhs_set[0]] < shape[0]
+    for name, size in zip(lhs_set[1:], shape[1:]):
+        inside &= ranks[name] < size
+    pairs = np.flatnonzero(inside).astype(
+        np.int32 if inside.size <= np.iinfo(np.int32).max else np.int64
+    )
+    n_cells = int(np.prod(shape))
+    cell = np.zeros(pairs.size, dtype=np.min_scalar_type(n_cells - 1))
+    for name, size in zip(lhs_set, shape):
+        cell *= size
+        cell += ranks[name][pairs]
+    order = np.argsort(cell, kind="stable")
+    counts = np.bincount(cell, minlength=n_cells)
+    occupied = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[occupied]
+    return pairs[order], starts, occupied
 
 
 def _cap_per_rhs(rfds: list[RFD], cap: int) -> list[RFD]:
@@ -359,12 +417,16 @@ def _threshold_grid(
     return unique[indices]
 
 
-def _grid_masks(
-    distances: np.ndarray, grid: np.ndarray
-) -> list[np.ndarray]:
-    """Per grid value, the mask of pairs within it (NaN never matches)."""
-    defined = ~np.isnan(distances)
-    masks: list[np.ndarray] = []
+def _grid_ranks(distances: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Per pair, the index of the tightest grid threshold ``g`` with
+    ``d <= g``; ``grid.size`` when none admits it (and for ``NaN``).
+
+    Counted with the same ``d <= g`` comparison the thresholds are
+    checked with, in the smallest unsigned dtype holding ``grid.size``.
+    """
+    ranks = np.full(
+        distances.shape, grid.size, dtype=np.min_scalar_type(grid.size)
+    )
     for threshold in grid:
-        masks.append(defined & (distances <= threshold))
-    return masks
+        ranks -= distances <= threshold
+    return ranks

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.rfd.rfd import RFD
 
 
@@ -44,30 +46,55 @@ def dominates(first: RFD, second: RFD) -> bool:
 def remove_dominated(rfds: Iterable[RFD]) -> list[RFD]:
     """Deduplicate and drop every RFD dominated by another one.
 
-    Quadratic in the set size per RHS attribute, which is fine for the
-    set sizes discovery produces after per-level pruning.
+    Each RHS group is one vectorized comparison: LHS presence and
+    thresholds become ``(attributes, group)`` arrays and every candidate
+    is checked against the whole group at once, in blocks of
+    ``_BLOCK`` candidates so memory stays linear in the group size.
+
+    Two RFDs dominate each other only when they are equal, and
+    deduplication keeps the first of equal RFDs, so the keep-first rule
+    for mutual dominance needs no check beyond "nothing dominates
+    itself".
     """
     by_rhs: dict[str, list[RFD]] = {}
     for rfd in dict.fromkeys(rfds):  # dedupe, keep order
         by_rhs.setdefault(rfd.rhs_attribute, []).append(rfd)
     kept: list[RFD] = []
     for group in by_rhs.values():
-        for candidate in group:
-            if _is_dominated(candidate, group):
-                continue
-            kept.append(candidate)
+        kept.extend(
+            rfd for rfd, keep in zip(group, _undominated(group)) if keep
+        )
     return kept
 
 
-def _is_dominated(candidate: RFD, group: Sequence[RFD]) -> bool:
-    for other in group:
-        if other is candidate:
-            continue
-        if dominates(other, candidate):
-            # Symmetric dominance (equivalent RFDs): keep the one that
-            # appears first in the group to stay deterministic.
-            if dominates(candidate, other):
-                if group.index(other) > group.index(candidate):
-                    continue
-            return True
-    return False
+#: Candidates compared against their whole group per numpy pass.
+_BLOCK = 256
+
+
+def _undominated(group: Sequence[RFD]) -> np.ndarray:
+    """Mask of the RFDs of one RHS group that no other one dominates."""
+    attributes = sorted({name for rfd in group for name in rfd.lhs_attributes})
+    column = {name: index for index, name in enumerate(attributes)}
+    size = len(group)
+    present = np.zeros((len(attributes), size), dtype=bool)
+    lhs = np.zeros((len(attributes), size))
+    rhs = np.empty(size)
+    for position, rfd in enumerate(group):
+        for constraint in rfd.lhs:
+            present[column[constraint.attribute], position] = True
+            lhs[column[constraint.attribute], position] = constraint.threshold
+        rhs[position] = rfd.rhs_threshold
+    order = np.arange(size)
+    keep = np.empty(size, dtype=bool)
+    for start in range(0, size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        # dominated[i, j]: group[i] dominates candidate j of the block.
+        dominated = rhs[:, None] <= rhs[None, block]
+        for row in range(len(attributes)):
+            dominated &= ~present[row][:, None] | (
+                present[row, block][None, :]
+                & (lhs[row][:, None] >= lhs[row, block][None, :])
+            )
+        dominated &= order[:, None] != order[None, block]
+        keep[block] = ~dominated.any(axis=0)
+    return keep

@@ -65,7 +65,12 @@ from repro.core.report import ImputationReport
 from repro.dataset.csv_io import read_csv_text, to_csv_text
 from repro.dataset.missing import is_missing
 from repro.discovery.config import DiscoveryConfig
-from repro.exceptions import InjectedFaultError, ReproError, ServiceError
+from repro.exceptions import (
+    DiscoveryError,
+    InjectedFaultError,
+    ReproError,
+    ServiceError,
+)
 from repro.rfd.parser import parse_rfd
 from repro.robustness.chaos import ChaosInjector
 from repro.service.admission import (
@@ -668,7 +673,7 @@ class _Handler(BaseHTTPRequestHandler):
             normalized[name] = value
         try:
             return DiscoveryConfig(**normalized), normalized
-        except TypeError as exc:
+        except (TypeError, DiscoveryError) as exc:
             raise _HTTPError(400, f"bad discovery options: {exc}") from None
 
     @staticmethod

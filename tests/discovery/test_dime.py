@@ -1,14 +1,18 @@
 """Tests for RFD discovery: soundness, limits, keys, determinism."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataset import MISSING, Relation
-from repro.discovery import DiscoveryConfig, discover_rfds
+from repro.datasets import load_dataset
+from repro.discovery import DiscoveryConfig, count_lhs_sets, discover_rfds
 from repro.distance.pattern import PatternCalculator
 from repro.exceptions import DiscoveryError
 from repro.rfd import holds
+from repro.telemetry import Telemetry
 
 
 class TestSoundness:
@@ -174,6 +178,19 @@ class TestConfigValidation:
         with pytest.raises(DiscoveryError):
             DiscoveryConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field", ["threshold_limit", "lhs_threshold_limit", "attribute"]
+    )
+    def test_non_finite_limits_rejected(self, field, value):
+        kwargs = (
+            {"attribute_limits": {"LENGTH": value}}
+            if field == "attribute"
+            else {field: value}
+        )
+        with pytest.raises(DiscoveryError, match="finite"):
+            DiscoveryConfig(**kwargs)
+
     def test_effective_lhs_limit(self):
         assert DiscoveryConfig(threshold_limit=5).effective_lhs_limit == 5
         assert (
@@ -182,3 +199,39 @@ class TestConfigValidation:
             ).effective_lhs_limit
             == 2
         )
+
+
+class TestTelemetry:
+    @pytest.fixture(scope="class")
+    def traced(self):
+        relation = load_dataset("bridges", seed=0)
+        telemetry = Telemetry()
+        result = discover_rfds(
+            relation,
+            DiscoveryConfig(threshold_limit=3, max_lhs_size=2, grid_size=3),
+            telemetry=telemetry,
+        )
+        return relation, result, telemetry
+
+    def test_lhs_sets_metric_counts_rhs_lhs_pairs(self, traced):
+        relation, _, telemetry = traced
+        assert relation.n_attributes == 13
+        assert telemetry.metrics.value(
+            "renuver_discovery_lhs_sets_total"
+        ) == 13 * count_lhs_sets(13, 2)
+
+    def test_one_level_span_per_lhs_size(self, traced):
+        _, _, telemetry = traced
+        by_id = {span.span_id: span for span in telemetry.tracer.spans}
+        levels = [
+            span for span in telemetry.tracer.ordered_spans()
+            if span.name == "discover_level"
+        ]
+        assert [span.attributes["size"] for span in levels] == [1, 2]
+        assert [span.attributes["lhs_sets"] for span in levels] == [
+            13 * 12, 13 * 66,
+        ]
+        assert all(span.attributes["emitted"] >= 0 for span in levels)
+        assert {by_id[span.parent_id].name for span in levels} == {
+            "discover"
+        }

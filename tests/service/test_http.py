@@ -218,6 +218,16 @@ class TestErrorMapping:
         })
         assert status == 400
 
+    def test_non_finite_discovery_limit_is_400(self, base):
+        # json.dumps writes the literal NaN, which the server's json
+        # module reads back as a float.
+        status, body = call(base, "POST", "/v1/impute", {
+            "csv": CSV, "discovery": {"limit": float("nan")},
+        })
+        assert status == 400
+        assert "bad discovery options" in body["error"]
+        assert "finite" in body["error"]
+
     def test_oversized_body_is_413(self, tmp_path):
         server = build_server(
             "127.0.0.1", 0,

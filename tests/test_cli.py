@@ -49,6 +49,15 @@ class TestDiscover:
         assert code == 0
         assert "->" in out.read_text()
 
+    @pytest.mark.parametrize("limit", ["nan", "inf"])
+    def test_non_finite_limit_exits_6(self, clean_csv, capsys, limit):
+        # DiscoveryError family -> exit 6, one line, no traceback
+        assert main(["discover", str(clean_csv), "--limit", limit]) == 6
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "finite" in err
+        assert "Traceback" not in err
+
     def test_max_per_rhs(self, clean_csv, capsys):
         assert main([
             "discover", str(clean_csv), "--limit", "6",

@@ -121,7 +121,7 @@ class TestObservabilityDoc:
             for path in src.rglob("*.py")
         )
         for span in ["impute", "preprocess", "cell", "discover",
-                     "discover_rhs", "kernel."]:
+                     "discover_level", "kernel."]:
             assert f'"{span}' in code, (
                 f"OBSERVABILITY.md documents unemitted span {span!r}"
             )
