@@ -8,11 +8,8 @@ resolved ambiguities and optimizations on one fixed workload
   literal wording),
 * verification on vs off (quality/cost of IS_FAULTLESS),
 * paper verification vs extended check_rhs_rfds (Definition 4.3 gap),
-* keyness scope "all" vs "complete",
-* distance memoization on vs off (pure performance).
+* keyness scope "all" vs "complete".
 """
-
-import pytest
 
 from harness import TableWriter, bench_dataset, bench_rfds
 from repro import (
@@ -33,7 +30,6 @@ CONFIGS = {
     "no-verify": RenuverConfig(verify=False),
     "verify-rhs": RenuverConfig(check_rhs_rfds=True),
     "keys-complete": RenuverConfig(keyness_scope="complete"),
-    "no-cache": RenuverConfig(distance_cache=False),
 }
 
 
@@ -78,22 +74,4 @@ def test_ablation_table(benchmark):
     # The extended RHS check is at least as selective as the paper's.
     verify_rhs_scores, _ = table["verify-rhs"]
     assert verify_rhs_scores.imputed <= no_verify_scores.imputed
-    # Caching must not change results, only time.
-    cache_scores, _ = table["baseline"]
-    no_cache_scores, _ = table["no-cache"]
-    assert (cache_scores.imputed, cache_scores.correct) == (
-        no_cache_scores.imputed, no_cache_scores.correct
-    )
 
-
-@pytest.mark.parametrize("cached", [True, False])
-def test_distance_cache_speed(benchmark, cached):
-    """Kernel timing: one imputation run with/without memoization."""
-    relation = bench_dataset(DATASET)
-    rfds = bench_rfds(DATASET, THRESHOLD).all_rfds
-    injection = inject_missing(relation, rate=RATE, seed=21)
-    engine = Renuver(rfds, RenuverConfig(distance_cache=cached))
-    result = benchmark.pedantic(
-        engine.impute, args=(injection.relation,), rounds=1, iterations=1
-    )
-    assert result.report.missing_count == injection.count

@@ -123,8 +123,6 @@ class RenuverConfig:
         repro.rfd.keyness).
     max_candidates:
         Optional cap on candidates tried per cluster (the paper's ``k``).
-    distance_cache:
-        Memoize distances per value pair.
     track_memory:
         Measure peak allocation with :mod:`tracemalloc` (slows the run;
         used by the stress benchmarks).
@@ -154,7 +152,6 @@ class RenuverConfig:
     recheck_keys: bool = True
     keyness_scope: str = "all"
     max_candidates: int | None = None
-    distance_cache: bool = True
     track_memory: bool = False
     time_budget_seconds: float | None = None
     memory_budget_bytes: int | None = None
@@ -1062,9 +1059,7 @@ class Renuver:
     # ------------------------------------------------------------------
     def _make_calculator(self, relation: Relation) -> PatternCalculator:
         return PatternCalculator(
-            relation,
-            overrides=self._distance_overrides,
-            cached=self.config.distance_cache,
+            relation, overrides=self._distance_overrides
         )
 
     def _make_engine(self, calculator: PatternCalculator) -> VectorizedEngine:

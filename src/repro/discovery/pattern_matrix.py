@@ -89,75 +89,6 @@ class PairDistanceMatrix:
         return ~np.isnan(self._distances[attribute])
 
     # ------------------------------------------------------------------
-    # Serialization (service artifact cache)
-    # ------------------------------------------------------------------
-    def to_json(self) -> dict:
-        """A JSON-serializable payload round-tripping the matrix.
-
-        ``NaN`` distances (pairs with a missing side) render as ``None``
-        so the payload is strict JSON.  :meth:`from_json` restores the
-        matrix without recomputing any distance.
-        """
-        return {
-            "string_limit": self.string_limit,
-            "exact": self.exact,
-            "n_tuples": self.relation.n_tuples,
-            "attributes": list(self.relation.attribute_names),
-            "pairs": self.pairs.tolist(),
-            "distances": {
-                name: [
-                    None if math.isnan(value) else value
-                    for value in array.tolist()
-                ]
-                for name, array in self._distances.items()
-            },
-        }
-
-    @classmethod
-    def from_json(
-        cls, payload: dict, relation: Relation
-    ) -> "PairDistanceMatrix":
-        """Restore a matrix persisted with :meth:`to_json`.
-
-        ``relation`` must be the instance the payload was computed from;
-        schema mismatches raise :class:`~repro.exceptions.DiscoveryError`
-        (the artifact cache keys payloads by relation fingerprint, so a
-        mismatch means the caller mixed artifacts up).
-        """
-        if payload.get("n_tuples") != relation.n_tuples or list(
-            payload.get("attributes", ())
-        ) != list(relation.attribute_names):
-            raise DiscoveryError(
-                "pattern-matrix payload does not match the relation "
-                f"{relation.name!r} (schema or tuple count differs)"
-            )
-        matrix = cls.__new__(cls)
-        matrix.relation = relation
-        matrix.string_limit = float(payload["string_limit"])
-        matrix.exact = bool(payload["exact"])
-        pairs = payload.get("pairs", [])
-        matrix.pairs = (
-            np.array(pairs, dtype=np.int64)
-            if pairs
-            else np.empty((0, 2), dtype=np.int64)
-        )
-        matrix._distances = {
-            name: np.array(
-                [math.nan if value is None else value for value in column],
-                dtype=np.float64,
-            )
-            for name, column in payload["distances"].items()
-        }
-        for name, column in matrix._distances.items():
-            if column.shape[0] != matrix.n_pairs:
-                raise DiscoveryError(
-                    f"pattern-matrix payload is inconsistent: attribute "
-                    f"{name!r} has {column.shape[0]} distances for "
-                    f"{matrix.n_pairs} pairs"
-                )
-        return matrix
-
-    # ------------------------------------------------------------------
     def _column_distances(
         self, name: str, attr_type: AttributeType
     ) -> np.ndarray:

@@ -15,8 +15,10 @@ Two crash-safety primitives live here:
 
 :class:`Lease`
     ``pipeline.lock`` — a single-writer lease guarding the whole
-    pipeline root.  Acquisition is an ``O_CREAT|O_EXCL`` create (atomic
-    on POSIX); a lease left behind by a crashed run is *stale* (corrupt
+    pipeline root.  Acquisition hard-links a fully written payload file
+    to the lock path (atomic on POSIX, and fails if the lock exists), so
+    no contender ever reads a live lock half-written; a lease left
+    behind by a crashed run is *stale* (corrupt
     payload, dead pid on the same host, or heartbeat older than its
     TTL) and is taken over via ``os.rename`` of the stale lock file —
     rename is atomic, so when several contenders race for the same
@@ -398,8 +400,8 @@ class Lease:
     token); its *mtime* is the heartbeat.  Liveness is judged in this
     order:
 
-    1. unreadable/corrupt payload  → stale (a torn write — the writer
-       died inside its own acquisition);
+    1. unreadable/corrupt payload  → stale (a lock appears with its
+       payload complete, so no live holder left it that way);
     2. holder pid dead, same host  → stale;
     3. heartbeat older than the holder's TTL → stale (covers remote or
        unverifiable holders);
@@ -434,48 +436,49 @@ class Lease:
     def acquire(self, *, attempts: int = 8) -> None:
         """Take the lease, stealing a stale one if necessary."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        for _ in range(attempts):
-            try:
-                fd = os.open(
-                    self.path,
-                    os.O_CREAT | os.O_EXCL | os.O_WRONLY,
-                    0o644,
-                )
-            except FileExistsError:
-                holder = self.peek()
-                if not self.is_stale(holder):
-                    raise LeaseError(
-                        f"pipeline lease {self.path} is held by "
-                        f"{holder.get('owner', '?')} "
-                        f"(pid {holder.get('pid', '?')} on "
-                        f"{holder.get('host', '?')}); a live run is in "
-                        f"progress"
-                    )
-                if self._take_over(holder):
-                    continue  # stale lock removed; retry the create
-                # Lost the takeover race: someone else owns a fresh
-                # lock now — loop and re-judge it.
-                time.sleep(0.01)
-                continue
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(json.dumps(self._payload()))
-                    handle.flush()
-                    os.fsync(handle.fileno())
-            except OSError as exc:
+        # The payload is written and synced before the lock exists: a
+        # contender that found an empty, just-created lock would judge
+        # it corrupt, hence stale, and take over a live lease.
+        staged = self.path.with_name(f"{self.path.name}.new-{self.token}")
+        try:
+            with open(staged, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps(self._payload()))
+                handle.flush()
+                os.fsync(handle.fileno())
+            for _ in range(attempts):
                 try:
-                    os.unlink(self.path)
-                except OSError:
-                    pass
-                raise LeaseError(
-                    f"cannot write lease {self.path}: {exc}"
-                ) from exc
-            self._held = True
-            logger.info(
-                "lease %s acquired by %s (token %s)",
-                self.path, self.owner, self.token[:8],
-            )
-            return
+                    os.link(staged, self.path)
+                except FileExistsError:
+                    holder = self.peek()
+                    if not self.is_stale(holder):
+                        raise LeaseError(
+                            f"pipeline lease {self.path} is held by "
+                            f"{holder.get('owner', '?')} "
+                            f"(pid {holder.get('pid', '?')} on "
+                            f"{holder.get('host', '?')}); a live run is "
+                            f"in progress"
+                        )
+                    if self._take_over(holder):
+                        continue  # stale lock removed; retry the link
+                    # Lost the takeover race: someone else owns a fresh
+                    # lock now — loop and re-judge it.
+                    time.sleep(0.01)
+                    continue
+                self._held = True
+                logger.info(
+                    "lease %s acquired by %s (token %s)",
+                    self.path, self.owner, self.token[:8],
+                )
+                return
+        except OSError as exc:
+            raise LeaseError(
+                f"cannot write lease {self.path}: {exc}"
+            ) from exc
+        finally:
+            try:
+                staged.unlink()
+            except OSError:
+                pass
         raise LeaseError(
             f"could not acquire lease {self.path} after {attempts} "
             f"attempts (takeover contention)"
@@ -563,7 +566,7 @@ class Lease:
         try:
             age = time.time() - self.path.stat().st_mtime
         except OSError:
-            return False  # vanished: the next O_EXCL will settle it
+            return False  # vanished: the next link will settle it
         ttl = holder.get("ttl_seconds")
         if not isinstance(ttl, (int, float)) or ttl <= 0:
             ttl = self.ttl_seconds

@@ -2,7 +2,7 @@
 
 RFD discovery dominates a cold run's wall clock, yet its output depends
 only on the exact relation instance and the discovery configuration.
-The store persists two artifact kinds under a cache directory:
+The store persists one artifact kind under a cache directory:
 
 ``discovery``
     A serialized :class:`~repro.discovery.dime.DiscoveryResult`
@@ -11,12 +11,10 @@ The store persists two artifact kinds under a cache directory:
     discovery entirely — provable from telemetry: the counter
     ``renuver_artifact_cache_hits_total`` increments and no ``discover``
     span is emitted.
-``matrix``
-    A serialized :class:`~repro.discovery.pattern_matrix
-    .PairDistanceMatrix` keyed by the relation fingerprint and the
-    matrix parameters (string limit, pair sampling).  On a discovery
-    *config* miss for an already-seen relation, the matrix — the
-    quadratic part of discovery — is still reused.
+
+The pair-distance matrix is not cached: serialized as JSON it costs
+more to save and load than to rebuild (``docs/SERVICE.md``), so a
+discovery-config miss rebuilds it.
 
 Layout (``docs/SERVICE.md``)::
 
@@ -47,7 +45,6 @@ from typing import Any, Callable
 from repro.dataset.relation import Relation
 from repro.discovery.config import DiscoveryConfig
 from repro.discovery.dime import DiscoveryResult
-from repro.discovery.pattern_matrix import PairDistanceMatrix
 from repro.exceptions import ServiceError
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.telemetry.logs import get_logger
@@ -151,34 +148,6 @@ class ArtifactStore:
         )
 
     # ------------------------------------------------------------------
-    # Pattern matrices
-    # ------------------------------------------------------------------
-    def load_matrix(
-        self, relation: Relation, config: DiscoveryConfig
-    ) -> PairDistanceMatrix | None:
-        """The cached pair-distance matrix for ``relation`` under the
-        matrix-relevant parameters of ``config`` (string limit, pair
-        sampling), or ``None`` on any miss."""
-        return self._load(
-            "matrix", *self._matrix_key(relation, config),
-            lambda payload: PairDistanceMatrix.from_json(payload, relation),
-        )
-
-    def save_matrix(
-        self,
-        relation: Relation,
-        config: DiscoveryConfig,
-        matrix: PairDistanceMatrix,
-    ) -> Path | None:
-        """Persist a pattern matrix; returns the artifact path, or
-        ``None`` when the write failed (counted as a miss)."""
-        return self._save(
-            "matrix",
-            *self._matrix_key(relation, config),
-            matrix.to_json(),
-        )
-
-    # ------------------------------------------------------------------
     # Keys and the envelope
     # ------------------------------------------------------------------
     @staticmethod
@@ -191,22 +160,6 @@ class ArtifactStore:
         if payload.get("attribute_limits") is not None:
             payload["attribute_limits"] = dict(payload["attribute_limits"])
         return relation_fingerprint(relation), payload_fingerprint(payload)
-
-    @staticmethod
-    def _matrix_key(
-        relation: Relation, config: DiscoveryConfig
-    ) -> tuple[str, str]:
-        # Only the parameters that shape the matrix: reuse must be
-        # bit-identical to a fresh build, so the string clamp and the
-        # (seeded) pair sample have to match exactly.
-        string_limit = max(
-            config.threshold_limit, config.effective_lhs_limit
-        )
-        return relation_fingerprint(relation), payload_fingerprint({
-            "string_limit": string_limit,
-            "max_pairs": config.max_pairs,
-            "seed": config.seed,
-        })
 
     def path_for(self, kind: str, fingerprint: str, key: str) -> Path:
         """Where the artifact for ``(kind, fingerprint, key)`` lives."""

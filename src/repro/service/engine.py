@@ -33,7 +33,6 @@ from repro.dataset.relation import Relation
 from repro.discovery.config import DiscoveryConfig
 from repro.discovery.dime import DiscoveryResult, discover_rfds
 from repro.discovery.incremental import IncrementalDiscovery
-from repro.discovery.pattern_matrix import PairDistanceMatrix
 from repro.exceptions import ImputationError, ServiceError
 from repro.extensions.incremental import ImputationSession
 from repro.rfd.rfd import RFD
@@ -192,28 +191,9 @@ class PreparedEngine:
             cached = self.store.load_discovery(relation, config)
             if cached is not None:
                 return cached, cached.all_rfds, "cache"
-        matrix: PairDistanceMatrix | None = None
-        matrix_built = False
-        if self.store is not None:
-            matrix = self.store.load_matrix(relation, config)
-            if matrix is None:
-                string_limit = max(
-                    config.threshold_limit, config.effective_lhs_limit
-                )
-                matrix = PairDistanceMatrix(
-                    relation,
-                    string_limit=string_limit,
-                    max_pairs=config.max_pairs,
-                    seed=config.seed,
-                )
-                matrix_built = True
-        result = discover_rfds(
-            relation, config, telemetry=telemetry, matrix=matrix
-        )
+        result = discover_rfds(relation, config, telemetry=telemetry)
         if self.store is not None:
             self.store.save_discovery(relation, config, result)
-            if matrix_built:
-                self.store.save_matrix(relation, config, matrix)
         return result, result.all_rfds, "discovered"
 
     # ------------------------------------------------------------------

@@ -11,8 +11,7 @@ One :class:`Telemetry` object bundles the three signals of a run:
 
 Everything accepts a ``telemetry=`` keyword and defaults to
 :data:`NULL_TELEMETRY`, whose tracer and registry are shared no-op
-singletons — the disabled path costs a method call per site and is
-guarded under 2% of a run by ``benchmarks/bench_telemetry.py``.
+singletons — the disabled path costs a method call per site.
 
 Usage::
 

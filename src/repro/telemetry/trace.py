@@ -15,8 +15,7 @@ logs, not to spans.
 Disabled tracing must cost nothing measurable: :class:`NullTracer` (the
 default everywhere) hands out one shared :data:`NULL_SPAN` whose every
 method is a no-op, so instrumentation sites pay a single method call and
-no allocation beyond the keyword dict.  ``benchmarks/bench_telemetry.py``
-guards the aggregate cost at under 2% of a run.
+no allocation beyond the keyword dict.
 
 Usage::
 

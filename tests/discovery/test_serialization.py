@@ -94,40 +94,6 @@ class TestDiscoveryResultJson:
             parse_rfd(text)  # must be readable by the standard parser
 
 
-class TestMatrixJson:
-    @pytest.fixture()
-    def relation(self):
-        return read_csv_text(CSV, name="t")
-
-    def _matrix(self, relation):
-        return PairDistanceMatrix(
-            relation, string_limit=2, max_pairs=None, seed=0
-        )
-
-    def test_round_trip(self, relation):
-        matrix = self._matrix(relation)
-        restored = PairDistanceMatrix.from_json(
-            matrix.to_json(), relation
-        )
-        assert restored.pairs.tolist() == matrix.pairs.tolist()
-        assert restored.string_limit == matrix.string_limit
-
-    def test_rejects_a_different_relation(self, relation):
-        matrix = self._matrix(relation)
-        smaller = read_csv_text(
-            "Name,City,Phone\nann,rome,111\n", name="t"
-        )
-        with pytest.raises(DiscoveryError):
-            PairDistanceMatrix.from_json(matrix.to_json(), smaller)
-
-    def test_rejects_a_different_schema(self, relation):
-        matrix = self._matrix(relation)
-        payload = matrix.to_json()
-        payload["attributes"] = ["A", "B", "C"]
-        with pytest.raises(DiscoveryError):
-            PairDistanceMatrix.from_json(payload, relation)
-
-
 class TestDiscoverWithReusedMatrix:
     def test_reuse_matches_fresh_run(self):
         relation = read_csv_text(CSV, name="t")

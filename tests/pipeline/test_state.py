@@ -222,6 +222,37 @@ class TestLease:
         assert loser.peek() == winner_payload
         loser.release()
 
+    def test_contender_mid_acquisition_cannot_take_over(
+        self, tmp_path, monkeypatch
+    ):
+        """A contender arriving while the first holder is still
+        preparing its payload must not see a half-written lock (which
+        would look corrupt, hence stale): exactly one of them holds."""
+        lock = tmp_path / "pipeline.lock"
+        first = Lease(lock, owner="first")
+        second = Lease(lock, owner="second")
+        outcomes: dict[str, str] = {}
+        payload = Lease._payload
+
+        def try_acquire(lease: Lease) -> None:
+            try:
+                lease.acquire()
+            except LeaseError:
+                outcomes[lease.owner] = "LOST"
+            else:
+                outcomes[lease.owner] = "WON"
+
+        def racing_payload(lease: Lease) -> dict:
+            if lease is first and "second" not in outcomes:
+                try_acquire(second)
+            return payload(lease)
+
+        monkeypatch.setattr(Lease, "_payload", racing_payload)
+        try_acquire(first)
+        assert sorted(outcomes.values()) == ["LOST", "WON"], outcomes
+        for lease in (first, second):
+            lease.release()
+
 
 def _exited_pid() -> int:
     """The pid of a process guaranteed to have exited."""

@@ -43,14 +43,31 @@ class TestRunBudget:
         )
 
     def test_generous_budget_changes_nothing(
-        self, restaurant_sample, paper_rfds
+        self, restaurant_sample, paper_rfds, tmp_path
     ):
         baseline = Renuver(paper_rfds).impute(restaurant_sample)
-        budgeted = Renuver(
-            paper_rfds, RenuverConfig(time_budget_seconds=3600.0)
-        ).impute(restaurant_sample)
-        assert budgeted.relation.equals(baseline.relation)
-        assert budgeted.report.budget_events == []
+        guarded_runs = [
+            (RenuverConfig(time_budget_seconds=3600.0), None),
+            # The full guarded runtime: run, cell and memory budgets
+            # that never trip, the mean/mode fallback armed, a journal.
+            (
+                RenuverConfig(
+                    time_budget_seconds=3600.0,
+                    cell_time_budget_seconds=600.0,
+                    memory_budget_bytes=1 << 40,
+                    fallback="mean_mode",
+                ),
+                tmp_path / "guarded.jsonl",
+            ),
+        ]
+        for config, journal in guarded_runs:
+            budgeted = Renuver(paper_rfds, config).impute(
+                restaurant_sample, journal=journal
+            )
+            assert budgeted.relation.equals(baseline.relation)
+            assert budgeted.report.outcomes == baseline.report.outcomes
+            assert budgeted.report.budget_events == []
+            assert budgeted.report.degradations == []
 
 
 class TestCellBudget:

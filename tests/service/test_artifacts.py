@@ -8,7 +8,6 @@ import pytest
 
 from repro.dataset.csv_io import read_csv_text
 from repro.discovery import DiscoveryConfig, discover_rfds
-from repro.discovery.pattern_matrix import PairDistanceMatrix
 from repro.exceptions import ServiceError
 from repro.service.artifacts import ArtifactStore
 from repro.telemetry import Telemetry
@@ -61,47 +60,6 @@ class TestDiscoveryArtifacts:
         store.save_discovery(relation, CONFIG, result)
         other = DiscoveryConfig(threshold_limit=2, max_lhs_size=1)
         assert store.load_discovery(relation, other) is None
-
-
-class TestMatrixArtifacts:
-    def test_round_trip_is_bit_identical(self, store, relation):
-        matrix = PairDistanceMatrix(
-            relation,
-            string_limit=max(
-                CONFIG.threshold_limit, CONFIG.effective_lhs_limit
-            ),
-            max_pairs=CONFIG.max_pairs,
-            seed=CONFIG.seed,
-        )
-        store.save_matrix(relation, CONFIG, matrix)
-        loaded = store.load_matrix(relation, CONFIG)
-        assert loaded is not None
-        assert loaded.pairs.tolist() == matrix.pairs.tolist()
-        for attribute in relation.attribute_names:
-            original = matrix.distances(attribute).tolist()
-            restored = loaded.distances(attribute).tolist()
-            assert len(original) == len(restored)
-            for a, b in zip(original, restored):
-                assert (a != a and b != b) or a == b  # NaN-aware
-
-    def test_discovery_from_cached_matrix_matches_fresh(
-        self, store, relation
-    ):
-        matrix = PairDistanceMatrix(
-            relation,
-            string_limit=max(
-                CONFIG.threshold_limit, CONFIG.effective_lhs_limit
-            ),
-            max_pairs=CONFIG.max_pairs,
-            seed=CONFIG.seed,
-        )
-        store.save_matrix(relation, CONFIG, matrix)
-        loaded = store.load_matrix(relation, CONFIG)
-        fresh = discover_rfds(relation, CONFIG)
-        reused = discover_rfds(relation, CONFIG, matrix=loaded)
-        assert [str(r) for r in reused.all_rfds] == [
-            str(r) for r in fresh.all_rfds
-        ]
 
 
 class TestMetrics:

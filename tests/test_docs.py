@@ -1,9 +1,12 @@
 """Documentation stays consistent with the code base.
 
-These tests keep README.md / DESIGN.md / EXPERIMENTS.md honest: every
-bench target and module path they reference must actually exist.
+These tests keep README.md / DESIGN.md / EXPERIMENTS.md, docs/ and the
+docstrings under src/repro honest: every bench target, benchmark
+workload and module path they reference must actually exist.
 """
 
+import ast
+import json
 import re
 from pathlib import Path
 
@@ -11,10 +14,48 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
+#: A perfbench workload name as the docs cite it: ``paper-cold``.
+WORKLOAD_NAME = re.compile(r"`([a-z][a-z0-9]*(?:-[a-z0-9]+)+)`")
+
 
 @pytest.fixture(scope="module")
 def design_text() -> str:
     return (ROOT / "DESIGN.md").read_text(encoding="utf-8")
+
+
+def _docstrings(path: Path) -> str:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    docs = (
+        ast.get_docstring(node)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef))
+    )
+    return "\n\n".join(doc for doc in docs if doc)
+
+
+@pytest.fixture(scope="module")
+def cited_texts() -> dict[str, str]:
+    """Every text that may cite a benchmark: the top-level documents,
+    docs/*.md and the docstrings under src/repro, by relative path."""
+    texts = {
+        name: (ROOT / name).read_text(encoding="utf-8")
+        for name in ["README.md", "DESIGN.md", "EXPERIMENTS.md"]
+    }
+    for path in sorted((ROOT / "docs").glob("*.md")):
+        texts[str(path.relative_to(ROOT))] = path.read_text(
+            encoding="utf-8"
+        )
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        texts[str(path.relative_to(ROOT))] = _docstrings(path)
+    return texts
+
+
+def _benchmark_workloads() -> set[str]:
+    declared = json.loads(
+        (ROOT / "BENCHMARK.json").read_text(encoding="utf-8")
+    )
+    return {workload["name"] for workload in declared["workloads"]}
 
 
 class TestDocumentsExist:
@@ -36,12 +77,37 @@ class TestDocumentsExist:
 
 
 class TestDesignReferences:
-    def test_bench_targets_exist(self, design_text):
-        targets = set(re.findall(r"benchmarks/(bench_\w+\.py)",
-                                 design_text))
-        assert targets, "DESIGN.md lists no bench targets"
-        for target in targets:
-            assert (ROOT / "benchmarks" / target).exists(), target
+    def test_bench_targets_exist(self, design_text, cited_texts):
+        assert re.search(r"benchmarks/bench_\w+\.py", design_text), (
+            "DESIGN.md lists no bench targets"
+        )
+        for name, text in cited_texts.items():
+            for target in re.findall(r"benchmarks/(bench_\w+\.py)", text):
+                assert (ROOT / "benchmarks" / target).exists(), (
+                    f"{name} cites missing benchmarks/{target}"
+                )
+
+    def test_bench_artifacts_exist(self, cited_texts):
+        for name, text in cited_texts.items():
+            for artifact in re.findall(r"BENCH_\w+\.json", text):
+                assert (ROOT / artifact).exists(), (
+                    f"{name} cites missing {artifact}"
+                )
+
+    def test_cited_perfbench_workloads_exist(self, cited_texts):
+        workloads = _benchmark_workloads()
+        cited = set()
+        for name, text in cited_texts.items():
+            for paragraph in re.split(r"\n\s*\n", text):
+                if not re.search(r"perfbench|workload", paragraph):
+                    continue
+                for workload in WORKLOAD_NAME.findall(paragraph):
+                    assert workload in workloads, (
+                        f"{name} cites {workload!r}, which is not a "
+                        f"workload in BENCHMARK.json"
+                    )
+                    cited.add(workload)
+        assert cited, "no document cites a perfbench workload"
 
     def test_subpackages_exist(self, design_text):
         for module in re.findall(r"`repro\.([a-z_.]+)`", design_text):
@@ -280,9 +346,9 @@ class TestIndexingDoc:
                 f"repro.index misses fallback reason {reason}"
             )
 
-    def test_bench_artifact_exists(self, text):
-        assert "BENCH_blocking.json" in text
-        assert (ROOT / "BENCH_blocking.json").exists()
+    def test_cites_the_blocking_workload(self, text):
+        assert "`physician-10k`" in text
+        assert "physician-10k" in _benchmark_workloads()
 
 
 class TestReadmeReferences:
