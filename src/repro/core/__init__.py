@@ -1,11 +1,7 @@
 """RENUVER core: the paper's Algorithms 1-4."""
 
-from repro.core.candidates import Candidate, find_candidate_tuples
-from repro.core.donor_scan import (
-    ScalarEngine,
-    VectorizedEngine,
-    string_clamp_limits,
-)
+from repro.core.candidates import Candidate
+from repro.core.donor_scan import VectorizedEngine, string_clamp_limits
 from repro.core.renuver import (
     ImputationResult,
     Renuver,
@@ -24,7 +20,7 @@ from repro.core.selection import (
     cluster_by_rhs_threshold,
     select_rfds_for_attribute,
 )
-from repro.core.verification import first_fault, is_faultless, relevant_rfds
+from repro.core.verification import relevant_rfds
 
 __all__ = [
     "BudgetEvent",
@@ -37,13 +33,9 @@ __all__ = [
     "OutcomeStatus",
     "Renuver",
     "RenuverConfig",
-    "ScalarEngine",
     "VectorizedEngine",
     "build_cluster_plan",
     "cluster_by_rhs_threshold",
-    "find_candidate_tuples",
-    "first_fault",
-    "is_faultless",
     "relevant_rfds",
     "select_rfds_for_attribute",
     "string_clamp_limits",

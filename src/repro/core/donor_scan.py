@@ -1,4 +1,4 @@
-"""Donor-scan engines: the columnar hot path and the scalar reference.
+"""Donor-scan engines: the columnar hot path and the scalar oracle.
 
 RENUVER's cost is dominated by two per-missing-cell donor scans:
 candidate generation (Algorithm 3) and verification (Algorithm 4).  Both
@@ -7,12 +7,9 @@ handful of attributes".  The engines here expose that scan behind one
 interface so the driver — and the ``explain`` diagnostics — run the same
 code path:
 
-* :class:`ScalarEngine` wraps the original pair-at-a-time functions
-  (``find_candidate_tuples`` / ``is_faultless``) with the per-cell donor
-  memo the driver used to build inline.  It is the reference
-  implementation for equivalence testing.
-* :class:`VectorizedEngine` evaluates both algorithms, and the
-  Definition 3.4 keyness scans, over the columnar distances of
+* :class:`VectorizedEngine` is the engine of every imputation run.  It
+  evaluates both algorithms, and the Definition 3.4 keyness scans, over
+  the columnar distances of
   :class:`~repro.distance.kernels.DonorScanKernels`.  Every LHS check
   goes through one helper, ``_lhs_rows``, which returns the rows whose
   pair with the target satisfies the RFD's LHS: the AND of the cached
@@ -23,6 +20,11 @@ code path:
   RFD an element-wise running minimum.  Verification orders the
   relevant RFDs by measured selectivity (how often each one produced a
   violation so far) and exits at the first violating RFD.
+* :class:`ScalarEngine` wraps the paper's pair-at-a-time functions
+  (``find_candidate_tuples`` / ``is_faultless``) over a
+  :class:`~repro.distance.pattern.PatternCalculator`.  No imputation run
+  builds it: it is the oracle the equivalence, rollback and chaos suites
+  compare the columnar engine against (``tests/oracle.py``).
 
 Both engines produce bit-identical :class:`~repro.core.candidates.Candidate`
 lists and accept/reject decisions: the float operations run in the same
@@ -45,7 +47,7 @@ checks it on every builtin dataset):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -56,6 +58,8 @@ from repro.core.verification import (
     is_faultless as _scalar_is_faultless,
     relevant_rfds,
 )
+from repro.dataset.relation import Relation
+from repro.distance.base import DistanceFunction
 from repro.distance.kernels import DonorScanKernels
 from repro.distance.levenshtein import BOUNDED_STATS
 from repro.distance.pattern import DistancePattern, PatternCalculator
@@ -220,7 +224,11 @@ class KernelCallSeam:
 
 
 class ScalarEngine(KernelCallSeam):
-    """Reference donor-scan engine: the paper's pair-at-a-time loops."""
+    """Reference donor-scan engine: the paper's pair-at-a-time loops.
+
+    The test oracle for :class:`VectorizedEngine`; imputation runs never
+    build it.
+    """
 
     name = "scalar"
 
@@ -360,16 +368,17 @@ class VectorizedEngine(KernelCallSeam):
 
     Parameters
     ----------
-    calculator:
-        Supplies the relation (and the override distance functions).
+    relation:
+        The instance the scans read; the kernels follow its writes
+        through the dirty-cell hook.
     rfds:
         The RFD set; its thresholds set the string kernels' clamps.
-    override_names:
-        Attributes whose distance function is overridden.
+    overrides:
+        Per-attribute distance functions replacing the paper's defaults.
     plan:
-        Optional :class:`~repro.index.plan.IndexPlan` shadowing the
-        calculator's relation instance.  Every LHS check asks it for
-        candidate rows first; a probe it declines scans the full column.
+        Optional :class:`~repro.index.plan.IndexPlan` shadowing
+        ``relation``.  Every LHS check asks it for candidate rows first;
+        a probe it declines scans the full column.
     owns_plan:
         Whether :meth:`close` also closes ``plan``: true for a plan built
         for this run, false for one a session or pipeline shares across
@@ -380,21 +389,17 @@ class VectorizedEngine(KernelCallSeam):
 
     def __init__(
         self,
-        calculator: PatternCalculator,
+        relation: Relation,
         rfds: Iterable[RFD],
         *,
-        override_names: Iterable[str] = (),
+        overrides: Mapping[str, DistanceFunction] | None = None,
         plan: IndexPlan | None = None,
         owns_plan: bool = False,
     ) -> None:
         super().__init__()
-        self.calculator = calculator
-        overrides = {
-            name: calculator.function_for(name)
-            for name in override_names
-        }
+        self.relation = relation
         self.kernels = DonorScanKernels(
-            calculator.relation,
+            relation,
             string_limits=string_clamp_limits(rfds),
             overrides=overrides,
         )
@@ -464,7 +469,7 @@ class VectorizedEngine(KernelCallSeam):
                 rows = rows[vector <= constraint.threshold]
             return rows if rows.size else None
         if eligible is None:
-            mask = np.ones(self.calculator.relation.n_tuples, dtype=bool)
+            mask = np.ones(self.relation.n_tuples, dtype=bool)
         else:
             mask = eligible.copy()
         mask[target_row] = False
@@ -571,7 +576,7 @@ class VectorizedEngine(KernelCallSeam):
         _check_scope(scope)
         rfds = list(rfds)
         kernels = self.kernels
-        n = self.calculator.relation.n_tuples
+        n = self.relation.n_tuples
         in_scope = self._scope_mask(scope)
         undecided = list(range(len(rfds)))
         non_key = [False] * len(rfds)
@@ -614,7 +619,7 @@ class VectorizedEngine(KernelCallSeam):
         if scope != "complete":
             return None
         mask: np.ndarray | None = None
-        for name in self.calculator.relation.attribute_names:
+        for name in self.relation.attribute_names:
             present = self.kernels.present_mask(name)
             mask = present.copy() if mask is None else mask & present
         return mask
@@ -688,7 +693,7 @@ class _VectorizedCellScan:
         attribute = self._attribute
         engine = self._engine
         kernels = engine.kernels
-        relation = engine.calculator.relation
+        relation = engine.relation
         donors = kernels.present_mask(attribute).copy()
         donors[target_row] = False
         if not donors.any():

@@ -30,7 +30,7 @@ The driver wraps steps (b)+(c) in a recovery layer (see
   cells as skipped and return normally.
 * **Fault isolation + degradation ladder** — an exception escaping one
   cell's imputation never aborts the run: the cell's tentative write is
-  rolled back and the cell retries on the scalar reference engine, then
+  rolled back and the cell retries once on the run's own engine, then
   falls back to a mean/mode fill (``fallback="mean_mode"``) or is
   recorded as skipped.  Every downgrade lands in the report's
   ``degradations`` so results stay auditable.
@@ -53,14 +53,13 @@ from repro.dataset.attribute import AttributeType
 from repro.dataset.missing import MISSING, is_missing
 from repro.dataset.relation import Relation
 from repro.distance.base import DistanceFunction
-from repro.distance.pattern import PatternCalculator
 from repro.exceptions import (
     BudgetExceededError,
     DataError,
     ImputationError,
 )
 from repro.core.candidates import Candidate
-from repro.core.donor_scan import ScalarEngine, VectorizedEngine
+from repro.core.donor_scan import VectorizedEngine
 from repro.core.report import (
     BudgetEvent,
     CellOutcome,
@@ -212,24 +211,19 @@ class ImputationResult:
 class _RunState:
     """Mutable per-run state shared by the private helpers."""
 
-    calculator: PatternCalculator
-    engine: ScalarEngine | VectorizedEngine
+    relation: Relation
+    engine: VectorizedEngine
     active_rfds: list[RFD]
     key_rfds: list[RFD]
     report: ImputationReport
     timer: Timer
     memory: MemoryTracker | None = None
-    explanations: dict[tuple[int, str], list[Candidate]] = field(
-        default_factory=dict
-    )
     #: Journal writer, when the run is journaled.
     writer: object | None = None
     #: Cells already settled (by a replayed journal).
     done: set[tuple[int, str]] = field(default_factory=set)
     #: Chaos injector, when fault injection is active.
     chaos: object | None = None
-    #: Lazily built scalar engine for the degradation ladder.
-    scalar_retry: ScalarEngine | None = None
 
 
 class Renuver:
@@ -478,8 +472,7 @@ class Renuver:
                 f"cell ({row}, {attribute}) is not missing"
             )
         working = relation.copy()
-        calculator = self._make_calculator(working)
-        engine = self._make_engine(calculator)
+        engine = self._make_engine(working)
         try:
             _, active = engine.partition_key_rfds(
                 self.rfds, scope=self.config.keyness_scope
@@ -509,8 +502,7 @@ class Renuver:
         with self.telemetry.tracer.span(
             "preprocess", n_rfds=len(self.rfds)
         ) as span:
-            calculator = self._make_calculator(working)
-            engine = self._make_engine(calculator)
+            engine = self._make_engine(working)
             self._attach_runtime_hooks(engine, timer, chaos)
             # The keyness partition runs before any cell, so the per-cell
             # ladder cannot shield it; retry transient faults a few times
@@ -535,7 +527,7 @@ class Renuver:
             )
         report = ImputationReport(key_rfds_initial=len(key_rfds))
         return _RunState(
-            calculator=calculator,
+            relation=working,
             engine=engine,
             active_rfds=active_rfds,
             key_rfds=key_rfds,
@@ -546,7 +538,7 @@ class Renuver:
 
     def _attach_runtime_hooks(
         self,
-        engine: ScalarEngine | VectorizedEngine,
+        engine: VectorizedEngine,
         timer: Timer,
         chaos: object | None,
     ) -> None:
@@ -568,7 +560,7 @@ class Renuver:
         budget overruns either settle the remaining cells as skipped
         (``on_budget="partial"``) or propagate after being recorded.
         """
-        relation = state.calculator.relation
+        relation = state.relation
         cells = [
             (row, attribute)
             for row in relation.incomplete_rows()
@@ -619,19 +611,20 @@ class Renuver:
     ) -> CellOutcome:
         """One cell under the degradation ladder.
 
-        Tier 0 is the run's engine; a fault retries on the scalar
-        reference engine (tier 1); whatever remains goes to the last
-        resort (``fallback``).  Per-cell deadline overruns jump straight
-        to the last resort — the scalar engine would only overrun
+        Tier 0 is the run's engine; a fault rolls the cell back and
+        retries it once on the same engine (tier 1, ``retry``), whose
+        fresh cell scan drops the target vectors; whatever remains goes
+        to the last resort (``fallback``).  Per-cell deadline overruns
+        jump straight to the last resort — the retry would only overrun
         again.  Run-scope budget errors and ``BaseException`` (kill
         switch, Ctrl-C) propagate.
         """
         config = self.config
-        tiers = [(state.engine.name, state.engine)]
+        tiers = [state.engine.name]
         if config.fallback != "raise":
-            tiers.append(("scalar", self._scalar_retry_engine(state)))
+            tiers.append("retry")
         last_reason = "degradation ladder exhausted"
-        for tier_index, (tier_name, engine) in enumerate(tiers):
+        for tier_index, tier_name in enumerate(tiers):
             cell_timer = None
             if config.cell_time_budget_seconds is not None:
                 cell_timer = Timer(
@@ -642,8 +635,7 @@ class Renuver:
                 cell_timer.start()
             try:
                 outcome = self._impute_cell(
-                    state, row, attribute,
-                    engine=engine, cell_timer=cell_timer,
+                    state, row, attribute, cell_timer=cell_timer
                 )
             except BudgetExceededError as exc:
                 self._restore_cell(state, row, attribute)
@@ -662,7 +654,7 @@ class Renuver:
                     raise
                 last_reason = f"{type(exc).__name__}: {exc}"
                 next_tier = (
-                    tiers[tier_index + 1][0]
+                    tiers[tier_index + 1]
                     if tier_index + 1 < len(tiers)
                     else self._last_tier_name()
                 )
@@ -682,11 +674,9 @@ class Renuver:
         row: int,
         attribute: str,
         *,
-        engine: ScalarEngine | VectorizedEngine | None = None,
         cell_timer: Timer | None = None,
     ) -> CellOutcome:
         """Algorithm 2 for one missing value."""
-        engine = engine or state.engine
         selected = select_rfds_for_attribute(state.active_rfds, attribute)
         if not selected:
             return CellOutcome(row, attribute, OutcomeStatus.NO_RFDS)
@@ -699,7 +689,7 @@ class Renuver:
             f"cell ({row}, {attribute})" if cell_timer is not None else ""
         )
         for cluster, candidates in self._scan_clusters(
-            engine, row, attribute, clusters
+            state.engine, row, attribute, clusters
         ):
             if not candidates:
                 continue
@@ -710,7 +700,7 @@ class Renuver:
                 state.timer.check_budget("RENUVER imputation")
                 tried_total += 1
                 accepted = self._try_candidate(
-                    state, row, attribute, candidate, engine=engine
+                    state, row, attribute, candidate
                 )
                 if accepted:
                     return CellOutcome(
@@ -739,8 +729,6 @@ class Renuver:
         row: int,
         attribute: str,
         candidate: Candidate,
-        *,
-        engine: ScalarEngine | VectorizedEngine | None = None,
     ) -> bool:
         """Write the candidate value, verify, roll back on fault.
 
@@ -749,12 +737,11 @@ class Renuver:
         engine's cached kernel vectors for ``attribute`` — verification
         always sees the written value, never a stale vector.
         """
-        engine = engine or state.engine
-        relation = state.calculator.relation
+        relation = state.relation
         relation.set_value(row, attribute, candidate.value)
         if not self.config.verify:
             return True
-        if engine.is_faultless(
+        if state.engine.is_faultless(
             row,
             attribute,
             state.active_rfds,
@@ -826,27 +813,13 @@ class Renuver:
         surfacing listener failures, so a ``DataError`` here (e.g. an
         injected listener fault) still leaves the cell restored.
         """
-        relation = state.calculator.relation
+        relation = state.relation
         if relation.is_missing_cell(row, attribute):
             return
         try:
             relation.set_value(row, attribute, MISSING)
         except DataError:
             pass
-
-    def _scalar_retry_engine(self, state: _RunState) -> ScalarEngine:
-        """The ladder's tier-1 engine, built once per run on demand.
-
-        Shares the run's calculator (and therefore the relation), and
-        carries the same kernel hooks as the primary engine so budget
-        checks and chaos faults apply to the retry tier too.
-        """
-        if state.scalar_retry is None:
-            engine = ScalarEngine(state.calculator)
-            engine.set_telemetry(self.telemetry)
-            self._attach_runtime_hooks(engine, state.timer, state.chaos)
-            state.scalar_retry = engine
-        return state.scalar_retry
 
     def _last_tier_name(self) -> str:
         return "mean_mode" if self.config.fallback == "mean_mode" else "skip"
@@ -860,11 +833,9 @@ class Renuver:
     ) -> CellOutcome:
         """Bottom of the ladder: mean/mode fill or an audited skip."""
         if self.config.fallback == "mean_mode":
-            value = self._fallback_fill_value(
-                state.calculator.relation, attribute
-            )
+            relation = state.relation
+            value = self._fallback_fill_value(relation, attribute)
             if value is not None:
-                relation = state.calculator.relation
                 try:
                     relation.set_value(row, attribute, value)
                 except DataError:
@@ -1014,7 +985,7 @@ class Renuver:
         only when the tuple has just become complete).
         """
         scope = self.config.keyness_scope
-        relation = state.calculator.relation
+        relation = state.relation
         if scope == "complete" and relation.row(row).is_incomplete():
             return  # pairs with this tuple are still out of scope
         still_key: list[RFD] = []
@@ -1057,20 +1028,13 @@ class Renuver:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _make_calculator(self, relation: Relation) -> PatternCalculator:
-        return PatternCalculator(
-            relation, overrides=self._distance_overrides
-        )
-
-    def _make_engine(self, calculator: PatternCalculator) -> VectorizedEngine:
-        """The run's donor-scan engine, bound to one calculator.
+    def _make_engine(self, relation: Relation) -> VectorizedEngine:
+        """The run's donor-scan engine — the only one a run builds.
 
         The only place that decides blocking: when it engages, the
         engine probes the shared plan if that shadows this relation
         instance, else a plan built (and closed) for this run.
         """
-        relation = calculator.relation
-        overrides = set(self._distance_overrides)
         plan = None
         owns_plan = False
         if self._blocking_engages(relation):
@@ -1082,13 +1046,13 @@ class Renuver:
                     relation,
                     self.rfds,
                     max_group_size=self.config.max_group_size,
-                    override_names=overrides,
+                    override_names=set(self._distance_overrides),
                 )
                 owns_plan = True
         engine = VectorizedEngine(
-            calculator,
+            relation,
             self.rfds,
-            override_names=overrides,
+            overrides=self._distance_overrides,
             plan=plan,
             owns_plan=owns_plan,
         )
@@ -1107,7 +1071,7 @@ class Renuver:
 
     def _scan_clusters(
         self,
-        engine: ScalarEngine | VectorizedEngine,
+        engine: VectorizedEngine,
         row: int,
         attribute: str,
         clusters: list[Cluster],

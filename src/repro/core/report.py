@@ -44,8 +44,10 @@ class CellOutcome:
     distance: float | None = None
     cluster_threshold: float | None = None
     candidates_tried: int = 0
-    #: Engine tier that produced the outcome when the degradation ladder
-    #: stepped in ("scalar", "mean_mode"); ``None`` on the normal path.
+    #: Ladder tier that produced the outcome when the degradation ladder
+    #: stepped in: "retry" (the second attempt on the run's engine) or
+    #: "mean_mode"; ``None`` on the normal path.  Journals written while
+    #: the retry ran on the scalar engine carry "scalar".
     engine_tier: str | None = None
     #: Why a SKIPPED / DEGRADED cell left the normal path.
     reason: str | None = None
@@ -113,8 +115,7 @@ class ImputationReport:
     key_rfds_initial: int = 0
     key_rfds_reactivated: int = 0
     #: Donor-scan kernel statistics (vector builds, invalidations,
-    #: Levenshtein DPs avoided by length blocking, ...); empty for the
-    #: scalar engine.
+    #: Levenshtein DPs avoided by length blocking, ...).
     kernel_counters: dict[str, int] = field(default_factory=dict)
     #: Ladder steps taken by the fault-tolerant runtime, in run order.
     degradations: list[Degradation] = field(default_factory=list)

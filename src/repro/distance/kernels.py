@@ -1,6 +1,6 @@
 """Columnar one-vs-all distance kernels for the donor-scan engine.
 
-The scalar imputation path evaluates distances pair-by-pair, building one
+The scalar reference engine evaluates distances pair-by-pair, building one
 :class:`~repro.distance.pattern.DistancePattern` dict per tuple pair.
 :class:`DonorScanKernels` instead answers the question the hot loops
 actually ask — "how far is the target cell from *every* cell of this

@@ -4,13 +4,12 @@ The paper's conclusion points to "incremental scenarios, like the
 imputation of time series", where tuples arrive over time and only the
 new ones should be processed.  :class:`ImputationSession` keeps a
 growing relation and, on each :meth:`impute_pending` call, runs RENUVER
-only over the missing cells that appeared since the last call — while
-the whole accumulated instance serves as the donor pool, so early
-arrivals keep helping later ones.
+over its missing cells — while the whole accumulated instance serves as
+the donor pool, so early arrivals keep helping later ones.
 
-Cells that could not be imputed stay on a retry list: new arrivals can
-provide the donor that was missing before (the session-level analogue of
-the paper's key-RFD reactivation).
+Cells that could not be imputed stay pending: new arrivals can provide
+the donor that was missing before (the session-level analogue of the
+paper's key-RFD reactivation).
 """
 
 from __future__ import annotations
@@ -36,9 +35,6 @@ class ImputationSession:
         The RFD set assumed to hold on the accumulating instance.
     config:
         Optional :class:`RenuverConfig` for the inner engine.
-    retry_unimputed:
-        Whether cells that previously failed are retried on the next
-        :meth:`impute_pending` (default true).
     """
 
     def __init__(
@@ -46,19 +42,20 @@ class ImputationSession:
         schema: Relation,
         rfds: Iterable[RFD],
         config: RenuverConfig | None = None,
-        *,
-        retry_unimputed: bool = True,
     ) -> None:
         self._relation = schema.copy(name=f"{schema.name}@session")
         self._index_plan = self._make_index_plan(
             rfds, config or RenuverConfig()
         )
         self._engine = Renuver(rfds, config, index_plan=self._index_plan)
-        self.retry_unimputed = retry_unimputed
-        self._pending: set[tuple[int, str]] = set(
+        #: The relation's missing cells: every one is a target of the
+        #: next round.
+        self._missing: set[tuple[int, str]] = set(
             self._relation.missing_cells()
         )
-        self._failed: set[tuple[int, str]] = set()
+        #: Tuples present when the last round ran; a missing cell in one
+        #: of them went through a round and stayed unimputed.
+        self._rounded_tuples = 0
         self.rounds = 0
 
     def _make_index_plan(
@@ -93,10 +90,7 @@ class ImputationSession:
     @property
     def pending_cells(self) -> list[tuple[int, str]]:
         """Missing cells queued for the next round."""
-        cells = set(self._pending)
-        if self.retry_unimputed:
-            cells |= self._failed
-        return sorted(cells)
+        return sorted(self._missing)
 
     def append(self, rows: Sequence[Sequence[Any]]) -> list[int]:
         """Append tuples (schema order); returns their row indices."""
@@ -113,48 +107,38 @@ class ImputationSession:
         for row_index in appended:
             for name in names:
                 if is_missing(self._relation.value(row_index, name)):
-                    self._pending.add((row_index, name))
+                    self._missing.add((row_index, name))
         return list(range(start, start + len(appended)))
 
     def impute_pending(self) -> ImputationResult:
-        """Run RENUVER over the queued cells only.
+        """Run RENUVER over the session relation in place.
 
-        Returns the result for this round; the session relation is
-        updated in place.  Cells that stay missing move to the retry
-        list (when ``retry_unimputed``) or are dropped.
+        Every pending cell is a missing cell of the relation and the
+        other way round, so the engine's report is this round's report
+        as it stands: outcomes, budget events, degradations and kernel
+        counters.  Cells that stay missing stay pending; filled ones —
+        imputed or given a mean/mode fallback — leave.
         """
-        targets = self.pending_cells
         self.rounds += 1
-        if not targets:
+        if not self._missing:
             return ImputationResult(self._relation, ImputationReport())
-
-        # Run the engine on a scoped copy: blank-protect nothing, simply
-        # let it see the full instance; afterwards keep only the target
-        # cells' changes (RENUVER only writes missing cells anyway).
-        result = self._engine.impute(self._relation, inplace=True)
-
-        round_report = ImputationReport(
-            elapsed_seconds=result.report.elapsed_seconds,
-            peak_bytes=result.report.peak_bytes,
-            key_rfds_initial=result.report.key_rfds_initial,
-            key_rfds_reactivated=result.report.key_rfds_reactivated,
-        )
-        target_set = set(targets)
-        for outcome in result.report:
-            if (outcome.row, outcome.attribute) in target_set:
-                round_report.add(outcome)
-
-        self._pending.clear()
-        self._failed = {
-            (outcome.row, outcome.attribute)
-            for outcome in round_report
-            if not outcome.imputed
-        }
-        return ImputationResult(self._relation, round_report)
+        try:
+            return self._engine.impute(self._relation, inplace=True)
+        finally:
+            # Also after a raised budget overrun: its partial writes
+            # already filled some cells.
+            self._missing = {
+                cell for cell in self._missing
+                if self._relation.is_missing_cell(*cell)
+            }
+            self._rounded_tuples = self._relation.n_tuples
 
     def unimputed_cells(self) -> list[tuple[int, str]]:
-        """Cells that failed in past rounds and await retry."""
-        return sorted(self._failed)
+        """Cells that stayed missing through a past round."""
+        return sorted(
+            cell for cell in self._missing
+            if cell[0] < self._rounded_tuples
+        )
 
     def update_rfds(self, rfds: Iterable[RFD]) -> None:
         """Replace the RFD set used by subsequent rounds.

@@ -10,8 +10,8 @@ Everything runs in one process:
   kill switch) that exercise the degradation ladder and the journal in
   tests.
 * Per-cell fault isolation is the degradation ladder in
-  :class:`~repro.core.renuver.Renuver` (the columnar engine, then a
-  retry on the scalar reference engine, then ``fallback``).
+  :class:`~repro.core.renuver.Renuver` (the run's engine, then one
+  retry on that same engine, then ``fallback``).
 * Budget enforcement itself lives with the driver
   (:class:`~repro.core.renuver.RenuverConfig` time/memory/cell budgets)
   and the watchdogs in :mod:`repro.utils.timer` / :mod:`repro.utils.memory`.

@@ -51,7 +51,7 @@ def make_engines(relation, rfds, plan="none"):
         else IndexPlan(relation, rfds, max_group_size=cap)
     )
     return ScalarEngine(calculator), VectorizedEngine(
-        calculator, rfds, plan=index_plan, owns_plan=True
+        relation, rfds, plan=index_plan, owns_plan=True
     )
 
 
@@ -304,7 +304,7 @@ class TestDirtyCellHook:
         """End-to-end hook check through the engine: a tentative write
         changes the faultlessness verdict, the rollback restores it."""
         calculator = PatternCalculator(restaurant_sample)
-        engine = VectorizedEngine(calculator, paper_rfds)
+        engine = VectorizedEngine(restaurant_sample, paper_rfds)
         scalar = ScalarEngine(calculator)
         try:
             for value in ("213/857-0034", "310-932-9025"):

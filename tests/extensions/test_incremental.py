@@ -3,6 +3,7 @@
 import pytest
 
 from repro import MISSING, Relation, make_rfd
+from repro.core import OutcomeStatus, RenuverConfig
 from repro.exceptions import ImputationError
 from repro.extensions import ImputationSession
 
@@ -47,17 +48,30 @@ class TestSession:
         assert session.relation.value(2, "V") == "v-c"
         assert result.report.imputed_count == 1
 
-    def test_no_retry_mode_drops_failures(self, rfd):
-        session = ImputationSession(
-            _seed_relation(), [rfd], retry_unimputed=False
-        )
-        session.append([["c", MISSING]])
-        session.impute_pending()
-        session.append([["c", "v-c"]])
-        # Failed cell was dropped; only fresh cells are pending.
-        assert (2, "V") not in session.pending_cells
-        session.impute_pending()
-        assert session.relation.value(2, "V") is MISSING
+    def test_degraded_fill_is_not_pending(self, rfd):
+        # A per-cell deadline sends the cell to the mean/mode fallback:
+        # it then holds a value, so no later round should target it.
+        session = ImputationSession(_seed_relation(), [rfd], RenuverConfig(
+            cell_time_budget_seconds=1e-9, fallback="mean_mode"
+        ))
+        session.append([["a", MISSING]])
+        result = session.impute_pending()
+        assert result.report.outcomes[0].status is OutcomeStatus.DEGRADED
+        assert not session.relation.is_missing_cell(2, "V")
+        assert session.pending_cells == []
+        assert session.unimputed_cells() == []
+
+    def test_round_report_is_the_engine_report(self, rfd):
+        session = ImputationSession(_seed_relation(), [rfd], RenuverConfig(
+            time_budget_seconds=1e-9, on_budget="partial"
+        ))
+        session.append([["a", MISSING], ["c", MISSING]])
+        report = session.impute_pending().report
+        assert report.budget_events
+        assert {(o.row, o.attribute) for o in report} == {
+            (2, "V"), (3, "V")
+        }
+        assert session.pending_cells == [(2, "V"), (3, "V")]
 
     def test_imputed_rows_become_donors(self, rfd):
         session = ImputationSession(_seed_relation(), [rfd])

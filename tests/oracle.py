@@ -12,13 +12,16 @@ from __future__ import annotations
 
 from repro.core import Renuver
 from repro.core.donor_scan import ScalarEngine
+from repro.distance.pattern import PatternCalculator
 
 
 class ScalarRenuver(Renuver):
     """A :class:`~repro.core.Renuver` whose runs use the scalar engine."""
 
-    def _make_engine(self, calculator) -> ScalarEngine:
-        engine = ScalarEngine(calculator)
+    def _make_engine(self, relation) -> ScalarEngine:
+        engine = ScalarEngine(
+            PatternCalculator(relation, overrides=self._distance_overrides)
+        )
         engine.set_telemetry(self.telemetry)
         return engine
 

@@ -12,14 +12,27 @@ contracts of the fault-tolerant runtime:
 
 from __future__ import annotations
 
+import dataclasses
+import shutil
+from pathlib import Path
+
 import pytest
 
 from repro.core import Renuver, RenuverConfig
 from repro.dataset.csv_io import to_csv_text
 from repro.robustness import ChaosConfig, ChaosInjector, ChaosKill
+from repro.telemetry import Telemetry
 from tests.oracle import renuver_for
 
 pytestmark = pytest.mark.chaos
+
+#: A finished journal of the paper sample under seed-7 kernel faults
+#: (rate 0.3, ``fallback="mean_mode"``), written by a version whose
+#: ladder retried faulted cells on the scalar engine: its rescued
+#: cells carry ``engine_tier: "scalar"``.
+SCALAR_TIER_JOURNAL = (
+    Path(__file__).parent / "data" / "scalar_tier_journal.jsonl"
+)
 
 ENGINES = ("scalar", "vectorized")
 
@@ -150,3 +163,67 @@ class TestKillAndResume:
             )).impute(restaurant_sample, chaos=chaos)
         assert issubclass(ChaosKill, BaseException)
         assert not issubclass(ChaosKill, Exception)
+
+
+class TestRetryTier:
+    """Tier 1 of the ladder is a second attempt on the run's engine."""
+
+    @staticmethod
+    def _run(relation, rfds, telemetry=None):
+        chaos = ChaosInjector(ChaosConfig(seed=7, kernel_fault_rate=0.3))
+        return Renuver(
+            rfds, RenuverConfig(fallback="mean_mode"), telemetry=telemetry
+        ).impute(relation, chaos=chaos)
+
+    def test_run_builds_no_second_engine(
+        self, restaurant_sample, paper_rfds
+    ):
+        telemetry = Telemetry()
+        result = self._run(restaurant_sample, paper_rfds, telemetry)
+        assert result.report.degradations
+        family = {
+            family.name: family for family in telemetry.metrics.families()
+        }["renuver_kernel_calls_total"]
+        engines = {
+            dict(labels)["engine"] for labels in family.instruments
+        }
+        assert engines == {"vectorized"}
+
+    def test_rescued_cells_carry_the_retry_tier(
+        self, restaurant_sample, paper_rfds
+    ):
+        report = self._run(restaurant_sample, paper_rfds).report
+        rescued = {
+            (o.row, o.attribute) for o in report if o.engine_tier == "retry"
+        }
+        assert rescued == {(3, "Phone"), (5, "City")}
+        steps = {(d.row, d.attribute, d.from_tier, d.to_tier)
+                 for d in report.degradations}
+        for row, attribute in rescued:
+            assert (row, attribute, "vectorized", "retry") in steps
+            assert (row, attribute, "retry", "mean_mode") not in steps
+        assert {d.from_tier for d in report.degradations} <= {
+            "vectorized", "retry"
+        }
+
+    def test_scalar_tier_journal_replays_to_the_same_relation(
+        self, restaurant_sample, paper_rfds, tmp_path
+    ):
+        live = self._run(restaurant_sample, paper_rfds)
+        journal = tmp_path / "journal.jsonl"
+        shutil.copyfile(SCALAR_TIER_JOURNAL, journal)
+        resumed = Renuver(paper_rfds).impute(
+            restaurant_sample, resume_from=journal
+        )
+        assert resumed.report.replayed_count == 4
+        assert to_csv_text(resumed.relation) == to_csv_text(live.relation)
+
+        def relabeled(outcome):
+            tier = "retry" if outcome.engine_tier == "scalar" else (
+                outcome.engine_tier
+            )
+            return dataclasses.replace(outcome, engine_tier=tier)
+
+        assert [relabeled(o) for o in resumed.report.outcomes] == (
+            live.report.outcomes
+        )

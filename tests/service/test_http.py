@@ -141,6 +141,20 @@ class TestSessions:
         status, _ = call(base, "GET", f"/v1/sessions/{sid}")
         assert status == 404
 
+    def test_session_round_reports_budget_exhaustion(self, base):
+        status, session = call(base, "POST", "/v1/sessions", {
+            "csv": CSV, "rfds": RFD_TEXTS, "budget_seconds": 1e-9,
+        })
+        assert status == 201
+        sid = session["id"]
+        status, imputed = call(
+            base, "POST", f"/v1/sessions/{sid}/impute"
+        )
+        assert status == 200
+        assert imputed["report"]["budget_exhausted"] is True
+        assert {o["status"] for o in imputed["outcomes"]} == {"skipped"}
+        call(base, "DELETE", f"/v1/sessions/{sid}")
+
     def test_session_without_rfds_maintains_discovery(self, base):
         status, session = call(base, "POST", "/v1/sessions", {
             "csv": CSV,

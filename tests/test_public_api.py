@@ -5,8 +5,32 @@ import repro
 
 class TestPublicApi:
     def test_all_names_resolve(self):
-        for name in repro.__all__:
-            assert hasattr(repro, name), f"repro.{name} missing"
+        import repro.core
+
+        for module in (repro, repro.core):
+            for name in module.__all__:
+                assert hasattr(module, name), (
+                    f"{module.__name__}.{name} missing"
+                )
+
+    def test_scalar_oracle_is_not_exported(self):
+        # The pair-at-a-time transcription is the test oracle only; it
+        # stays importable from its own modules.
+        import repro.core
+        from repro.core.candidates import find_candidate_tuples
+        from repro.core.donor_scan import ScalarEngine
+        from repro.core.verification import first_fault, is_faultless
+
+        oracle = {
+            "ScalarEngine": ScalarEngine,
+            "find_candidate_tuples": find_candidate_tuples,
+            "first_fault": first_fault,
+            "is_faultless": is_faultless,
+        }
+        for name, obj in oracle.items():
+            assert callable(obj)
+            assert name not in repro.core.__all__
+            assert not hasattr(repro.core, name), name
 
     def test_version(self):
         assert repro.__version__.count(".") == 2
