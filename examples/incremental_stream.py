@@ -4,8 +4,9 @@ Demonstrates the two imputation extensions the paper's conclusion
 proposes (Section 7):
 
 1. an :class:`~repro.extensions.ImputationSession` receiving physician
-   records in batches, imputing only the newly arrived missing cells and
-   retrying previously un-imputable ones once a donor appears;
+   records in batches, maintaining its RFD set under each batch
+   (incremental discovery), imputing only the newly arrived missing
+   cells and retrying previously un-imputable ones once a donor appears;
 2. a :class:`~repro.extensions.MultiSourceRenuver` borrowing donor
    tuples from a second dataset when the target has none.
 
@@ -21,6 +22,7 @@ from repro import (
     discover_rfds,
     load_dataset,
 )
+from repro.discovery.incremental import IncrementalDiscovery
 from repro.extensions import ImputationSession
 
 
@@ -28,15 +30,17 @@ def incremental_demo() -> None:
     print("--- Incremental session (streaming physician records) ---")
     full = load_dataset("physician", n_tuples=240, seed=0)
     head, stream = full.head(120), full
-    discovery = discover_rfds(
-        head,
-        DiscoveryConfig(
-            threshold_limit=3, max_lhs_size=1, grid_size=3, max_per_rhs=15
-        ),
+    config = DiscoveryConfig(
+        threshold_limit=3, max_lhs_size=1, grid_size=3, max_per_rhs=15
     )
+    discovery = discover_rfds(head, config)
     print(f"RFDs from the first 120 records: {len(discovery.all_rfds)}")
 
-    session = ImputationSession(head, discovery.all_rfds)
+    session = ImputationSession(
+        head,
+        discovery.all_rfds,
+        maintainer=IncrementalDiscovery(head, config, initial=discovery),
+    )
     batch_size = 40
     for start in range(120, stream.n_tuples, batch_size):
         batch = []
@@ -49,7 +53,7 @@ def incremental_demo() -> None:
         session.append(batch)
         result = session.impute_pending()
         print(
-            f"batch @{start:>4}: {len(batch)} new tuples, "
+            f"batch @{start:>4}: {session.maintenance.summary()}; "
             f"{result.report.imputed_count} imputed, "
             f"{len(session.unimputed_cells())} awaiting retry"
         )

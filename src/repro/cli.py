@@ -209,17 +209,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print per-cell provenance to stderr",
     )
     impute.add_argument(
-        "--blocking", choices=("auto", "on", "off"), default="auto",
-        help="blocking-index donor retrieval: auto engages on large "
-             "runs, on forces it, off keeps full scans "
-             "(outcomes are bit-identical either way)",
-    )
-    impute.add_argument(
-        "--max-group-size", type=int, default=4096, metavar="N",
-        help="blocking anchor cap: probes returning more rows fall "
-             "back to a full scan for that RFD (default 4096)",
-    )
-    impute.add_argument(
         "--budget", type=float, default=None, metavar="SECONDS",
         help="run wall-clock budget (exit 3 when exceeded)",
     )
@@ -475,8 +464,6 @@ def _cmd_impute(args: argparse.Namespace) -> int:
         rfds,
         RenuverConfig(
             verify=not args.no_verify,
-            blocking=args.blocking,
-            max_group_size=args.max_group_size,
             time_budget_seconds=args.budget,
             cell_time_budget_seconds=args.cell_budget,
             fallback=args.fallback,

@@ -321,10 +321,6 @@ class ScalarEngine(KernelCallSeam):
                 rfd, self.calculator, target_row, scope=scope
             )
 
-    def cache_report(self) -> dict[str, tuple[int, int, int]]:
-        """Value-pair memo statistics of the underlying calculator."""
-        return self.calculator.cache_report()
-
     def close(self) -> None:
         """Nothing to detach."""
 
@@ -636,10 +632,6 @@ class VectorizedEngine(KernelCallSeam):
             for name, value in self.plan.counters.items():
                 counters[name] = value - baseline[name]
         return counters
-
-    def cache_report(self) -> dict[str, tuple[int, int, int]]:
-        """String-memo statistics of the kernel layer."""
-        return self.kernels.cache_report()
 
     def close(self) -> None:
         """Detach the dirty-cell hook (and an owned plan's) from the

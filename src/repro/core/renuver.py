@@ -90,22 +90,6 @@ class RenuverConfig:
     cluster_order:
         ``"ascending"`` (default; the worked example's tightest-first
         order) or ``"descending"`` (Algorithm 2's literal wording).
-    blocking:
-        Blocking-index pre-filtering for the donor scans
-        (``repro.index``; see docs/INDEXING.md): ``"auto"`` (default)
-        engages it when the relation has at least
-        ``AUTO_BLOCKING_MIN_TUPLES`` tuples, ``"on"`` forces it at any
-        size, ``"off"`` always runs the full scan.  Candidate sets and
-        imputed values stay bit-identical either way — indexes only
-        prune pairs the RFD thresholds already reject, and every
-        surviving pair's distance is recomputed exactly.
-    max_group_size:
-        Anchor cap of the blocking indexes: any probe whose candidate
-        group exceeds this many rows falls back to the full scan for
-        that RFD (counted in
-        ``renuver_index_fallbacks_total{reason="hot_group"}``, never a
-        correctness risk).  Keeps pathological hot values — a constant
-        column, say — from turning probes into scans with extra steps.
     verify:
         Run IS_FAULTLESS on every tentative imputation.  Disabling it is
         an ablation: faster, but consistency (Definition 4.3) is no
@@ -157,23 +141,12 @@ class RenuverConfig:
     cell_time_budget_seconds: float | None = None
     fallback: str = "skip"
     on_budget: str = "raise"
-    blocking: str = "auto"
-    max_group_size: int = 4096
 
     def __post_init__(self) -> None:
         if self.cluster_order not in ("ascending", "descending"):
             raise ImputationError(
                 f"cluster_order must be 'ascending' or 'descending', "
                 f"got {self.cluster_order!r}"
-            )
-        if self.blocking not in ("auto", "on", "off"):
-            raise ImputationError(
-                f"blocking must be 'auto', 'on' or 'off', "
-                f"got {self.blocking!r}"
-            )
-        if self.max_group_size < 1:
-            raise ImputationError(
-                f"max_group_size must be >= 1, got {self.max_group_size!r}"
             )
         if self.keyness_scope not in ("complete", "all"):
             raise ImputationError(
@@ -1045,7 +1018,6 @@ class Renuver:
                 plan = IndexPlan(
                     relation,
                     self.rfds,
-                    max_group_size=self.config.max_group_size,
                     override_names=set(self._distance_overrides),
                 )
                 owns_plan = True
@@ -1060,11 +1032,10 @@ class Renuver:
         return engine
 
     def _blocking_engages(self, relation: Relation) -> bool:
-        """Whether this run uses the blocking indexes."""
-        if self.config.blocking == "on":
-            return True
-        if self.config.blocking == "off":
-            return False
+        """Whether this run uses the blocking indexes: from
+        ``AUTO_BLOCKING_MIN_TUPLES`` tuples up (docs/INDEXING.md).
+        Candidate sets and imputed values are bit-identical either way
+        — indexes only prune pairs the RFD thresholds already reject."""
         from repro.index.plan import AUTO_BLOCKING_MIN_TUPLES
 
         return relation.n_tuples >= AUTO_BLOCKING_MIN_TUPLES

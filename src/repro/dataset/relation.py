@@ -8,7 +8,8 @@ the simplest and the fastest layout here.
 A :class:`Relation` is mutable only through :meth:`set_value` — exactly the
 operation the imputation algorithms need — and every mutation bumps a
 version counter so caches (distance patterns, key-RFD status) can detect
-staleness.
+staleness.  :meth:`append_rows` grows it, writing each new cell through
+:meth:`set_value`.
 """
 
 from __future__ import annotations
@@ -284,6 +285,35 @@ class Relation:
     def clear_value(self, row: int, name: str) -> None:
         """Blank a cell back to :data:`MISSING`."""
         self.set_value(row, name, MISSING)
+
+    def append_rows(
+        self,
+        rows: Sequence[Sequence[Any]],
+        *,
+        error: type[Exception] = DataError,
+    ) -> range:
+        """Append tuples (schema order) in place; returns their indices.
+
+        Every column first grows by ``len(rows)`` :data:`MISSING`
+        placeholders, then each cell is written through
+        :meth:`set_value`, so values are coerced and mutation listeners
+        see every appended cell.  A row of the wrong width raises
+        ``error`` before anything changes.
+        """
+        width = len(self._attributes)
+        for offset, row in enumerate(rows):
+            if len(row) != width:
+                raise error(
+                    f"appended row {offset} has {len(row)} values, "
+                    f"schema needs {width}"
+                )
+        start = self.n_tuples
+        for column in self._columns.values():
+            column.extend([MISSING] * len(rows))
+        for offset, row in enumerate(rows):
+            for attr, value in zip(self._attributes, row):
+                self.set_value(start + offset, attr.name, value)
+        return range(start, start + len(rows))
 
     def add_mutation_listener(
         self, listener: Callable[[int, str, Any], None]

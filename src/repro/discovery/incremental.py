@@ -27,7 +27,6 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.dataset.missing import MISSING
 from repro.dataset.relation import Relation
 from repro.discovery.config import DiscoveryConfig
 from repro.discovery.dime import DiscoveryResult, discover_rfds
@@ -112,17 +111,9 @@ class IncrementalDiscovery:
 
     def insert(self, rows: Sequence[Sequence[Any]]) -> MaintenanceReport:
         """Append tuples and repair the dependency set incrementally."""
-        names = self._relation.attribute_names
-        width = len(names)
-        for offset, row in enumerate(rows):
-            if len(row) != width:
-                raise DiscoveryError(
-                    f"inserted row {offset} has {len(row)} values, "
-                    f"schema needs {width}"
-                )
-        start = self._relation.n_tuples
-        _grow(self._relation, names, rows)
-        new_rows = list(range(start, start + len(rows)))
+        new_rows = list(
+            self._relation.append_rows(rows, error=DiscoveryError)
+        )
 
         report = MaintenanceReport(inserted_tuples=len(rows))
         held = len(self._rfds)
@@ -250,17 +241,3 @@ class IncrementalDiscovery:
                 kernels.clear_target_vectors()
         return matched, worsts
 
-
-def _grow(
-    relation: Relation,
-    names: tuple[str, ...],
-    rows: Sequence[Sequence[Any]],
-) -> None:
-    start = relation.n_tuples
-    for name in names:
-        relation._columns[name].extend(  # noqa: SLF001 - same package
-            [MISSING] * len(rows)
-        )
-    for offset, row in enumerate(rows):
-        for name, value in zip(names, row):
-            relation.set_value(start + offset, name, value)

@@ -10,6 +10,13 @@ the donor pool, so early arrivals keep helping later ones.
 Cells that could not be imputed stay pending: new arrivals can provide
 the donor that was missing before (the session-level analogue of the
 paper's key-RFD reactivation).
+
+The paper adds that such scenarios presuppose incremental RFD
+discovery.  A session given a ``maintainer``
+(:class:`~repro.discovery.incremental.IncrementalDiscovery`) inserts
+every appended batch into it as well, and the next round runs against
+the maintained RFD set.  The service's sessions, live and replayed
+after a crash, are built this way.
 """
 
 from __future__ import annotations
@@ -20,8 +27,13 @@ from repro.core.renuver import ImputationResult, Renuver, RenuverConfig
 from repro.core.report import ImputationReport
 from repro.dataset.missing import is_missing
 from repro.dataset.relation import Relation
+from repro.discovery.incremental import IncrementalDiscovery, MaintenanceReport
 from repro.exceptions import ImputationError
+from repro.index.plan import IndexPlan
 from repro.rfd.rfd import RFD
+from repro.telemetry.logs import get_logger
+
+logger = get_logger("extensions.incremental")
 
 
 class ImputationSession:
@@ -35,6 +47,12 @@ class ImputationSession:
         The RFD set assumed to hold on the accumulating instance.
     config:
         Optional :class:`RenuverConfig` for the inner engine.
+    maintainer:
+        Optional :class:`~repro.discovery.incremental.IncrementalDiscovery`
+        seeded with ``schema``'s tuples.  Each :meth:`append` inserts
+        the batch into it and swaps its maintained set in; an empty
+        maintained set keeps the previous RFDs (a round needs at least
+        one).
     """
 
     def __init__(
@@ -42,12 +60,24 @@ class ImputationSession:
         schema: Relation,
         rfds: Iterable[RFD],
         config: RenuverConfig | None = None,
+        *,
+        maintainer: IncrementalDiscovery | None = None,
     ) -> None:
+        rfds = list(rfds)
         self._relation = schema.copy(name=f"{schema.name}@session")
-        self._index_plan = self._make_index_plan(
-            rfds, config or RenuverConfig()
-        )
+        self._seeded = schema.n_tuples
+        # One blocking-index plan for every round: it rides the
+        # relation's mutation hook, so appends and imputations maintain
+        # the indexes instead of rebuilding them per round
+        # (docs/INDEXING.md).  Rounds only probe it once the relation
+        # is large enough for blocking to engage.
+        self._index_plan = IndexPlan(self._relation, rfds)
+        self._index_plan.attach()
         self._engine = Renuver(rfds, config, index_plan=self._index_plan)
+        self.maintainer = maintainer
+        #: What maintenance did to the RFD set on the last append
+        #: (``None`` without a maintainer or for an empty batch).
+        self.maintenance: MaintenanceReport | None = None
         #: The relation's missing cells: every one is a target of the
         #: next round.
         self._missing: set[tuple[int, str]] = set(
@@ -57,29 +87,6 @@ class ImputationSession:
         #: of them went through a round and stayed unimputed.
         self._rounded_tuples = 0
         self.rounds = 0
-
-    def _make_index_plan(
-        self, rfds: Iterable[RFD], config: RenuverConfig
-    ):
-        """One blocking-index plan shared by every round of the session.
-
-        Each :meth:`impute_pending` builds a fresh engine, but the plan
-        rides the relation's mutation hook across rounds: appends and
-        imputations maintain the indexes incrementally instead of
-        rebuilding them per round (``docs/INDEXING.md``).  Only built
-        when blocking can engage at some size.
-        """
-        if config.blocking == "off":
-            return None
-        from repro.index.plan import IndexPlan
-
-        plan = IndexPlan(
-            self._relation,
-            rfds,
-            max_group_size=config.max_group_size,
-        )
-        plan.attach()
-        return plan
 
     # ------------------------------------------------------------------
     @property
@@ -92,23 +99,46 @@ class ImputationSession:
         """Missing cells queued for the next round."""
         return sorted(self._missing)
 
+    @property
+    def rfds(self) -> tuple[RFD, ...]:
+        """The RFD set the next round runs against."""
+        return self._engine.rfds
+
+    @property
+    def appended_tuples(self) -> int:
+        """Tuples appended since the session opened."""
+        return self._relation.n_tuples - self._seeded
+
     def append(self, rows: Sequence[Sequence[Any]]) -> list[int]:
-        """Append tuples (schema order); returns their row indices."""
-        names = self._relation.attribute_names
-        start = self._relation.n_tuples
-        width = len(names)
-        for offset, row in enumerate(rows):
-            if len(row) != width:
-                raise ImputationError(
-                    f"appended row {offset} has {len(row)} values, "
-                    f"schema needs {width}"
-                )
-        appended = _append_rows(self._relation, names, rows)
+        """Append tuples (schema order); returns their row indices.
+
+        With a maintainer, the same rows are inserted into it and the
+        maintained RFD set replaces the session's, unless maintenance
+        dropped every dependency.
+        """
+        appended = self._relation.append_rows(rows, error=ImputationError)
         for row_index in appended:
-            for name in names:
+            for name in self._relation.attribute_names:
                 if is_missing(self._relation.value(row_index, name)):
                     self._missing.add((row_index, name))
-        return list(range(start, start + len(appended)))
+        self.maintenance = None
+        if self.maintainer is not None and rows:
+            self.maintenance = self.maintainer.insert(rows)
+            maintained = self.maintainer.all_rfds
+            if maintained:
+                self._index_plan.update_rfds(maintained)
+                self._engine = Renuver(
+                    maintained,
+                    self._engine.config,
+                    telemetry=self._engine.telemetry,
+                    index_plan=self._index_plan,
+                )
+            else:
+                logger.warning(
+                    "%s: maintenance dropped every RFD; keeping the "
+                    "previous set", self._relation.name,
+                )
+        return list(appended)
 
     def impute_pending(self) -> ImputationResult:
         """Run RENUVER over the session relation in place.
@@ -139,46 +169,3 @@ class ImputationSession:
             cell for cell in self._missing
             if cell[0] < self._rounded_tuples
         )
-
-    def update_rfds(self, rfds: Iterable[RFD]) -> None:
-        """Replace the RFD set used by subsequent rounds.
-
-        The service's warm-start sessions pair this with
-        :class:`~repro.discovery.incremental.IncrementalDiscovery`:
-        as appended tuples loosen, drop or de-key dependencies, the
-        maintained set is pushed back into the session so the next
-        :meth:`impute_pending` round runs against it.
-        """
-        rfds = list(rfds)
-        if self._index_plan is not None:
-            self._index_plan.update_rfds(rfds)
-        self._engine = Renuver(
-            rfds,
-            self._engine.config,
-            telemetry=self._engine.telemetry,
-            index_plan=self._index_plan,
-        )
-
-
-def _append_rows(
-    relation: Relation,
-    names: tuple[str, ...],
-    rows: Sequence[Sequence[Any]],
-) -> list[int]:
-    """Append raw rows to a relation in place, returning new indices.
-
-    Uses the relation's own coercion by round-tripping through
-    ``set_value``; grows the columns first with missing placeholders.
-    """
-    from repro.dataset.missing import MISSING
-
-    start = relation.n_tuples
-    # Grow every column by the number of new rows.
-    for name in names:
-        relation._columns[name].extend(  # noqa: SLF001 - same package
-            [MISSING] * len(rows)
-        )
-    for offset, row in enumerate(rows):
-        for name, value in zip(names, row):
-            relation.set_value(start + offset, name, value)
-    return [start + offset for offset in range(len(rows))]

@@ -377,11 +377,11 @@ class Pipeline:
                 run_id=record.run_id, mode=record.mode, resumed=resumed,
             ):
                 with self._stage("load", record):
-                    base, dirty, new_rows = self._load(state, record)
+                    base, dirty, rows = self._load(state, record)
                 stage = "discover"
                 with self._stage("discover", record):
                     rfds, discovered = self._discover(
-                        record, base, dirty
+                        record, base, dirty, rows
                     )
                 stage = "impute"
                 with self._stage("impute", record):
@@ -396,7 +396,9 @@ class Pipeline:
                 with self._stage("commit", record):
                     committed = self._commit(
                         state, record, rundir, result, rfds,
-                        new_rows=new_rows,
+                        new_rows=dirty.n_tuples - (
+                            0 if base is None else base.n_tuples
+                        ),
                         discovered=discovered,
                         resumed=resumed,
                     )
@@ -450,27 +452,26 @@ class Pipeline:
 
     def _load(
         self, state: PipelineState, record: RunRecord
-    ) -> tuple[Relation | None, Relation, int]:
-        """``(base, dirty, new_row_count)`` for the run.
+    ) -> tuple[Relation | None, Relation, list[tuple]]:
+        """``(base, dirty, new_rows)`` for the run.
 
         FULL: the dirty relation is every covered ingest file combined
-        (types inferred over the whole data).  INCR: the committed
-        store snapshot plus the new files' rows parsed under the
-        store's schema — built so a resume reconstructs byte-identical
-        inputs from the record alone.
+        (types inferred over the whole data); there is no base and no
+        batch.  INCR: the committed store snapshot plus the new files'
+        rows, parsed once under the store's schema — built so a resume
+        reconstructs byte-identical inputs from the record alone.
         """
         if record.mode == "full":
             dirty = load_combined(
                 self.ingest_dir, record.files, name="ingest"
             )
-            return None, dirty, dirty.n_tuples
+            return None, dirty, []
         assert state.store is not None
         base = self._load_base(state.store)
         rows = batch_rows(self.ingest_dir, record.new_files, base)
         dirty = base.copy(name="ingest")
-        if rows:
-            _append_rows(dirty, rows)
-        return base, dirty, len(rows)
+        dirty.append_rows(rows)
+        return base, dirty, rows
 
     # -- discover --------------------------------------------------------
     def _discover(
@@ -478,13 +479,15 @@ class Pipeline:
         record: RunRecord,
         base: Relation | None,
         dirty: Relation,
+        rows: list[tuple],
     ) -> tuple[DiscoveryResult, bool]:
         """The run's RFD set and whether batch discovery ran.
 
         FULL discovers on the dirty relation (artifact-cached by its
         fingerprint, so re-running an identical input is warm too).
         INCR never discovers: the cached store RFD set is maintained
-        incrementally under the inserted rows.
+        incrementally under the batch ``rows`` that :meth:`_load`
+        appended.
         """
         if record.mode == "full":
             cached = self.artifacts.load_discovery(
@@ -511,7 +514,6 @@ class Pipeline:
         maintainer = IncrementalDiscovery(
             base, self.config.discovery, initial=cached
         )
-        rows = batch_rows(self.ingest_dir, record.new_files, base)
         if rows:
             report = maintainer.insert(rows)
             logger.info(
@@ -727,21 +729,6 @@ class Pipeline:
 # ----------------------------------------------------------------------
 # Relation helpers
 # ----------------------------------------------------------------------
-def _append_rows(relation: Relation, rows: list[tuple]) -> None:
-    """Append typed row tuples to ``relation`` in place."""
-    from repro.dataset.missing import MISSING
-
-    names = relation.attribute_names
-    start = relation.n_tuples
-    for name in names:
-        relation._columns[name].extend(  # noqa: SLF001 - same package idiom
-            [MISSING] * len(rows)
-        )
-    for offset, row in enumerate(rows):
-        for name, value in zip(names, row):
-            relation.set_value(start + offset, name, value)
-
-
 def _slice_rows(
     relation: Relation, start: int, *, name: str
 ) -> Relation:

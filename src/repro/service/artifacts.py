@@ -132,20 +132,10 @@ class ArtifactStore:
         self, relation: Relation, config: DiscoveryConfig
     ) -> dict[str, str]:
         """The stable ``(fingerprint, config_key)`` reference under
-        which :meth:`save_discovery` files this pair — what a durable
-        session journals so recovery can re-load the artifact."""
+        which :meth:`save_discovery` files this pair (the brownout
+        tier's existence check reads it)."""
         fingerprint, key = self._discovery_key(relation, config)
         return {"fingerprint": fingerprint, "config_key": key}
-
-    def load_discovery_by_ref(
-        self, fingerprint: str, config_key: str
-    ) -> DiscoveryResult | None:
-        """A cached discovery result by journaled reference (session
-        recovery path); ``None`` on any miss, same tolerance as
-        :meth:`load_discovery`."""
-        return self._load(
-            "discovery", fingerprint, config_key, DiscoveryResult.from_json
-        )
 
     # ------------------------------------------------------------------
     # Keys and the envelope

@@ -15,18 +15,23 @@ crash.  This module makes a session survive ``kill -9``:
 The envelope payload is a **journal**, not a snapshot: the session's
 creation record (initial CSV, RFD source, config) plus the ordered
 event list (``append`` rows, ``impute`` rounds).  Recovery *replays*
-the journal through the same code paths the live requests used —
-RENUVER is deterministic, so the recovered session's relation, pending
-set and maintained RFD set are bit-identical to the moment of the last
-acknowledged request, and the next request answers exactly as it would
-have on an uninterrupted server (asserted byte-for-byte in
-``tests/service/test_chaos_http.py``).
+the journal through the same code paths the live requests used: the
+creation record goes through
+:meth:`~repro.service.engine.PreparedEngine.build_session`, the
+builder behind every live session, and the events through the live
+session methods.  RENUVER is deterministic, so the recovered session's
+relation, pending set and maintained RFD set are bit-identical to the
+moment of the last acknowledged request, and the next request answers
+exactly as it would have on an uninterrupted server (asserted
+byte-for-byte in ``tests/service/test_chaos_http.py``).
 
-The creation record carries the session's discovery result twice: as a
-*reference* into the artifact cache (fingerprint + config key — the
-normal path) and *inline* (the serialized result), so recovery
-survives an evicted or corrupted artifact cache without recomputing
-discovery.
+A discovered session's creation record also carries its discovery
+result *inline* (the serialized result).  Replay first looks the result
+up in the artifact cache by the re-parsed relation, exactly as a live
+request does; on a miss it uses the inline copy, so recovery survives
+an evicted or corrupted artifact cache without recomputing discovery.
+Records written with a ``discovery_ref`` field still load; the field is
+ignored, since the relation itself keys the cache.
 """
 
 from __future__ import annotations
@@ -36,9 +41,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.dataset.csv_io import read_csv_text
+from repro.dataset.relation import Relation
 from repro.discovery.config import DiscoveryConfig
 from repro.discovery.dime import DiscoveryResult
-from repro.discovery.incremental import IncrementalDiscovery
 from repro.exceptions import ServiceError
 from repro.extensions.incremental import ImputationSession
 from repro.rfd.parser import parse_rfd
@@ -163,7 +168,6 @@ def creation_record(
     budget_seconds: float | None,
     incremental_discovery: bool,
     rfd_source: str,
-    discovery_ref: dict[str, str] | None,
     discovery_inline: dict[str, Any] | None,
 ) -> dict[str, Any]:
     """The envelope's ``created`` record (one place for its shape)."""
@@ -176,18 +180,17 @@ def creation_record(
         "budget_seconds": budget_seconds,
         "incremental_discovery": incremental_discovery,
         "rfd_source": rfd_source,
-        "discovery_ref": discovery_ref,
         "discovery_inline": discovery_inline,
     }
 
 
-def rebuild_components(
+def rebuild_session(
     engine: "PreparedEngine", created: dict[str, Any]
-) -> tuple[ImputationSession, IncrementalDiscovery | None]:
-    """A fresh (imputation session, maintainer) pair from a creation
-    record — the replay analogue of ``PreparedEngine.open_session``,
-    with discovery resolved from the journal instead of recomputed.
-    """
+) -> ImputationSession:
+    """A fresh session from a creation record, built by
+    :meth:`~repro.service.engine.PreparedEngine.build_session` exactly
+    as the live request built it — only the discovery result is looked
+    up instead of recomputed."""
     try:
         relation = read_csv_text(
             created["csv"], name=str(created.get("name", "request"))
@@ -205,10 +208,8 @@ def rebuild_components(
         logger.warning(
             "session replay: dropping retired 'engine' config override"
         )
-    config = engine._request_config(
-        overrides, created.get("budget_seconds")
-    )
     rfd_texts = created.get("rfd_texts")
+    discovery: DiscoveryConfig | None = None
     if rfd_texts is not None:
         try:
             rfds = [parse_rfd(text) for text in rfd_texts]
@@ -216,41 +217,43 @@ def rebuild_components(
             raise SessionRecoveryError(
                 f"cannot re-parse the pinned RFD set: {exc}"
             ) from exc
-        return ImputationSession(relation, rfds, config), None
-
-    options = created.get("discovery_options")
-    try:
-        discovery_config = (
-            DiscoveryConfig(**options) if options
-            else engine.config.discovery
-        )
-    except TypeError as exc:
-        raise SessionRecoveryError(
-            f"cannot rebuild the discovery config: {exc}"
-        ) from exc
-    result = _resolve_discovery(engine, created)
-    session = ImputationSession(relation, result.all_rfds, config)
-    maintainer: IncrementalDiscovery | None = None
-    if created.get("incremental_discovery", True):
-        maintainer = IncrementalDiscovery(
-            relation, discovery_config, initial=result
-        )
-    return session, maintainer
+        result = None
+    else:
+        options = created.get("discovery_options")
+        try:
+            discovery = DiscoveryConfig(**options) if options else None
+        except TypeError as exc:
+            raise SessionRecoveryError(
+                f"cannot rebuild the discovery config: {exc}"
+            ) from exc
+        result = _resolve_discovery(engine, relation, discovery, created)
+        rfds = result.all_rfds
+    return engine.build_session(
+        relation,
+        rfds,
+        result,
+        discovery=discovery,
+        overrides=overrides,
+        budget_seconds=created.get("budget_seconds"),
+        incremental_discovery=created.get("incremental_discovery", True),
+    )
 
 
 def _resolve_discovery(
-    engine: "PreparedEngine", created: dict[str, Any]
+    engine: "PreparedEngine",
+    relation: Relation,
+    discovery: DiscoveryConfig | None,
+    created: dict[str, Any],
 ) -> DiscoveryResult:
-    """The session's discovery result: artifact-cache ref first, the
-    inline journal copy second."""
-    ref = created.get("discovery_ref")
-    if engine.store is not None and isinstance(ref, dict):
-        fingerprint = ref.get("fingerprint")
-        key = ref.get("config_key")
-        if isinstance(fingerprint, str) and isinstance(key, str):
-            result = engine.store.load_discovery_by_ref(fingerprint, key)
-            if result is not None:
-                return result
+    """The session's discovery result: the artifact cache first (keyed
+    by the re-parsed relation, as :meth:`PreparedEngine.prepare_rfds`
+    looks it up), the inline journal copy second."""
+    if engine.store is not None:
+        cached = engine.store.load_discovery(
+            relation, discovery or engine.config.discovery
+        )
+        if cached is not None:
+            return cached
     inline = created.get("discovery_inline")
     if isinstance(inline, dict):
         try:
@@ -270,5 +273,5 @@ __all__ = [
     "SessionRecoveryError",
     "SessionStore",
     "creation_record",
-    "rebuild_components",
+    "rebuild_session",
 ]

@@ -10,12 +10,12 @@ discovery / RENUVER configurations — so that
   one *without* an RFD set reuses cached discovery artifacts: a warm
   engine performs zero discovery work on a cache hit (no ``discover``
   span, ``renuver_artifact_cache_hits_total`` increments);
-* a **session** (:meth:`open_session`) wraps an
-  :class:`~repro.extensions.incremental.ImputationSession` — and, when
-  no RFD set is pinned, an
-  :class:`~repro.discovery.incremental.IncrementalDiscovery` that
-  maintains the dependency set as tuples arrive — for append-and-impute
-  workloads where the accumulated instance keeps serving as donor pool.
+* a **session** (:meth:`open_session`) is an
+  :class:`~repro.extensions.incremental.ImputationSession` — which,
+  when no RFD set is pinned, maintains the dependency set as tuples
+  arrive — for append-and-impute workloads where the accumulated
+  instance keeps serving as donor pool.  :meth:`build_session` builds
+  it, for a live request and for a crash replay alike.
 
 Per-request deadlines reuse the budget/degradation machinery: a request
 budget maps to ``RenuverConfig(time_budget_seconds=...,
@@ -236,37 +236,61 @@ class PreparedEngine:
         budget_seconds: float | None = None,
         incremental_discovery: bool = True,
         telemetry: Telemetry | None = None,
-    ) -> tuple[
-        ImputationSession,
-        IncrementalDiscovery | None,
-        str,
-        DiscoveryResult | None,
-    ]:
-        """Components of a warm-start session over ``relation``.
+    ) -> tuple[ImputationSession, str, DiscoveryResult | None]:
+        """A warm-start session over ``relation``.
 
-        Returns ``(imputation_session, incremental_discovery,
-        rfd_source, discovery_result)``.  With a pinned ``rfds`` set the
-        dependency set is static (no maintenance, no discovery result);
-        otherwise the initial set comes from the artifact cache when
-        possible and an :class:`IncrementalDiscovery` maintains it as
-        tuples arrive (``incremental_discovery=False`` freezes it
-        instead).  The discovery result is handed back so a durable
-        session can journal it inline (crash recovery must not depend
-        on the artifact cache surviving).
+        Returns ``(session, rfd_source, discovery_result)``.  With a
+        pinned ``rfds`` set the dependency set is static (no
+        maintenance, no discovery result); otherwise the initial set
+        comes from the artifact cache when possible and the session
+        maintains it as tuples arrive (``incremental_discovery=False``
+        freezes it instead).  The discovery result is handed back so a
+        durable session can journal it inline (crash recovery must not
+        depend on the artifact cache surviving).
         """
         result, prepared, source = self.prepare_rfds(
             relation, rfds, discovery=discovery, telemetry=telemetry
         )
-        config = self._request_config(overrides, budget_seconds)
-        session = ImputationSession(relation, prepared, config)
+        session = self.build_session(
+            relation,
+            prepared,
+            result,
+            discovery=discovery,
+            overrides=overrides,
+            budget_seconds=budget_seconds,
+            incremental_discovery=incremental_discovery,
+        )
+        return session, source, result
+
+    def build_session(
+        self,
+        relation: Relation,
+        rfds: Sequence[RFD],
+        result: DiscoveryResult | None,
+        *,
+        discovery: DiscoveryConfig | None = None,
+        overrides: dict | None = None,
+        budget_seconds: float | None = None,
+        incremental_discovery: bool = True,
+    ) -> ImputationSession:
+        """The session for already-prepared RFDs — shared by
+        :meth:`open_session` and crash replay, which differ only in
+        where ``result`` comes from.  A session over a discovery
+        ``result`` maintains it unless ``incremental_discovery`` is
+        false; a pinned set (``result=None``) stays static."""
         maintainer: IncrementalDiscovery | None = None
-        if rfds is None and incremental_discovery:
+        if result is not None and incremental_discovery:
             maintainer = IncrementalDiscovery(
                 relation,
                 discovery or self.config.discovery,
                 initial=result,
             )
-        return session, maintainer, source, result
+        return ImputationSession(
+            relation,
+            rfds,
+            self._request_config(overrides, budget_seconds),
+            maintainer=maintainer,
+        )
 
     # ------------------------------------------------------------------
     def _request_config(

@@ -484,25 +484,17 @@ class _Handler(BaseHTTPRequestHandler):
             self._enforce_cache_only(relation, discovery)
         overrides = self._overrides_from(body)
         budget = self._budget_from(body)
-        imputation, maintainer, source, result = (
-            self.server.engine.open_session(
-                relation,
-                rfds,
-                discovery=discovery,
-                overrides=overrides,
-                budget_seconds=budget,
-                incremental_discovery=incremental,
-                telemetry=telemetry,
-            )
+        imputation, source, result = self.server.engine.open_session(
+            relation,
+            rfds,
+            discovery=discovery,
+            overrides=overrides,
+            budget_seconds=budget,
+            incremental_discovery=incremental,
+            telemetry=telemetry,
         )
         record = None
         if self.server.sessions.store is not None:
-            engine = self.server.engine
-            ref = None
-            if engine.store is not None and rfds is None:
-                ref = engine.store.discovery_ref(
-                    relation, discovery or engine.config.discovery
-                )
             record = creation_record(
                 csv_text=body["csv"],
                 name=str(body.get("name", "request")),
@@ -512,13 +504,12 @@ class _Handler(BaseHTTPRequestHandler):
                 budget_seconds=budget,
                 incremental_discovery=incremental,
                 rfd_source=source,
-                discovery_ref=ref,
                 discovery_inline=(
                     result.to_json() if result is not None else None
                 ),
             )
         session = self.server.sessions.create(
-            imputation, maintainer, rfd_source=source, record=record
+            imputation, rfd_source=source, record=record
         )
         if session is None:
             raise _HTTPError(

@@ -4,17 +4,18 @@ A *session* is a long-lived, append-only imputation workload: the
 client uploads an initial instance, streams new tuples in, and asks for
 imputation rounds whenever it likes — the whole accumulated instance
 keeps serving as the donor pool (paper Section 7, incremental
-scenarios).  Each :class:`ServiceSession` wraps an
-:class:`~repro.extensions.incremental.ImputationSession` plus an
-optional :class:`~repro.discovery.incremental.IncrementalDiscovery`
-that maintains the RFD set as tuples arrive.
+scenarios).  Each :class:`ServiceSession` wraps one
+:class:`~repro.extensions.incremental.ImputationSession`, which
+maintains its RFD set as tuples arrive unless the client pinned one.
 
 Durability: when the registry holds a
 :class:`~repro.service.durability.SessionStore`, every acknowledged
 mutation (creation, tuple append, imputation round) is journaled to a
 checksummed per-session envelope *before* the response goes out, and
-:meth:`SessionManager.recover` rebuilds all warm sessions on boot by
-replaying each journal through these same methods — so a ``kill -9``
+:meth:`SessionManager.recover` rebuilds all warm sessions on boot: the
+creation record goes through the live session builder
+(:meth:`~repro.service.engine.PreparedEngine.build_session`) and the
+events replay through these same methods — so a ``kill -9``
 followed by a restart answers the session's next request bit-identical
 to an uninterrupted server.  Persistence failures degrade (counted,
 logged, session keeps serving from memory); they never fail the
@@ -34,12 +35,11 @@ import threading
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.renuver import ImputationResult
-from repro.discovery.incremental import IncrementalDiscovery
 from repro.extensions.incremental import ImputationSession
 from repro.service.durability import (
     SessionRecoveryError,
     SessionStore,
-    rebuild_components,
+    rebuild_session,
 )
 from repro.telemetry.logs import get_logger
 
@@ -56,7 +56,6 @@ class ServiceSession:
         self,
         session_id: str,
         imputation: ImputationSession,
-        discovery: IncrementalDiscovery | None = None,
         *,
         rfd_source: str = "provided",
         record: dict[str, Any] | None = None,
@@ -64,11 +63,8 @@ class ServiceSession:
     ) -> None:
         self.id = session_id
         self.imputation = imputation
-        self.discovery = discovery
         self.rfd_source = rfd_source
         self.lock = threading.Lock()
-        self.rounds = 0
-        self.appended_tuples = 0
         #: Journal: the creation record plus the ordered event list.
         #: ``store=None`` (no durability, or mid-replay) journals
         #: nothing.
@@ -76,41 +72,37 @@ class ServiceSession:
         self.events: list[dict[str, Any]] = []
         self.store = store
 
+    @property
+    def rounds(self) -> int:
+        """Imputation rounds run so far."""
+        return self.imputation.rounds
+
+    @property
+    def appended_tuples(self) -> int:
+        """Tuples appended since creation."""
+        return self.imputation.appended_tuples
+
     # ------------------------------------------------------------------
     def append(self, rows: Sequence[Sequence[Any]]) -> dict[str, Any]:
         """Append tuples; returns row indices and maintenance info."""
         with self.lock:
             indices = self.imputation.append(rows)
-            self.appended_tuples += len(indices)
-            maintenance: str | None = None
-            if self.discovery is not None and indices:
-                report = self.discovery.insert(rows)
-                maintenance = report.summary()
-                maintained = self.discovery.all_rfds
-                if maintained:
-                    self.imputation.update_rfds(maintained)
-                else:
-                    # Never leave the session without a dependency set:
-                    # an empty maintained set keeps the previous RFDs
-                    # (the engine needs at least one to run).
-                    logger.warning(
-                        "session %s: maintenance dropped every RFD; "
-                        "keeping the previous set", self.id,
-                    )
+            maintenance = self.imputation.maintenance
             self._journal({
                 "type": "append",
                 "rows": [list(row) for row in rows],
             })
             return {
-                "rows": list(indices),
+                "rows": indices,
                 "pending": len(self.imputation.pending_cells),
-                "maintenance": maintenance,
+                "maintenance": (
+                    None if maintenance is None else maintenance.summary()
+                ),
             }
 
     def impute(self) -> ImputationResult:
         """Run one imputation round over the queued cells."""
         with self.lock:
-            self.rounds += 1
             result = self.imputation.impute_pending()
             self._journal({"type": "impute"})
             return result
@@ -169,7 +161,6 @@ class SessionManager:
     def create(
         self,
         imputation: ImputationSession,
-        discovery: IncrementalDiscovery | None = None,
         *,
         rfd_source: str = "provided",
         record: dict[str, Any] | None = None,
@@ -186,7 +177,6 @@ class SessionManager:
             session = ServiceSession(
                 session_id,
                 imputation,
-                discovery,
                 rfd_source=rfd_source,
                 record=record,
                 store=self.store if record is not None else None,
@@ -220,11 +210,11 @@ class SessionManager:
         """Rebuild every persisted session by replaying its journal.
 
         Called once at boot, before the server accepts traffic.  Each
-        envelope's creation record re-seeds the imputation components
-        (discovery comes from the artifact cache or the inline journal
-        copy — never recomputed), then the event list replays through
-        the live :meth:`ServiceSession.append` / :meth:`impute` paths
-        with journaling suspended.  A session whose journal cannot be
+        envelope's creation record goes through the live session
+        builder (discovery comes from the artifact cache or the inline
+        journal copy — never recomputed), then the event list replays
+        through the live :meth:`ServiceSession.append` / :meth:`impute`
+        paths with journaling suspended.  A session whose journal cannot be
         replayed is dropped and counted; recovery never refuses to boot.
         """
         if self.store is None:
@@ -244,11 +234,9 @@ class SessionManager:
                 self.dropped += 1
                 continue
             try:
-                imputation, maintainer = rebuild_components(engine, created)
                 session = ServiceSession(
                     session_id,
-                    imputation,
-                    maintainer,
+                    rebuild_session(engine, created),
                     rfd_source=str(created.get("rfd_source", "provided")),
                     record=created,
                     store=None,  # journaling suspended during replay

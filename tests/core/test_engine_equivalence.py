@@ -16,13 +16,12 @@ import pytest
 
 from repro import (
     DiscoveryConfig,
-    Renuver,
     RenuverConfig,
     discover_rfds,
     inject_missing,
     load_dataset,
 )
-from tests.oracle import ScalarRenuver
+from tests.oracle import BlockedRenuver, ScalarRenuver, UnblockedRenuver
 
 SMOKE_SIZES = {
     "restaurant": 120,
@@ -41,17 +40,17 @@ DISCOVERY = DiscoveryConfig(
 )
 
 
-#: The configurations compared against the scalar oracle: the
-#: vectorized engine scanning full columns, and the same engine probing
-#: a blocking-index plan first.
-CONFIGS = {
-    "vectorized": {"blocking": "off"},
-    "blocked": {"blocking": "on"},
+#: The runs compared against the scalar oracle: the vectorized engine
+#: scanning full columns, and the same engine probing a blocking-index
+#: plan first.
+VARIANTS = {
+    "vectorized": UnblockedRenuver,
+    "blocked": BlockedRenuver,
 }
 
 
 def run_all(name: str, **config_changes):
-    """The scalar run plus one run per entry of :data:`CONFIGS`."""
+    """The scalar run plus one run per entry of :data:`VARIANTS`."""
     relation = load_dataset(name, n_tuples=SMOKE_SIZES[name], seed=0)
     rfds = discover_rfds(relation, DISCOVERY).all_rfds
     dirty = inject_missing(relation, rate=0.03, seed=7).relation
@@ -59,10 +58,8 @@ def run_all(name: str, **config_changes):
         rfds, RenuverConfig(**config_changes)
     ).impute(dirty)
     others = {
-        label: Renuver(
-            rfds, RenuverConfig(**config, **config_changes)
-        ).impute(dirty)
-        for label, config in CONFIGS.items()
+        label: variant(rfds, RenuverConfig(**config_changes)).impute(dirty)
+        for label, variant in VARIANTS.items()
     }
     return scalar, others
 

@@ -4,6 +4,8 @@ import pytest
 
 from repro import MISSING, Relation, make_rfd
 from repro.core import OutcomeStatus, RenuverConfig
+from repro.discovery import DiscoveryConfig, DiscoveryResult
+from repro.discovery.incremental import IncrementalDiscovery
 from repro.exceptions import ImputationError
 from repro.extensions import ImputationSession
 
@@ -119,3 +121,41 @@ class TestSession:
         session.append([["a", MISSING]])
         session.impute_pending()
         assert seed.n_tuples == 2
+
+
+class TestMaintainedSession:
+    @staticmethod
+    def _session(rfd) -> ImputationSession:
+        seed = _seed_relation()
+        config = DiscoveryConfig(threshold_limit=3)
+        maintainer = IncrementalDiscovery(
+            seed,
+            config,
+            initial=DiscoveryResult(
+                rfds=[rfd], key_rfds=[], config=config, n_pairs=1,
+                exact=True,
+            ),
+        )
+        return ImputationSession(seed, [rfd], maintainer=maintainer)
+
+    def test_append_maintains_the_rfd_set(self, rfd):
+        session = self._session(rfd)
+        # K=b meets a V one edit away: the RHS bound loosens to 1.
+        session.append([["a", "v-a"], ["b", "v-bb"]])
+        assert session.maintenance.summary().startswith("+2 tuples")
+        assert session.rfds == (make_rfd({"K": 0}, ("V", 1)),)
+        assert session.appended_tuples == 2
+
+    def test_empty_maintained_set_keeps_the_previous_rfds(self, rfd):
+        session = self._session(rfd)
+        # K=a meets a V four edits away, past the limit of 3: the only
+        # RFD is dropped, and the session keeps running against it.
+        session.append([["a", "zzzz"]])
+        assert session.maintenance.dropped == [rfd]
+        assert session.maintainer.all_rfds == []
+        assert session.rfds == (rfd,)
+        session.append([["b", MISSING]])
+        result = session.impute_pending()
+        assert result.report.imputed_count == 1
+        assert session.relation.value(3, "V") == "v-b"
+        assert result.report.outcomes[0].rfd == rfd

@@ -1,7 +1,7 @@
 """Blocked-vs-unblocked bit-identity on every builtin dataset.
 
-The blocking subsystem's contract (``docs/INDEXING.md``) is that
-``blocking="on"`` changes *retrieval*, never *results*: the imputed
+The blocking subsystem's contract (``docs/INDEXING.md``) is that a
+blocking-index plan changes *retrieval*, never *results*: the imputed
 relation, the per-cell outcome list and even the diagnostic candidate
 sets of :meth:`Renuver.explain` must match the unblocked scan exactly.
 This suite enforces that on all five builtin datasets with *discovered*
@@ -21,13 +21,13 @@ import pytest
 from repro import (
     DiscoveryConfig,
     Renuver,
-    RenuverConfig,
     discover_rfds,
     inject_missing,
     load_dataset,
 )
 from repro.datasets.physician import generate_physician
 from repro.rfd import parse_rfd
+from tests.oracle import BlockedRenuver, UnblockedRenuver
 
 pytestmark = pytest.mark.blocking
 
@@ -53,8 +53,8 @@ SYNTHETIC_RFDS = (
 
 
 def run_both(rfds, dirty):
-    off = Renuver(rfds, RenuverConfig(blocking="off")).impute(dirty)
-    on = Renuver(rfds, RenuverConfig(blocking="on")).impute(dirty)
+    off = UnblockedRenuver(rfds).impute(dirty)
+    on = BlockedRenuver(rfds).impute(dirty)
     return off, on
 
 
@@ -97,8 +97,8 @@ def test_explain_candidate_sets_identical(name):
         ),
     ).all_rfds
     dirty = inject_missing(relation, rate=0.05, seed=3).relation
-    unblocked = Renuver(rfds, RenuverConfig(blocking="off"))
-    blocked = Renuver(rfds, RenuverConfig(blocking="on"))
+    unblocked = UnblockedRenuver(rfds)
+    blocked = BlockedRenuver(rfds)
     for row, attribute in dirty.missing_cells()[:5]:
         assert unblocked.explain(dirty, row, attribute) == blocked.explain(
             dirty, row, attribute
@@ -127,9 +127,9 @@ def test_auto_mode_small_instances_stay_unblocked():
     relation = generate_physician(200, seed=0)
     rfds = [parse_rfd(text) for text in SYNTHETIC_RFDS]
     dirty = inject_missing(relation, count=10, seed=5).relation
-    auto = Renuver(rfds, RenuverConfig(blocking="auto")).impute(dirty)
+    auto = Renuver(rfds).impute(dirty)
     # Below AUTO_BLOCKING_MIN_TUPLES the plain vectorized engine runs:
     # no index counters in the report.
     assert "index_probes" not in auto.report.kernel_counters
-    off = Renuver(rfds, RenuverConfig(blocking="off")).impute(dirty)
+    off = UnblockedRenuver(rfds).impute(dirty)
     assert_identical(off, auto)

@@ -134,8 +134,9 @@ def test_shared_plan_reports_per_run_counters():
     """Runs sharing one plan each report their own index counters: the
     per-run values sum to the plan's lifetime totals, and the engine
     leaves the shared plan attached for its owner."""
-    from repro import Renuver, RenuverConfig, inject_missing
+    from repro import inject_missing
     from repro.datasets.physician import generate_physician
+    from tests.oracle import BlockedRenuver
 
     dirty = inject_missing(
         generate_physician(300, seed=0), count=30, seed=5
@@ -146,7 +147,7 @@ def test_shared_plan_reports_per_run_counters():
         parse_rfd("Organization(<=1) -> City(<=2)"),
     ]
     plan = IndexPlan(dirty, rfds)
-    renuver = Renuver(rfds, RenuverConfig(blocking="on"), index_plan=plan)
+    renuver = BlockedRenuver(rfds, index_plan=plan)
     runs = [
         renuver.impute(dirty, inplace=True).report.kernel_counters
         for _ in range(2)

@@ -5,7 +5,11 @@ covered with the other envelope stores in ``tests/utils/test_envelope.py``.
 """
 
 import json
+import shutil
 import threading
+from pathlib import Path
+
+import pytest
 
 from repro.discovery import DiscoveryConfig
 from repro.service import ServiceConfig, SessionStore, build_server
@@ -21,6 +25,14 @@ CSV = (
 )
 RFD_TEXTS = ["Name(<=0),City(<=0) -> Phone(<=0)"]
 DISCOVERY = DiscoveryConfig(threshold_limit=1, max_lhs_size=1)
+
+#: An artifact directory written by a version whose creation records
+#: carried a ``discovery_ref`` next to the inline discovery result: one
+#: session over discovered RFDs (physician columns, discovery options
+#: journaled) with one append and one impute event, its discovery
+#: artifact, and in ``expected.json`` that version's answers to the
+#: session's next append and impute round.
+LEGACY_SESSION = Path(__file__).parent / "data" / "durable_session"
 
 
 class TestSessionFiles:
@@ -195,3 +207,39 @@ class TestJournalReplayRecovery:
             assert out["rfd_source"] == "provided"
         finally:
             revived.drain()
+
+
+class TestLegacySessionEnvelope:
+    @pytest.mark.parametrize("cache", ["present", "deleted"])
+    def test_next_round_answers_as_before(self, tmp_path, cache):
+        root = tmp_path / "artifacts"
+        shutil.copytree(LEGACY_SESSION / "sessions", root / "sessions")
+        if cache == "present":
+            shutil.copytree(
+                LEGACY_SESSION / "discovery", root / "discovery"
+            )
+        expected = json.loads(
+            (LEGACY_SESSION / "expected.json").read_text(encoding="utf-8")
+        )
+        created = SessionStore(root / "sessions").load("s000001")[
+            "created"
+        ]
+        assert created["discovery_ref"] and created["discovery_inline"]
+
+        server = _serve(root)
+        try:
+            assert server.recovery == {"recovered": 1, "dropped": 0}
+            # The cache, keyed by the re-parsed relation, serves replay
+            # when present; the inline copy does otherwise.
+            assert server.engine.store.hits == (cache == "present")
+            appended = _call(
+                server, "POST", "/v1/sessions/s000001/tuples",
+                {"rows": expected["next_rows"]},
+            )
+            appended.pop("budget_remaining_seconds")
+            assert appended == expected["append"]
+            answer = _call(server, "POST", "/v1/sessions/s000001/impute")
+            assert answer["csv"] == expected["impute"]["csv"]
+            assert answer["outcomes"] == expected["impute"]["outcomes"]
+        finally:
+            server.drain()

@@ -134,11 +134,11 @@ class TestOpenSession:
     ):
         warm_engine.prepare_rfds(relation)  # seed the cache
         telemetry = warm_engine.request_telemetry()
-        session, maintainer, source, result = warm_engine.open_session(
+        session, source, result = warm_engine.open_session(
             read_csv_text(CSV, name="again"), telemetry=telemetry
         )
         assert source == "cache"
-        assert maintainer is not None
+        assert session.maintainer is not None
         assert result is not None
         assert not any(
             span.name == "discover" for span in telemetry.tracer.spans
@@ -149,7 +149,7 @@ class TestOpenSession:
 
     def test_pinned_rfds_disable_maintenance(self, relation):
         engine = PreparedEngine()
-        _, maintainer, source, result = engine.open_session(relation, RFDS)
+        session, source, result = engine.open_session(relation, RFDS)
         assert source == "provided"
-        assert maintainer is None
+        assert session.maintainer is None
         assert result is None

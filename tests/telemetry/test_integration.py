@@ -117,7 +117,7 @@ class TestMetrics:
             ) == value
 
     def test_blocked_run_labels_both_families_vectorized(self):
-        result, telemetry = run_with_telemetry(blocking="on")
+        result, telemetry = run_with_telemetry(engine="blocked")
         counters = result.report.kernel_counters
         assert counters["index_probes"] > 0
         families = {

@@ -330,8 +330,9 @@ class TestIndexingDoc:
         cli = (ROOT / "src" / "repro" / "cli.py").read_text(
             encoding="utf-8"
         )
-        for flag in ["--blocking", "--max-group-size"]:
-            assert flag in text, flag
+        flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", text))
+        assert flags
+        for flag in flags:
             assert f'"{flag}"' in cli, f"cli.py misses {flag}"
 
     def test_documented_fallback_reasons_are_real(self, text):

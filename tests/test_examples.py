@@ -21,7 +21,7 @@ ALL_EXAMPLES = [
 # Examples cheap enough for the unit-test suite; the heavyweight ones
 # (full comparisons, paper-sized datasets) run as part of the benches.
 QUICK_EXAMPLES = ["quickstart.py", "discovery_tour.py",
-                  "service_client.py"]
+                  "service_client.py", "incremental_stream.py"]
 
 
 class TestExamplesInventory:
