@@ -54,7 +54,6 @@ import numpy as np
 from repro.core.candidates import Candidate, find_candidate_tuples
 from repro.core.selection import Cluster
 from repro.core.verification import (
-    first_fault as _scalar_first_fault,
     is_faultless as _scalar_is_faultless,
     relevant_rfds,
 )
@@ -69,7 +68,6 @@ from repro.rfd.keyness import (
     partition_key_rfds as _scalar_partition_key_rfds,
 )
 from repro.rfd.rfd import RFD
-from repro.rfd.violations import Violation
 from repro.telemetry import NULL_TELEMETRY
 from repro.telemetry.trace import NULL_SPAN
 
@@ -101,7 +99,7 @@ class KernelCallSeam:
     """Observable entry points of a donor-scan engine.
 
     Both engines announce every top-level kernel operation
-    (``cell_scan``, ``candidates``, ``is_faultless``, ``first_fault``,
+    (``cell_scan``, ``candidates``, ``is_faultless``,
     ``partition_key_rfds``, ``pair_reactivates``) to a list of hooks.
     The fault-tolerant runtime registers a budget watchdog here, and the
     chaos harness registers deterministic fault injectors — the seam
@@ -277,23 +275,6 @@ class ScalarEngine(KernelCallSeam):
     ) -> bool:
         with self._kernel_span("is_faultless", target_row, attribute):
             return _scalar_is_faultless(
-                self.calculator,
-                target_row,
-                attribute,
-                rfds,
-                check_rhs_rfds=check_rhs_rfds,
-            )
-
-    def first_fault(
-        self,
-        target_row: int,
-        attribute: str,
-        rfds: list[RFD],
-        *,
-        check_rhs_rfds: bool = False,
-    ) -> Violation | None:
-        with self._kernel_span("first_fault", target_row, attribute):
-            return _scalar_first_fault(
                 self.calculator,
                 target_row,
                 attribute,
@@ -505,38 +486,6 @@ class VectorizedEngine(KernelCallSeam):
                         hits[rfd] = hits.get(rfd, 0) + 1
                         return False
             return True
-
-    def first_fault(
-        self,
-        target_row: int,
-        attribute: str,
-        rfds: list[RFD],
-        *,
-        check_rhs_rfds: bool = False,
-    ) -> Violation | None:
-        """Exact Algorithm 4 semantics: the violation with the smallest
-        partner row, ties broken by relevant-RFD order."""
-        with self._kernel_span("first_fault", target_row, attribute):
-            relevant = relevant_rfds(
-                rfds, attribute, check_rhs_rfds=check_rhs_rfds
-            )
-            best_row: int | None = None
-            best_rfd: RFD | None = None
-            with np.errstate(invalid="ignore"):
-                for rfd in relevant:
-                    rows = self._violating_rows(target_row, rfd)
-                    if rows.size and (
-                        best_row is None or rows[0] < best_row
-                    ):
-                        best_row = int(rows[0])
-                        best_rfd = rfd
-            if best_row is None or best_rfd is None:
-                return None
-            return Violation(
-                best_rfd,
-                min(target_row, best_row),
-                max(target_row, best_row),
-            )
 
     def _violating_rows(self, target_row: int, rfd: RFD) -> np.ndarray:
         """Sorted rows whose pair with the target violates ``rfd``: LHS

@@ -97,8 +97,6 @@ class RenuverConfig:
     check_rhs_rfds:
         Extend verification to RFDs with the imputed attribute on the
         RHS (stronger than the paper's Algorithm 4).
-    recheck_keys:
-        Re-evaluate key RFDs after each imputation (Algorithm 1 line 14).
     keyness_scope:
         Which tuple pairs count when testing Definition 3.4: ``"all"``
         (default; the literal definition) or ``"complete"`` (only pairs
@@ -132,7 +130,6 @@ class RenuverConfig:
     cluster_order: str = "ascending"
     verify: bool = True
     check_rhs_rfds: bool = False
-    recheck_keys: bool = True
     keyness_scope: str = "all"
     max_candidates: int | None = None
     track_memory: bool = False
@@ -573,7 +570,7 @@ class Renuver:
             state.report.add(outcome)
             if state.writer is not None:
                 state.writer.record_cell(outcome)
-            if outcome.filled and self.config.recheck_keys:
+            if outcome.filled:
                 self._reactivate_keys(state, row, attribute)
 
     def _impute_cell_guarded(

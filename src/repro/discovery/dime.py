@@ -42,7 +42,6 @@ from repro.dataset.relation import Relation
 from repro.discovery.config import DiscoveryConfig
 from repro.discovery.pattern_matrix import PairDistanceMatrix
 from repro.discovery.pruning import remove_dominated
-from repro.exceptions import DiscoveryError
 from repro.rfd.constraint import Constraint
 from repro.rfd.rfd import RFD
 from repro.telemetry import NULL_TELEMETRY, Telemetry
@@ -133,7 +132,6 @@ def discover_rfds(
     config: DiscoveryConfig | None = None,
     *,
     telemetry: Telemetry | None = None,
-    matrix: PairDistanceMatrix | None = None,
 ) -> DiscoveryResult:
     """Discover RFDc dependencies holding on ``relation``.
 
@@ -141,12 +139,6 @@ def discover_rfds(
     :attr:`DiscoveryResult.rfds` and key RFDs separately.  A live
     ``telemetry`` wraps the run in a ``discover`` span with one child
     span per LHS-set size of the lattice walk (docs/OBSERVABILITY.md).
-
-    ``matrix`` reuses a pre-materialized :class:`PairDistanceMatrix`
-    (the service's artifact cache persists them): it must cover
-    ``relation`` with a ``string_limit`` at least the run's and, when
-    ``config.max_pairs`` samples, the same pair sample — the caller is
-    responsible for keying cached matrices by those parameters.
     """
     config = config or DiscoveryConfig()
     telemetry = telemetry or NULL_TELEMETRY
@@ -162,25 +154,12 @@ def discover_rfds(
         string_limit = max(
             config.threshold_limit, config.effective_lhs_limit
         )
-        if matrix is not None:
-            if matrix.string_limit < string_limit:
-                raise DiscoveryError(
-                    f"supplied pattern matrix clamps strings at "
-                    f"{matrix.string_limit}, run needs {string_limit}"
-                )
-            if matrix.relation.n_tuples != relation.n_tuples:
-                raise DiscoveryError(
-                    "supplied pattern matrix was built for a different "
-                    "relation"
-                )
-            span.set_attribute("matrix_reused", True)
-        else:
-            matrix = PairDistanceMatrix(
-                relation,
-                string_limit=string_limit,
-                max_pairs=config.max_pairs,
-                seed=config.seed,
-            )
+        matrix = PairDistanceMatrix(
+            relation,
+            string_limit=string_limit,
+            max_pairs=config.max_pairs,
+            seed=config.seed,
+        )
         span.set_attribute("n_pairs", matrix.n_pairs)
         names = list(relation.attribute_names)
         grids = {

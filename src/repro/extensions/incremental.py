@@ -17,6 +17,13 @@ discovery.  A session given a ``maintainer``
 every appended batch into it as well, and the next round runs against
 the maintained RFD set.  The service's sessions, live and replayed
 after a crash, are built this way.
+
+The maintainer keeps its own copy of the instance, and two copies are
+by design.  The maintainer's copy holds observed values only — each
+batch as it arrived, missing cells still missing — which is what batch
+discovery over the same tuples would see.  The session's relation
+holds the values its rounds imputed; maintaining over it would let
+imputed values vouch for the dependencies that imputed them.
 """
 
 from __future__ import annotations

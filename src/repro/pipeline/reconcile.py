@@ -8,7 +8,11 @@ re-read relation — that round-tripped fingerprint is what lands in the
 state envelope, so the integrity check and the artifact-cache key of
 the *next* INCR run are computed over exactly the bytes a future load
 will see (type re-inference and CSV rendering included), never over an
-in-memory relation that might render differently.
+in-memory relation that might render differently.  The re-read
+relation goes back to the caller too: it is exactly what loading the
+new version would parse, so one post-write parse serves the integrity
+record, the artifact key and, within one process, the next run's
+base.
 
 A snapshot whose re-read fingerprint no longer matches its envelope
 entry (bit rot, manual edits) raises a located
@@ -72,19 +76,23 @@ def load_store_relation(
 
 def commit_store(
     root: str | Path, relation: Relation, version: int
-) -> StoreVersion:
-    """Write ``relation`` as snapshot ``version`` and describe it.
+) -> tuple[StoreVersion, Relation]:
+    """Write ``relation`` as snapshot ``version``; return its
+    description and the re-read snapshot.
 
     The snapshot is written atomically, then re-read so the recorded
-    fingerprint and row count describe the on-disk bytes.  Raises
-    :class:`PipelineError` on any write/re-read failure (the run stays
-    resumable: the state envelope has not moved yet).
+    fingerprint and row count describe the on-disk bytes.  The re-read
+    relation is what :func:`load_store_relation` would return for the
+    new version, so a caller holds it instead of parsing the file a
+    second time.  Raises :class:`PipelineError` on any write/re-read
+    failure (the run stays resumable: the state envelope has not moved
+    yet).
     """
     path = Path(root) / STORE_DIR / store_filename(version)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         write_csv(relation, path)
-        reread = read_csv(path, name=relation.name)
+        reread = read_csv(path, name="store")
     except OSError as exc:
         raise PipelineError(
             f"cannot commit store snapshot {path}: {exc}"
@@ -99,7 +107,7 @@ def commit_store(
         "committed store snapshot %s (%d rows, fingerprint %s…)",
         path, committed.rows, committed.fingerprint[:12],
     )
-    return committed
+    return committed, reread
 
 
 def prune_store(

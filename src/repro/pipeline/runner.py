@@ -43,6 +43,18 @@ INCR runs additionally preseed their journal with the carried-forward
 skips them, so an INCR run's imputation work is proportional to the
 delta, not the store.  perfbench's ``pipeline-incr`` workload times
 successive 8-row INCR runs.
+
+One derivation per input
+------------------------
+A run parses, looks up and grows each thing once and hands it on.  The
+store snapshot is loaded once per version (and the commit that writes
+a version hands back its re-read, which primes that cache and keys the
+artifact).  The RFD set decoded at mode choice — by :meth:`Pipeline.run`
+or by resume revalidation — is the one the discover stage maintains.
+The new rows are parsed once and appended once: the maintainer's copy
+of the store, grown by :meth:`IncrementalDiscovery.insert
+<repro.discovery.incremental.IncrementalDiscovery.insert>`, is the
+relation the run imputes, while the cached snapshot stays unmutated.
 """
 
 from __future__ import annotations
@@ -224,7 +236,7 @@ class Pipeline:
                 self._count_run("noop", "noop")
                 return RunResult(run_id=None, mode="noop", outcome="noop")
 
-            mode, base_version, degraded = self._choose_mode(
+            mode, base_version, degraded, cached = self._choose_mode(
                 state, files
             )
             record = RunRecord(
@@ -244,7 +256,7 @@ class Pipeline:
             # Persist the running record *before* any work: a crash
             # from here on leaves a resumable state envelope.
             self.state_store.save(state)
-            return self._execute(state, resumed=False)
+            return self._execute(state, cached, resumed=False)
 
     def resume(self) -> RunResult:
         """Finish the run the state envelope says is in flight.
@@ -260,8 +272,8 @@ class Pipeline:
             if record is None or record.status != "running":
                 self._count_run("noop", "noop")
                 return RunResult(run_id=None, mode="noop", outcome="noop")
-            state = self._revalidate_for_resume(state)
-            return self._execute(state, resumed=True)
+            state, cached = self._revalidate_for_resume(state)
+            return self._execute(state, cached, resumed=True)
 
     def status(self) -> dict[str, Any]:
         """A lease-free, read-only snapshot for ``pipeline status``."""
@@ -297,38 +309,40 @@ class Pipeline:
     # ------------------------------------------------------------------
     def _choose_mode(
         self, state: PipelineState, files: Sequence[str]
-    ) -> tuple[str, int | None, str | None]:
-        """``(mode, base_version, degraded_reason)`` for a fresh run."""
+    ) -> tuple[str, int | None, str | None, DiscoveryResult | None]:
+        """``(mode, base_version, degraded_reason, cached)`` for a fresh
+        run; ``cached`` is the store's RFD set on INCR, else ``None``."""
         if self.config.mode == "full":
-            return "full", None, None
+            return "full", None, None, None
         if state.store is None:
             # Bootstrap: there is nothing to extend.  Only a *requested*
             # INCR counts as degraded; auto's first run is simply FULL.
             if self.config.mode == "incr":
-                return "full", None, self._degrade("no_store")
-            return "full", None, None
-        reason = self._incr_blocker(state, files)
+                return "full", None, self._degrade("no_store"), None
+            return "full", None, None, None
+        reason, cached = self._incr_blocker(state, files)
         if reason is None:
-            return "incr", state.store.version, None
-        return "full", None, self._degrade(reason)
+            return "incr", state.store.version, None, cached
+        return "full", None, self._degrade(reason), None
 
     def _incr_blocker(
         self, state: PipelineState, files: Sequence[str]
-    ) -> str | None:
-        """Why INCR cannot run, or ``None`` when it can."""
+    ) -> tuple[str | None, DiscoveryResult | None]:
+        """``(reason, None)`` when INCR cannot run; ``(None, cached)``
+        when it can, ``cached`` being the store's RFD set — decoded here
+        once, and the set the run's discovery stage maintains."""
         missing = set(state.watermark.files) - set(files)
         if missing:
-            return "watermark_mismatch"
+            return "watermark_mismatch", None
         assert state.store is not None
         try:
             base = self._load_base(state.store)
         except PipelineError:
-            return "store_integrity"
-        if self.artifacts.load_discovery(
-            base, self.config.discovery
-        ) is None:
-            return "discovery_cache_miss"
-        return None
+            return "store_integrity", None
+        cached = self.artifacts.load_discovery(base, self.config.discovery)
+        if cached is None:
+            return "discovery_cache_miss", None
+        return None, cached
 
     def _degrade(self, reason: str) -> str:
         self.telemetry.metrics.counter(
@@ -339,16 +353,21 @@ class Pipeline:
         )
         return reason
 
-    def _revalidate_for_resume(self, state: PipelineState) -> PipelineState:
+    def _revalidate_for_resume(
+        self, state: PipelineState
+    ) -> tuple[PipelineState, DiscoveryResult | None]:
         """Degrade a resumed INCR run whose prerequisites rotted while
-        it was down (store pruned, cache evicted, files deleted)."""
+        it was down (store pruned, cache evicted, files deleted); returns
+        the state and, for a run that stays INCR, the store's RFD set."""
         record = state.run
         assert record is not None
         if record.mode != "incr":
-            return state
-        reason = self._incr_blocker(state, scan_ingest(self.ingest_dir))
+            return state, None
+        reason, cached = self._incr_blocker(
+            state, scan_ingest(self.ingest_dir)
+        )
         if reason is None:
-            return state
+            return state, cached
         # The dirty relation changes shape under FULL, so the old
         # journal can never replay; move it aside for forensics.
         rundir = RunDirectory(self.root, record.run_id)
@@ -361,12 +380,18 @@ class Pipeline:
         )
         state = replace(state, run=record)
         self.state_store.save(state)
-        return state
+        return state, None
 
     # ------------------------------------------------------------------
     # Run execution (shared by run() and resume())
     # ------------------------------------------------------------------
-    def _execute(self, state: PipelineState, *, resumed: bool) -> RunResult:
+    def _execute(
+        self,
+        state: PipelineState,
+        cached: DiscoveryResult | None,
+        *,
+        resumed: bool,
+    ) -> RunResult:
         record = state.run
         assert record is not None
         rundir = RunDirectory(self.root, record.run_id)
@@ -380,8 +405,8 @@ class Pipeline:
                     base, dirty, rows = self._load(state, record)
                 stage = "discover"
                 with self._stage("discover", record):
-                    rfds, discovered = self._discover(
-                        record, base, dirty, rows
+                    dirty, rfds, discovered = self._discover(
+                        record, base, dirty, rows, cached
                     )
                 stage = "impute"
                 with self._stage("impute", record):
@@ -440,8 +465,9 @@ class Pipeline:
         """The committed store snapshot, loaded once per version.
 
         Verification happens on first load (``load_store_relation``
-        fingerprints the bytes); callers never mutate the returned
-        relation, they ``copy`` before appending.
+        fingerprints the bytes), or the commit that wrote the version
+        primes the cache with its own re-read.  Callers never mutate
+        the returned relation; incremental maintenance grows a copy.
         """
         cached = self._store_cache
         if cached is not None and cached[0] == store.version:
@@ -452,14 +478,16 @@ class Pipeline:
 
     def _load(
         self, state: PipelineState, record: RunRecord
-    ) -> tuple[Relation | None, Relation, list[tuple]]:
+    ) -> tuple[Relation | None, Relation | None, list[tuple]]:
         """``(base, dirty, new_rows)`` for the run.
 
         FULL: the dirty relation is every covered ingest file combined
         (types inferred over the whole data); there is no base and no
-        batch.  INCR: the committed store snapshot plus the new files'
+        batch.  INCR: the committed store snapshot and the new files'
         rows, parsed once under the store's schema — built so a resume
-        reconstructs byte-identical inputs from the record alone.
+        reconstructs byte-identical inputs from the record alone.  The
+        INCR dirty relation is left to :meth:`_discover`, whose
+        maintenance grows it by exactly these rows.
         """
         if record.mode == "full":
             dirty = load_combined(
@@ -469,51 +497,47 @@ class Pipeline:
         assert state.store is not None
         base = self._load_base(state.store)
         rows = batch_rows(self.ingest_dir, record.new_files, base)
-        dirty = base.copy(name="ingest")
-        dirty.append_rows(rows)
-        return base, dirty, rows
+        return base, None, rows
 
     # -- discover --------------------------------------------------------
     def _discover(
         self,
         record: RunRecord,
         base: Relation | None,
-        dirty: Relation,
+        dirty: Relation | None,
         rows: list[tuple],
-    ) -> tuple[DiscoveryResult, bool]:
-        """The run's RFD set and whether batch discovery ran.
+        cached: DiscoveryResult | None,
+    ) -> tuple[Relation, DiscoveryResult, bool]:
+        """``(dirty, rfds, discovered)``: the relation the run imputes,
+        its RFD set and whether batch discovery ran.
 
         FULL discovers on the dirty relation (artifact-cached by its
         fingerprint, so re-running an identical input is warm too).
-        INCR never discovers: the cached store RFD set is maintained
-        incrementally under the batch ``rows`` that :meth:`_load`
-        appended.
+        INCR never discovers: the store's RFD set ``cached``, decoded at
+        mode choice, is maintained incrementally under the batch
+        ``rows``, and the maintainer's own copy of the base, grown by
+        those rows, is the dirty relation.  The base stays unmutated.
         """
         if record.mode == "full":
-            cached = self.artifacts.load_discovery(
+            assert dirty is not None
+            found = self.artifacts.load_discovery(
                 dirty, self.config.discovery
             )
-            if cached is not None:
-                return cached, False
+            if found is not None:
+                return dirty, found, False
             result = discover_rfds(
                 dirty, self.config.discovery, telemetry=self.telemetry
             )
             self.artifacts.save_discovery(
                 dirty, self.config.discovery, result
             )
-            return result, True
-        assert base is not None
-        cached = self.artifacts.load_discovery(
-            base, self.config.discovery
-        )
-        if cached is None:  # revalidated at mode choice; belt anyway
-            raise PipelineError(
-                f"run {record.run_id}: cached discovery for store "
-                f"vanished mid-run"
-            )
+            return dirty, result, True
+        assert base is not None and cached is not None
         maintainer = IncrementalDiscovery(
             base, self.config.discovery, initial=cached
         )
+        dirty = maintainer.relation
+        dirty.name = "ingest"
         if rows:
             report = maintainer.insert(rows)
             logger.info(
@@ -526,7 +550,7 @@ class Pipeline:
             n_pairs=cached.n_pairs,
             exact=False,
         )
-        return maintained, False
+        return dirty, maintained, False
 
     # -- impute ----------------------------------------------------------
     def _impute(
@@ -648,12 +672,14 @@ class Pipeline:
         the state envelope — the run's single commit point."""
         report: ImputationReport = result.report
         version = 1 if state.store is None else state.store.version + 1
-        committed = commit_store(self.root, result.relation, version)
-
-        # Key the store's RFD set by the *re-read* snapshot so the next
-        # INCR run's cache lookup hits.  A failed save degrades that
-        # run to FULL (counted there), never this commit.
-        store_relation = self._load_base(committed)
+        committed, store_relation = commit_store(
+            self.root, result.relation, version
+        )
+        # The re-read snapshot is what the next run's ``_load_base``
+        # would parse, so it primes the cache and keys the store's RFD
+        # set: the next INCR run's lookup hits.  A failed save degrades
+        # that run to FULL (counted there), never this commit.
+        self._store_cache = (committed.version, store_relation)
         self.artifacts.save_discovery(
             store_relation, self.config.discovery,
             DiscoveryResult(

@@ -466,6 +466,7 @@ class _Handler(BaseHTTPRequestHandler):
         payload = {
             "csv": to_csv_text(result.relation),
             "report": _report_payload(result.report),
+            "outcomes": [_outcome_payload(o) for o in result.report],
             "rfd_source": source,
             "budget_remaining_seconds": self._remaining_budget(),
             "brownout_tier": self.server.brownout.tier,

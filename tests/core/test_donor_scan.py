@@ -363,22 +363,6 @@ class TestEngineEquivalenceOnPaperExample:
         finally:
             vectorized.close()
 
-    def test_first_fault_matches(self, restaurant_sample, paper_rfds):
-        for plan in PLANS:
-            scalar, vectorized = make_engines(
-                restaurant_sample, paper_rfds, plan
-            )
-            try:
-                restaurant_sample.set_value(3, "Phone", "310/456-0488")
-                for check_rhs in (False, True):
-                    assert vectorized.first_fault(
-                        3, "Phone", paper_rfds, check_rhs_rfds=check_rhs
-                    ) == scalar.first_fault(
-                        3, "Phone", paper_rfds, check_rhs_rfds=check_rhs
-                    ), plan
-            finally:
-                vectorized.close()
-
     def test_is_faultless_matches(self, restaurant_sample, paper_rfds):
         verdicts = set()
         for plan in PLANS:
@@ -502,11 +486,6 @@ def test_oracle_on_seed_dataset(seed_case, plan):
             for value in values:
                 relation.set_value(row, attribute, value)
                 for check_rhs in (False, True):
-                    assert vectorized.first_fault(
-                        row, attribute, rfds, check_rhs_rfds=check_rhs
-                    ) == scalar.first_fault(
-                        row, attribute, rfds, check_rhs_rfds=check_rhs
-                    )
                     assert vectorized.is_faultless(
                         row, attribute, rfds, check_rhs_rfds=check_rhs
                     ) == scalar.is_faultless(

@@ -134,10 +134,7 @@ class TestOutcomes:
     def test_no_candidates_outcome(self, zip_city_relation):
         zip_city_relation.set_value(0, "City", MISSING)
         zip_city_relation.set_value(0, "Zip", "00000")  # matches nobody
-        engine = Renuver(
-            [make_rfd({"Zip": 0}, ("City", 0))],
-            RenuverConfig(recheck_keys=False),
-        )
+        engine = Renuver([make_rfd({"Zip": 0}, ("City", 0))])
         result = engine.impute(zip_city_relation)
         outcome = result.report.outcome_for(0, "City")
         assert outcome.status is OutcomeStatus.NO_CANDIDATES
@@ -187,14 +184,6 @@ class TestKeyReactivation:
         result = engine.impute(restaurant_sample)
         assert result.report.key_rfds_initial >= 1
         assert result.report.key_rfds_reactivated >= 1
-
-    def test_recheck_disabled(self, restaurant_sample, paper_rfds):
-        engine = Renuver(
-            paper_rfds,
-            RenuverConfig(keyness_scope="complete", recheck_keys=False),
-        )
-        result = engine.impute(restaurant_sample)
-        assert result.report.key_rfds_reactivated == 0
 
 
 class TestConfig:

@@ -40,7 +40,7 @@ def oracle_discover(
 ) -> tuple[list[RFD], list[RFD]]:
     """``(rfds, key_rfds)`` as :func:`~repro.discovery.discover_rfds`
     must return them for ``relation`` under ``config`` (over ``matrix``
-    when given, as ``discover_rfds(..., matrix=)`` would)."""
+    when given; it must equal the matrix discovery builds itself)."""
     if matrix is None:
         matrix = PairDistanceMatrix(
             relation,

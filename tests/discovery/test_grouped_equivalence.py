@@ -97,7 +97,7 @@ def configs(draw, names: tuple[str, ...], n_pairs: int) -> DiscoveryConfig:
 
 
 def assert_matches_oracle(relation, config, matrix=None):
-    result = discover_rfds(relation, config, matrix=matrix)
+    result = discover_rfds(relation, config)
     rfds, key_rfds = oracle_discover(relation, config, matrix)
     assert [str(rfd) for rfd in result.rfds] == [str(rfd) for rfd in rfds]
     assert result.rfds == rfds

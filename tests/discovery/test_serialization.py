@@ -8,8 +8,6 @@ import pytest
 from repro.dataset.csv_io import read_csv_text
 from repro.discovery import DiscoveryConfig, discover_rfds
 from repro.discovery.dime import DiscoveryResult
-from repro.discovery.pattern_matrix import PairDistanceMatrix
-from repro.exceptions import DiscoveryError
 from repro.rfd.constraint import Constraint
 from repro.rfd.parser import parse_rfd
 from repro.rfd.rfd import RFD
@@ -92,40 +90,3 @@ class TestDiscoveryResultJson:
         for text in payload["rfds"] + payload["key_rfds"]:
             assert "->" in text
             parse_rfd(text)  # must be readable by the standard parser
-
-
-class TestDiscoverWithReusedMatrix:
-    def test_reuse_matches_fresh_run(self):
-        relation = read_csv_text(CSV, name="t")
-        string_limit = max(
-            CONFIG.threshold_limit, CONFIG.effective_lhs_limit
-        )
-        matrix = PairDistanceMatrix(
-            relation, string_limit=string_limit,
-            max_pairs=CONFIG.max_pairs, seed=CONFIG.seed,
-        )
-        fresh = discover_rfds(relation, CONFIG)
-        reused = discover_rfds(relation, CONFIG, matrix=matrix)
-        assert [str(r) for r in reused.all_rfds] == [
-            str(r) for r in fresh.all_rfds
-        ]
-
-    def test_undersized_matrix_is_rejected(self):
-        relation = read_csv_text(CSV, name="t")
-        matrix = PairDistanceMatrix(
-            relation, string_limit=0, max_pairs=None, seed=0
-        )
-        config = DiscoveryConfig(threshold_limit=5, max_lhs_size=1)
-        with pytest.raises(DiscoveryError):
-            discover_rfds(relation, config, matrix=matrix)
-
-    def test_mismatched_relation_is_rejected(self):
-        relation = read_csv_text(CSV, name="t")
-        other = read_csv_text(
-            CSV + "dot,kiev,444\n", name="t"
-        )
-        matrix = PairDistanceMatrix(
-            relation, string_limit=2, max_pairs=None, seed=0
-        )
-        with pytest.raises(DiscoveryError):
-            discover_rfds(other, CONFIG, matrix=matrix)

@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.dataset.relation import Relation
 from repro.discovery import DiscoveryConfig
 from repro.exceptions import PipelineError
-from repro.pipeline import Pipeline, PipelineConfig
+from repro.pipeline import Pipeline, PipelineConfig, reconcile
 from repro.pipeline.ingest import combined_csv_text, scan_ingest
+from repro.service.artifacts import ArtifactStore
+from repro.utils import fingerprint
+from repro.utils.atomic import disk_fault_injection
 
 pytestmark = pytest.mark.pipeline
 
@@ -168,6 +175,93 @@ class TestIncrementalRuns:
         status = pipeline(root, ingest).status()
         assert status["watermark"]["files"] == ["b1.csv", "b2.csv"]
         assert status["watermark"]["rows"] == 9
+
+
+@pytest.fixture()
+def calls(monkeypatch):
+    """Counts, by name, the calls a run makes to the store parser, the
+    relation growth and copy paths, the artifact lookup and the
+    relation fingerprint (every module binding of it)."""
+    counts: Counter[str] = Counter()
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        reconcile, "read_csv", counting("read_csv", reconcile.read_csv)
+    )
+    for owner, attribute in (
+        (Relation, "append_rows"),
+        (Relation, "copy"),
+        (ArtifactStore, "load_discovery"),
+    ):
+        monkeypatch.setattr(owner, attribute, counting(
+            f"{owner.__name__}.{attribute}", getattr(owner, attribute)
+        ))
+    original = fingerprint.relation_fingerprint
+    wrapped = counting("relation_fingerprint", original)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(
+            module, "relation_fingerprint", None
+        ) is original:
+            monkeypatch.setattr(module, "relation_fingerprint", wrapped)
+    return counts
+
+
+class TestDerivedOnce:
+    """A run parses, looks up, copies and grows what it holds once."""
+
+    def test_full_run_parses_its_committed_snapshot_once(
+        self, root, ingest, calls
+    ):
+        assert pipeline(root, ingest).run().mode == "full"
+        assert calls["read_csv"] == 1  # commit's re-read, nothing more
+
+    def test_incr_run_derives_its_base_once(self, root, ingest, calls):
+        pipeline(root, ingest).run()
+        (ingest / "b2.csv").write_text(CSV2)
+        calls.clear()
+        result = pipeline(root, ingest).run()
+        assert result.mode == "incr"
+        assert result.discovered is False
+        assert calls["read_csv"] == 2  # the base, then commit's re-read
+        assert calls["Relation.append_rows"] == 1
+        assert calls["ArtifactStore.load_discovery"] == 1
+        assert calls["Relation.copy"] <= 2
+        assert calls["relation_fingerprint"] <= 6
+
+    def test_resumed_incr_run_looks_up_its_rfds_once(
+        self, root, ingest, calls
+    ):
+        pipeline(root, ingest).run()
+        (ingest / "b2.csv").write_text(CSV2)
+
+        def store_writes_fail(path: Path) -> None:
+            if "store" in path.parts:
+                raise OSError(errno.ENOSPC, f"injected writing {path}")
+
+        with disk_fault_injection(store_writes_fail):
+            with pytest.raises(PipelineError, match=r"stage 'commit'"):
+                pipeline(root, ingest).run()
+        calls.clear()
+        result = pipeline(root, ingest).resume()
+        assert (result.mode, result.resumed) == ("incr", True)
+        assert calls["ArtifactStore.load_discovery"] == 1
+        assert calls["Relation.append_rows"] == 1
+
+    def test_the_base_stays_unmutated(self, root, ingest):
+        pipeline(root, ingest).run()
+        (ingest / "b2.csv").write_text(CSV2)
+        p = pipeline(root, ingest)
+        p.run()
+        (ingest / "b3.csv").write_text(CSV3)
+        base = p._load_base(p.state_store.load().store)
+        rows = base.n_tuples
+        assert p.run().mode == "incr"
+        assert base.n_tuples == rows
 
 
 class TestDegradation:

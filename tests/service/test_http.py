@@ -101,6 +101,20 @@ class TestOneShot:
         assert report["fill_rate"] == 1.0
         assert report["budget_exhausted"] is False
 
+    def test_outcomes_carry_per_cell_provenance(self, base):
+        _, body = call(base, "POST", "/v1/impute", {
+            "csv": CSV, "rfds": RFD_TEXTS,
+        })
+        assert body["outcomes"] == [{
+            "row": 1,
+            "attribute": "Phone",
+            "status": "imputed",
+            "value": 111,
+            "source_row": 0,
+            "rfd": "City(<=0), Name(<=0) -> Phone(<=0)",
+            "distance": 0.0,
+        }]
+
     def test_budget_overrun_returns_partial_not_500(self, base):
         status, body = call(base, "POST", "/v1/impute", {
             "csv": CSV, "rfds": RFD_TEXTS, "budget_seconds": 1e-9,
