@@ -59,7 +59,7 @@ from repro.core.verification import (
 )
 from repro.dataset.relation import Relation
 from repro.distance.base import DistanceFunction
-from repro.distance.kernels import DonorScanKernels
+from repro.distance.kernels import DistanceMemoPool, DonorScanKernels
 from repro.distance.levenshtein import BOUNDED_STATS
 from repro.distance.pattern import DistancePattern, PatternCalculator
 from repro.rfd.keyness import (
@@ -360,6 +360,9 @@ class VectorizedEngine(KernelCallSeam):
         Whether :meth:`close` also closes ``plan``: true for a plan built
         for this run, false for one a session or pipeline shares across
         rounds.
+    memo_pool:
+        The owner's :class:`~repro.distance.kernels.DistanceMemoPool`
+        for the kernels' string memos; ``None`` makes a private one.
     """
 
     name = "vectorized"
@@ -372,6 +375,7 @@ class VectorizedEngine(KernelCallSeam):
         overrides: Mapping[str, DistanceFunction] | None = None,
         plan: IndexPlan | None = None,
         owns_plan: bool = False,
+        memo_pool: DistanceMemoPool | None = None,
     ) -> None:
         super().__init__()
         self.relation = relation
@@ -379,6 +383,7 @@ class VectorizedEngine(KernelCallSeam):
             relation,
             string_limits=string_clamp_limits(rfds),
             overrides=overrides,
+            memo_pool=memo_pool,
         )
         self.kernels.attach()
         self.plan = plan

@@ -53,6 +53,7 @@ from repro.dataset.attribute import AttributeType
 from repro.dataset.missing import MISSING, is_missing
 from repro.dataset.relation import Relation
 from repro.distance.base import DistanceFunction
+from repro.distance.kernels import DistanceMemoPool
 from repro.exceptions import (
     BudgetExceededError,
     DataError,
@@ -208,6 +209,11 @@ class Renuver:
     distance_overrides:
         Optional per-attribute distance functions replacing the paper's
         defaults.
+    memo_pool:
+        Optional :class:`~repro.distance.kernels.DistanceMemoPool` that
+        every run's string memos come from, so a run starts from the
+        edit distances earlier runs computed.  Sharing never changes an
+        answer; without one each run has a private pool.
 
     Example
     -------
@@ -225,6 +231,7 @@ class Renuver:
         distance_overrides: Mapping[str, DistanceFunction] | None = None,
         telemetry: Telemetry | None = None,
         index_plan: object | None = None,
+        memo_pool: DistanceMemoPool | None = None,
     ) -> None:
         self.rfds: tuple[RFD, ...] = tuple(rfds)
         if not self.rfds:
@@ -235,6 +242,9 @@ class Renuver:
         #: (sessions reuse one across rounds); ignored unless blocking
         #: engages and the plan shadows the imputed relation instance.
         self._index_plan = index_plan
+        #: The owner's string-distance memos (service engine, session);
+        #: ``None`` gives each run a private pool.
+        self._memo_pool = memo_pool
         #: Observability spine (spans + metrics); the no-op default
         #: costs a method call per instrumentation site.  See
         #: docs/OBSERVABILITY.md.
@@ -1024,6 +1034,7 @@ class Renuver:
             overrides=self._distance_overrides,
             plan=plan,
             owns_plan=owns_plan,
+            memo_pool=self._memo_pool,
         )
         engine.set_telemetry(self.telemetry)
         return engine
@@ -1085,4 +1096,5 @@ class Renuver:
             distance_overrides=self._distance_overrides,
             telemetry=self.telemetry,
             index_plan=self._index_plan,
+            memo_pool=self._memo_pool,
         )

@@ -31,7 +31,7 @@ from repro.dataset.relation import Relation
 from repro.discovery.config import DiscoveryConfig
 from repro.discovery.dime import DiscoveryResult, discover_rfds
 from repro.discovery.pruning import remove_dominated
-from repro.distance.kernels import DonorScanKernels
+from repro.distance.kernels import DistanceMemoPool, DonorScanKernels
 from repro.exceptions import DiscoveryError
 from repro.rfd.constraint import Constraint
 from repro.rfd.rfd import RFD
@@ -72,6 +72,10 @@ class IncrementalDiscovery:
         under ``config`` — the service's warm-start path passes a
         cached result here so opening a session performs no discovery
         work.  The caller vouches that it matches; no re-check is done.
+    memo_pool:
+        Optional :class:`~repro.distance.kernels.DistanceMemoPool` for
+        the string memos of every insertion's kernels; without one each
+        insertion computes its distances afresh.
     """
 
     def __init__(
@@ -80,8 +84,10 @@ class IncrementalDiscovery:
         config: DiscoveryConfig | None = None,
         *,
         initial: DiscoveryResult | None = None,
+        memo_pool: DistanceMemoPool | None = None,
     ) -> None:
         self.config = config or DiscoveryConfig()
+        self._memo_pool = memo_pool
         self._relation = relation.copy(name=f"{relation.name}@inc")
         if initial is None:
             initial = discover_rfds(self._relation, self.config)
@@ -210,7 +216,9 @@ class IncrementalDiscovery:
         cannot change a maximum or an any.
         """
         kernels = DonorScanKernels(
-            self._relation, string_limits=self._attribute_caps()
+            self._relation,
+            string_limits=self._attribute_caps(),
+            memo_pool=self._memo_pool,
         )
         matched = [False] * len(rfds)
         worsts: list[float | None] = [None] * len(rfds)

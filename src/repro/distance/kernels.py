@@ -25,15 +25,36 @@ driver's tentative write / rollback cycle relies on the *dirty-cell
 hook*: :meth:`attach` registers a mutation listener on the relation, and
 every :meth:`~repro.dataset.relation.Relation.set_value` drops the cached
 vectors of the written attribute and patches one code of the column
-codec.  The string memo is keyed by value, not row, so it survives
-writes.  Counters for vector builds, invalidations and the distances
-settled by length blocking are exposed via :attr:`counters` for the
-imputation report.
+codec.
+
+The string memo is split from the relation it serves.  A codec holds
+only the per-relation part, the column's codes.  The memo — distinct
+values, their lengths, the per-target memo rows and the decode table —
+is keyed by value, so it survives writes and serves any relation.  A
+:class:`DistanceMemoPool` hands out one memo per (attribute, clamp
+limit) and lives as long as its owner: a service engine keeps one for
+every request and session it serves, a library session one for its
+rounds, and kernels built without a pool make a private one that ends
+with the run.  Sharing saves work only where a run compares values an
+earlier run of the same owner compared: a repeated request or a session
+round over tuples seen before.  A run over values never seen before
+computes what a private memo computes.  Every growth that takes the
+pool past :data:`MEMO_POOL_BYTES` forgets its least recently used
+memos, and a run is handed a fresh memo rather than one whose rows
+would be far wider than its own column (:class:`DistanceMemoPool`).  A
+memo cell is the same clamped distance whoever filled it, so neither
+sharing nor forgetting changes an answer.  Counters for vector builds,
+invalidations and the distances computed and settled by length
+blocking are exposed via :attr:`counters` for the imputation report;
+they, and :meth:`cache_report`, count the current run's work only.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+import threading
+from collections import OrderedDict
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -50,6 +71,28 @@ from repro.exceptions import SchemaError
 #: gather tells whether it needs a fill.
 _UNKNOWN = -2
 _ABSENT = -1
+
+#: Byte budget of one :class:`DistanceMemoPool`: every memo growth
+#: that takes the pool past it forgets memos until it is back within.
+#: A service's working set is far smaller (docs/SERVICE.md measures
+#: under 1 MiB); the budget bounds what a long-lived owner keeps over
+#: many distinct instances.
+MEMO_POOL_BYTES = 32 * 2**20
+
+#: A memo row has one cell per value the memo holds, so a memo that has
+#: interned many more values than a run's column has rows would make
+#: that run pay for every earlier instance.  A run over ``n`` rows is
+#: handed a fresh memo instead once the shared one holds more than
+#: ``max(_CELLS_PER_ROW * n, _MIN_ROW_CELLS)`` values: an int8 memo row
+#: then never costs more than one float64 distance vector over the
+#: column, or 1 KiB.  The floor keeps a run over a handful of rows from
+#: replacing a memo that larger runs share.
+_CELLS_PER_ROW = 8
+_MIN_ROW_CELLS = 2**10
+
+#: Per interned value, beyond the string object itself: its list slot
+#: and its index entry (an estimate, for the byte budget).
+_ENTRY_BYTES = 100
 
 
 class _NumericCodec:
@@ -81,51 +124,82 @@ class _NumericCodec:
         return np.abs(self.codes - target)
 
 
-class _StringCodec:
-    """String column as int codes into a grow-only list of its distinct
-    rendered values, with a memo of clamped edit distances between them.
+class _ValueMemo:
+    """Clamped edit distances between the distinct values one string
+    attribute has shown, under one clamp limit.
 
-    ``codes[row]`` indexes :attr:`values` (``-1`` marks MISSING, and
-    ``present`` is ``codes >= 0``) and ``lengths[code]`` is that value's
-    length.  A write patches one code;
-    a value never seen before is appended, so a code always names the
-    same string and the memo, keyed by code, survives writes.
+    Nothing here depends on a relation: :attr:`values` is a grow-only
+    list of rendered values, so a code (an index into it) always names
+    the same string, and ``lengths[code]`` is its length.  Relations of
+    any size and any number of runs read the same memo through their own
+    :class:`_StringCodec` codes.
 
-    The memo holds one row per target code.  Cell ``code`` is the edit
-    distance from the target to ``values[code]``, clamped at
+    :attr:`rows` holds one memo row per target code.  Cell ``code`` is
+    the edit distance from the target to ``values[code]``, clamped at
     ``limit + 1``, or ``_UNKNOWN`` until computed.  One extra last cell
     holds ``_ABSENT``, so a gather through a MISSING code (``-1``)
     reads it.  The clamp bounds every cell, so the smallest signed
     integer type holding ``-(limit + 2)`` holds them exactly (int8 for
-    the thresholds RFDs use); without a limit, int32.  ``_decode`` maps
-    a cell value to its float distance, and ``_ABSENT`` (index ``-1``)
-    to ``NaN``.
+    the thresholds RFDs use); without a limit, int32.  :attr:`decode`
+    maps a cell value to its float distance, and ``_ABSENT`` (index
+    ``-1``) to ``NaN``.
+
+    Writes (interning, growing a row, writing filled cells) hold the
+    memo's lock; a gather, and :meth:`fill`'s edit-distance kernel call,
+    run without it.  That is safe because cells only ever go from
+    ``_UNKNOWN`` to their final value, a grown row is a new array
+    holding every cell of the old one, and :meth:`fill` widens the
+    decode table before it writes the cells that need the wider table.
+    :attr:`nbytes` tracks what the memo holds; ``grown`` is called after
+    every write that adds to it, so the pool can keep its byte budget.
     """
 
     __slots__ = (
-        "codes", "present", "values", "lengths", "limit", "hits",
-        "computed", "blocked", "_index", "_memo", "_dtype", "_decode",
+        "limit", "values", "lengths", "rows", "decode", "nbytes",
+        "_index", "_dtype", "_lock", "_grown",
     )
 
-    def __init__(self, column: list[Any], limit: int | None) -> None:
+    def __init__(
+        self, limit: int | None, grown: Callable[[], None]
+    ) -> None:
+        self.limit = limit
         self.values: list[str] = []
         self._index: dict[str, int] = {}
-        self.codes = np.array(
-            [self._intern(value) for value in column], dtype=np.int64
-        )
-        self.present = self.codes >= 0
-        self.lengths = np.fromiter(
-            map(len, self.values), dtype=np.int64, count=len(self.values)
-        )
-        self.limit = limit
-        self.hits = 0
-        self.computed = 0
-        self.blocked = 0
-        self._memo: dict[int, np.ndarray] = {}
+        self.lengths = np.zeros(0, dtype=np.int64)
+        self.rows: dict[int, np.ndarray] = {}
+        self.decode = np.array([0.0, np.nan, np.nan])
+        self.nbytes = 0
         self._dtype = (
             np.int32 if limit is None else np.min_scalar_type(-limit - 2)
         )
-        self._decode = np.array([0.0, np.nan, np.nan])
+        self._lock = threading.Lock()
+        self._grown = grown
+
+    def codes(self, column: list[Any]) -> np.ndarray:
+        """The codes of ``column`` (``-1`` for MISSING), interning the
+        values never seen before."""
+        with self._lock:
+            known = len(self.values)
+            codes = np.array(
+                [self._intern(value) for value in column], dtype=np.int64
+            )
+            self._measure(known)
+        self._grown()
+        return codes
+
+    def code(self, value: Any) -> int:
+        """The code of one value; a known value takes no lock."""
+        if value is MISSING:
+            return -1
+        code = self._index.get(str(value))
+        if code is not None:
+            return code
+        with self._lock:
+            known = len(self.values)
+            code = self._intern(value)
+            self._measure(known)
+        self._grown()
+        return code
 
     def _intern(self, value: Any) -> int:
         if value is MISSING:
@@ -137,12 +211,204 @@ class _StringCodec:
             self.values.append(text)
         return code
 
+    def _measure(self, known: int) -> None:
+        """Record the lengths of the values interned past ``known``.
+
+        The lengths array grows by doubling, so a run of single new
+        values costs amortized constant time, not a copy each.
+        """
+        count = len(self.values)
+        if count == known:
+            return
+        lengths = self.lengths
+        if count > lengths.size:
+            lengths = np.zeros(max(count, 2 * lengths.size), np.int64)
+            lengths[:known] = self.lengths[:known]
+        new = self.values[known:]
+        lengths[known:count] = np.fromiter(
+            map(len, new), dtype=np.int64, count=count - known
+        )
+        self.nbytes += (
+            lengths.nbytes - self.lengths.nbytes
+            + sum(map(sys.getsizeof, new)) + _ENTRY_BYTES * len(new)
+        )
+        self.lengths = lengths
+
+    def row(self, target: int, size: int) -> tuple[np.ndarray, bool]:
+        """The target's memo row with more than ``size`` cells, and
+        whether this call made it.
+
+        The row is sized to the distinct values; a new one starts with
+        the target's distance to itself, zero.
+        """
+        with self._lock:
+            row = self.rows.get(target)
+            if row is not None and row.size > size:
+                return row, False
+            grown = np.full(
+                len(self.values) + 1, _UNKNOWN, dtype=self._dtype
+            )
+            if row is None:
+                grown[target] = 0
+            else:
+                grown[:row.size - 1] = row[:-1]
+                self.nbytes -= row.nbytes
+            grown[-1] = _ABSENT
+            self.rows[target] = grown
+            self.nbytes += grown.nbytes
+        self._grown()
+        return grown, row is None
+
+    def fill(
+        self, target: int, row: np.ndarray, need: np.ndarray
+    ) -> tuple[np.ndarray, int, int]:
+        """Memoize the distances from ``values[target]`` to the values
+        of the distinct codes ``need``, given the target's memo ``row``
+        as last read; returns the target's current row and how many
+        distances the kernel computed and the length filter settled.
+
+        Cells the row already holds are skipped.  Codes too far in
+        length are settled at ``limit + 1`` without a kernel call; the
+        rest go through one batched call, outside the lock, so runs
+        filling the same attribute compute side by side (two of them
+        may compute one cell twice, and write the same distance).
+        Without a limit the longest string is the clamp, which no
+        distance exceeds: the result is exact.
+        """
+        need = need[row[need] == _UNKNOWN]
+        if not need.size:
+            return row, 0, 0
+        lengths = self.lengths
+        target_length = lengths[target]
+        lengths = lengths[need]
+        limit = self.limit
+        if limit is None:
+            limit = int(max(target_length, lengths.max()))
+        far = np.abs(lengths - target_length) > limit
+        near = need[~far]
+        top = limit + 1 if far.any() else 0
+        if near.size:
+            values = self.values
+            distances = levenshtein_bounded_many(
+                [values[target]] * near.size,
+                [values[code] for code in near],
+                limit,
+            )
+            top = max(top, int(distances.max()))
+        with self._lock:
+            if top > self.decode.size - 3:
+                self.decode = np.append(
+                    np.arange(top + 1, dtype=np.float64), [np.nan, np.nan]
+                )
+            row = self.rows[target]
+            row[need[far]] = limit + 1
+            if near.size:
+                row[near] = distances
+        return row, int(near.size), int(need.size - near.size)
+
+
+class DistanceMemoPool:
+    """The string-distance memos of one owner, one per (attribute,
+    clamp limit), under one byte budget.
+
+    An owner is whatever outlives a single run and wants the edit
+    distances of its earlier runs: a service engine across its requests
+    and sessions, or one library session across its rounds.  A
+    :class:`DonorScanKernels` built without a pool makes a private one,
+    so its memo lives exactly as long as the run.
+
+    A memo answers the same distances whoever filled it, so sharing one
+    never changes an answer.  Two rules bound what sharing costs:
+
+    * a run whose column has ``n`` rows gets a fresh memo instead of one
+      holding more than ``max(_CELLS_PER_ROW * n, _MIN_ROW_CELLS)``
+      values, so its memo rows stay within a constant factor of its own
+      relation, however many instances the pool has seen;
+    * whenever a memo grows and the memos together hold more than
+      :data:`MEMO_POOL_BYTES`, the pool forgets the least recently
+      handed-out ones (the growing one too, if need be) until they fit.
+
+    A run already holding a forgotten or replaced memo keeps using it
+    until the run ends; the next run starts a fresh one.
+    """
+
+    def __init__(self) -> None:
+        self._memos: OrderedDict[tuple[str, int | None], _ValueMemo] = (
+            OrderedDict()
+        )
+        self._lock = threading.Lock()
+
+    def memo(
+        self, attribute: str, limit: int | None, rows: int
+    ) -> _ValueMemo:
+        """The memo for ``attribute`` under clamp ``limit``, for a run
+        over a column of ``rows`` rows."""
+        key = (attribute, limit)
+        cap = max(_CELLS_PER_ROW * rows, _MIN_ROW_CELLS)
+        with self._lock:
+            memos = self._memos
+            memo = memos.get(key)
+            if memo is None or len(memo.values) > cap:
+                memo = memos[key] = _ValueMemo(limit, self._fit)
+            memos.move_to_end(key)
+            return memo
+
+    def _fit(self) -> None:
+        """Forget the least recently handed-out memos until the pool is
+        within :data:`MEMO_POOL_BYTES`."""
+        if self.nbytes <= MEMO_POOL_BYTES:
+            return
+        with self._lock:
+            memos = self._memos
+            total = self.nbytes
+            while memos and total > MEMO_POOL_BYTES:
+                total -= memos.popitem(last=False)[1].nbytes
+
+    @property
+    def nbytes(self) -> int:
+        """The bytes the pool's memos hold now (an estimate: array
+        sizes plus the interned strings and their index entries)."""
+        return sum(memo.nbytes for memo in list(self._memos.values()))
+
+
+class _StringCodec:
+    """String column as int codes into its attribute's value memo.
+
+    The per-relation part of the string kernel: ``codes[row]`` indexes
+    ``memo.values`` (``-1`` marks MISSING, and ``present`` is
+    ``codes >= 0``).  A write patches one code, interning a value never
+    seen before, so a code always names the same string and the memo,
+    keyed by code, survives writes.  ``known`` bounds the codes from
+    above: a memo row must hold more cells than that before a gather
+    reads it.
+
+    The counters are this run's work only, however long the memo
+    lives: ``hits`` gathered cells the memo already held, ``computed``
+    and ``blocked`` the cells this run filled by the kernel and by the
+    length filter, ``rows_made`` the memo rows this run created.
+    """
+
+    __slots__ = (
+        "codes", "present", "memo", "known", "hits", "computed",
+        "blocked", "rows_made",
+    )
+
+    def __init__(self, column: list[Any], memo: _ValueMemo) -> None:
+        self.memo = memo
+        self.codes = memo.codes(column)
+        self.present = self.codes >= 0
+        self.known = int(self.codes.max()) + 1 if self.codes.size else 0
+        self.hits = 0
+        self.computed = 0
+        self.blocked = 0
+        self.rows_made = 0
+
     def update(self, row: int, value: Any) -> None:
-        known = len(self.values)
-        self.codes[row] = self._intern(value)
-        self.present[row] = value is not MISSING
-        if len(self.values) > known:
-            self.lengths = np.append(self.lengths, len(self.values[-1]))
+        code = self.memo.code(value)
+        self.codes[row] = code
+        self.present[row] = code >= 0
+        if code >= self.known:
+            self.known = code + 1
 
     def gather(self, target_row: int, codes: np.ndarray) -> np.ndarray:
         """Distances from the value at ``target_row`` to the cells whose
@@ -151,61 +417,23 @@ class _StringCodec:
         target = int(self.codes[target_row])
         if target < 0:
             return np.full(codes.shape, np.nan)
-        row = self._memo.get(target)
-        if row is None or row.size <= len(self.values):
-            row = self._grow(target, row)
+        memo = self.memo
+        row = memo.rows.get(target)
+        if row is None or row.size <= self.known:
+            row, made = memo.row(target, self.known)
+            self.rows_made += made
         found = row[codes]
         if found.size and found.min() == _UNKNOWN:
             unknown = found == _UNKNOWN
-            self._fill(target, row, np.unique(codes[unknown]))
+            row, computed, blocked = memo.fill(
+                target, row, np.unique(codes[unknown])
+            )
+            self.computed += computed
+            self.blocked += blocked
             found = row[codes]
             self.hits -= int(np.count_nonzero(unknown))
         self.hits += found.size
-        return self._decode[found]
-
-    def _grow(self, target: int, row: np.ndarray | None) -> np.ndarray:
-        """The target's memo row, sized to the distinct values.  A new
-        row starts with the target's distance to itself, zero."""
-        grown = np.full(len(self.values) + 1, _UNKNOWN, dtype=self._dtype)
-        if row is None:
-            grown[target] = 0
-        else:
-            grown[:row.size - 1] = row[:-1]
-        grown[-1] = _ABSENT
-        self._memo[target] = grown
-        return grown
-
-    def _fill(self, target: int, row: np.ndarray, need: np.ndarray) -> None:
-        """Memoize the distances from ``values[target]`` to the values
-        of the distinct codes ``need``.
-
-        Codes too far in length are settled at ``limit + 1`` without a
-        kernel call; the rest go through one batched call.  Without a
-        limit the longest string is the clamp, which no distance
-        exceeds: the result is exact.
-        """
-        lengths = self.lengths[need]
-        target_length = self.lengths[target]
-        limit = self.limit
-        if limit is None:
-            limit = int(max(target_length, lengths.max()))
-        far = np.abs(lengths - target_length) > limit
-        row[need[far]] = limit + 1
-        near = need[~far]
-        if near.size:
-            values = self.values
-            row[near] = levenshtein_bounded_many(
-                [values[target]] * near.size,
-                [values[code] for code in near],
-                limit,
-            )
-        self.computed += near.size
-        self.blocked += need.size - near.size
-        top = int(row[need].max())
-        if top > self._decode.size - 3:
-            self._decode = np.append(
-                np.arange(top + 1, dtype=np.float64), [np.nan, np.nan]
-            )
+        return memo.decode[found]
 
 
 class _GenericCodec:
@@ -260,6 +488,11 @@ class DonorScanKernels:
     overrides:
         Distance functions for attributes that must not use the paper's
         default kernels; these take the generic per-row path.
+    memo_pool:
+        The :class:`DistanceMemoPool` the string memos come from: the
+        owner's, so this run starts from the distances earlier runs
+        computed.  Without one the kernels make a private pool, whose
+        memos end with the run.
     """
 
     def __init__(
@@ -268,8 +501,10 @@ class DonorScanKernels:
         *,
         string_limits: Mapping[str, float] | None = None,
         overrides: Mapping[str, DistanceFunction] | None = None,
+        memo_pool: DistanceMemoPool | None = None,
     ) -> None:
         self._relation = relation
+        self._pool = DistanceMemoPool() if memo_pool is None else memo_pool
         self._overrides = dict(overrides or {})
         unknown = set(self._overrides) - set(relation.attribute_names)
         if unknown:
@@ -408,18 +643,21 @@ class DonorScanKernels:
         }
 
     def cache_report(self) -> dict[str, tuple[int, int, int]]:
-        """Per-attribute ``(hits, misses, size)`` of the string memos —
-        the kernel counterpart of ``PatternCalculator.cache_report``.
+        """Per-attribute ``(hits, misses, size)`` of this run's string
+        memo reads — the kernel counterpart of
+        ``PatternCalculator.cache_report``.
 
         ``hits`` counts the gathered cells the memo already held (a
         MISSING side reads the sentinel cell), ``misses`` the distances
         the edit-distance kernel computed and ``size`` the memo cells
-        filled: the computed ones, those settled at ``limit + 1`` by the
-        length filter and each row's zero distance to its own target.
+        this run filled: the computed ones, those settled at
+        ``limit + 1`` by the length filter and each new row's zero
+        distance to its own target.  A memo shared with earlier runs
+        counts none of their work.
         """
         return {
             name: (codec.hits, codec.computed,
-                   codec.computed + codec.blocked + len(codec._memo))
+                   codec.computed + codec.blocked + codec.rows_made)
             for name, codec in self._string_codecs().items()
         }
 
@@ -439,7 +677,9 @@ class DonorScanKernels:
         elif attribute.type is AttributeType.BOOLEAN:
             codec = _NumericCodec(column, lambda value: float(bool(value)))
         else:
-            codec = _StringCodec(column, self._string_limits.get(name))
+            codec = _StringCodec(column, self._pool.memo(
+                name, self._string_limits.get(name), len(column)
+            ))
         self._codecs[name] = codec
         return codec
 

@@ -35,6 +35,7 @@ from repro.core.report import ImputationReport
 from repro.dataset.missing import is_missing
 from repro.dataset.relation import Relation
 from repro.discovery.incremental import IncrementalDiscovery, MaintenanceReport
+from repro.distance.kernels import DistanceMemoPool
 from repro.exceptions import ImputationError
 from repro.index.plan import IndexPlan
 from repro.rfd.rfd import RFD
@@ -60,6 +61,11 @@ class ImputationSession:
         the batch into it and swaps its maintained set in; an empty
         maintained set keeps the previous RFDs (a round needs at least
         one).
+    memo_pool:
+        The :class:`~repro.distance.kernels.DistanceMemoPool` every
+        round's string memos come from: a service engine passes its
+        own; without one the session owns a pool, so a round starts
+        from the edit distances earlier rounds computed.
     """
 
     def __init__(
@@ -69,6 +75,7 @@ class ImputationSession:
         config: RenuverConfig | None = None,
         *,
         maintainer: IncrementalDiscovery | None = None,
+        memo_pool: DistanceMemoPool | None = None,
     ) -> None:
         rfds = list(rfds)
         self._relation = schema.copy(name=f"{schema.name}@session")
@@ -80,7 +87,15 @@ class ImputationSession:
         # is large enough for blocking to engage.
         self._index_plan = IndexPlan(self._relation, rfds)
         self._index_plan.attach()
-        self._engine = Renuver(rfds, config, index_plan=self._index_plan)
+        self._memo_pool = (
+            DistanceMemoPool() if memo_pool is None else memo_pool
+        )
+        self._engine = Renuver(
+            rfds,
+            config,
+            index_plan=self._index_plan,
+            memo_pool=self._memo_pool,
+        )
         self.maintainer = maintainer
         #: What maintenance did to the RFD set on the last append
         #: (``None`` without a maintainer or for an empty batch).
@@ -139,6 +154,7 @@ class ImputationSession:
                     self._engine.config,
                     telemetry=self._engine.telemetry,
                     index_plan=self._index_plan,
+                    memo_pool=self._memo_pool,
                 )
             else:
                 logger.warning(

@@ -339,7 +339,12 @@ class Pipeline:
             base = self._load_base(state.store)
         except PipelineError:
             return "store_integrity", None
-        cached = self.artifacts.load_discovery(base, self.config.discovery)
+        # ``_load_base`` verified the base against this fingerprint (or
+        # the commit that wrote the version computed it from the bytes).
+        cached = self.artifacts.load_discovery(
+            base, self.config.discovery,
+            fingerprint=state.store.fingerprint,
+        )
         if cached is None:
             return "discovery_cache_miss", None
         return None, cached
@@ -689,6 +694,7 @@ class Pipeline:
                 n_pairs=rfds.n_pairs,
                 exact=False,
             ),
+            fingerprint=committed.fingerprint,
         )
 
         unresolved = tuple(

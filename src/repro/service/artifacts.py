@@ -102,15 +102,22 @@ class ArtifactStore:
     # Discovery results
     # ------------------------------------------------------------------
     def load_discovery(
-        self, relation: Relation, config: DiscoveryConfig
+        self,
+        relation: Relation,
+        config: DiscoveryConfig,
+        *,
+        fingerprint: str | None = None,
     ) -> DiscoveryResult | None:
         """The cached discovery result for ``(relation, config)``.
 
         Returns ``None`` on any miss — including a corrupt or
         incompatible artifact — so the caller simply recomputes.
+        ``fingerprint`` is ``relation``'s fingerprint when the caller
+        already verified it; it spares hashing the relation again.
         """
         return self._load(
-            "discovery", *self._discovery_key(relation, config),
+            "discovery",
+            *self._discovery_key(relation, config, fingerprint),
             DiscoveryResult.from_json,
         )
 
@@ -119,12 +126,15 @@ class ArtifactStore:
         relation: Relation,
         config: DiscoveryConfig,
         result: DiscoveryResult,
+        *,
+        fingerprint: str | None = None,
     ) -> Path | None:
         """Persist a discovery result; returns the artifact path, or
-        ``None`` when the write failed (counted as a miss)."""
+        ``None`` when the write failed (counted as a miss).
+        ``fingerprint`` is as for :meth:`load_discovery`."""
         return self._save(
             "discovery",
-            *self._discovery_key(relation, config),
+            *self._discovery_key(relation, config, fingerprint),
             result.to_json(),
         )
 
@@ -142,14 +152,18 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     @staticmethod
     def _discovery_key(
-        relation: Relation, config: DiscoveryConfig
+        relation: Relation,
+        config: DiscoveryConfig,
+        fingerprint: str | None = None,
     ) -> tuple[str, str]:
         from dataclasses import asdict
 
         payload = asdict(config)
         if payload.get("attribute_limits") is not None:
             payload["attribute_limits"] = dict(payload["attribute_limits"])
-        return relation_fingerprint(relation), payload_fingerprint(payload)
+        if fingerprint is None:
+            fingerprint = relation_fingerprint(relation)
+        return fingerprint, payload_fingerprint(payload)
 
     def path_for(self, kind: str, fingerprint: str, key: str) -> Path:
         """Where the artifact for ``(kind, fingerprint, key)`` lives."""

@@ -33,6 +33,7 @@ from repro.dataset.relation import Relation
 from repro.discovery.config import DiscoveryConfig
 from repro.discovery.dime import DiscoveryResult, discover_rfds
 from repro.discovery.incremental import IncrementalDiscovery
+from repro.distance.kernels import DistanceMemoPool
 from repro.exceptions import ImputationError, ServiceError
 from repro.extensions.incremental import ImputationSession
 from repro.rfd.rfd import RFD
@@ -154,6 +155,10 @@ class PreparedEngine:
         self.store = store
         if store is not None and store.telemetry is NULL_TELEMETRY:
             store.telemetry = self.telemetry
+        #: The string-distance memos of every one-shot and session this
+        #: engine serves: a request starts from the edit distances
+        #: earlier requests computed (docs/SERVICE.md).
+        self.memo_pool = DistanceMemoPool()
 
     # ------------------------------------------------------------------
     def request_telemetry(self) -> Telemetry:
@@ -221,7 +226,10 @@ class PreparedEngine:
         )
         config = self._request_config(overrides, budget_seconds)
         engine = Renuver(
-            prepared, config, telemetry=telemetry or self.telemetry
+            prepared,
+            config,
+            telemetry=telemetry or self.telemetry,
+            memo_pool=self.memo_pool,
         )
         return engine.impute(relation), source
 
@@ -284,12 +292,14 @@ class PreparedEngine:
                 relation,
                 discovery or self.config.discovery,
                 initial=result,
+                memo_pool=self.memo_pool,
             )
         return ImputationSession(
             relation,
             rfds,
             self._request_config(overrides, budget_seconds),
             maintainer=maintainer,
+            memo_pool=self.memo_pool,
         )
 
     # ------------------------------------------------------------------

@@ -9,7 +9,11 @@ writes, and the length-blocking string kernels.
 
 from __future__ import annotations
 
+import random
+import sys
+import threading
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +33,8 @@ from repro.core.selection import (
 )
 from repro.core.verification import relevant_rfds
 from repro.dataset import MISSING, Attribute, Relation
-from repro.distance.kernels import DonorScanKernels
+from repro.distance import kernels as kernels_module
+from repro.distance.kernels import DistanceMemoPool, DonorScanKernels
 from repro.distance.levenshtein import levenshtein, levenshtein_bounded
 from repro.distance.pattern import PatternCalculator
 from repro.evaluation.injection import inject_missing
@@ -250,6 +255,243 @@ class TestCacheReport:
         kernels = DonorScanKernels(restaurant_sample)
         kernels.vector(0, "Class")
         assert kernels.cache_report() == {}
+
+
+def _column_strategy(max_size):
+    return st.lists(
+        st.one_of(st.just(MISSING), _STRINGS), min_size=1, max_size=max_size
+    )
+
+
+def _shared_memo_sequence(data, pool):
+    """Two relations read one pool through their own kernels, each
+    under its own clamp limit; writes intern new values, and fresh
+    kernels (a new run) join mid-way.  Every gather of every run must
+    equal the per-pair oracle."""
+    limits = [
+        data.draw(st.sampled_from([None, 0, 1, 2, 3, 4, 5, 6]))
+        for _ in range(2)
+    ]
+    columns = [data.draw(_column_strategy(8)) for _ in range(2)]
+    relations = [
+        Relation([Attribute("S")], {"S": list(column)}, name=f"r{index}")
+        for index, column in enumerate(columns)
+    ]
+
+    def run(index):
+        limit = limits[index]
+        kernels = DonorScanKernels(
+            relations[index],
+            string_limits=None if limit is None else {"S": limit},
+            memo_pool=pool,
+        )
+        kernels.attach()
+        return kernels
+
+    runs = [run(index) for index in range(2)]
+    try:
+        for step in range(data.draw(st.integers(0, 6)) + 1):
+            written = data.draw(st.integers(0, 1))
+            if step:
+                row, value = _draw_write(data, columns[written], step)
+                relations[written].set_value(row, "S", value)
+                columns[written][row] = value
+            if data.draw(st.booleans()):
+                runs[written].close()
+                runs[written] = run(written)
+            for kernels, column, limit in zip(runs, columns, limits):
+                n = len(column)
+                for target in range(n):
+                    rows = np.array(sorted(data.draw(
+                        st.sets(st.integers(0, n - 1), max_size=n)
+                    )), dtype=np.int64)
+                    subset = kernels.subset_vector(target, "S", rows)
+                    full = kernels.vector(target, "S")
+                    np.testing.assert_array_equal(
+                        full, _oracle_vector(column, target, limit)
+                    )
+                    assert subset.tobytes() == full[rows].tobytes()
+    finally:
+        for kernels in runs:
+            kernels.close()
+
+
+class TestSharedMemoOracle:
+    """One :class:`DistanceMemoPool` under many runs over different
+    relations answers what a private memo answers."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_runs_sharing_one_pool_match_oracle(self, data):
+        _shared_memo_sequence(data, DistanceMemoPool())
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_eviction_mid_sequence_matches_oracle(self, data):
+        budget = data.draw(st.sampled_from([0, 64, 512, 2048]))
+        with mock.patch.object(kernels_module, "MEMO_POOL_BYTES", budget):
+            _shared_memo_sequence(data, DistanceMemoPool())
+
+    def test_later_runs_reuse_and_eviction_forgets(self):
+        column = ["abc", "abd", "abcd", MISSING, "zzzzzzzz"]
+
+        def distances_computed(pool):
+            relation = Relation([Attribute("S")], {"S": list(column)})
+            kernels = DonorScanKernels(
+                relation, string_limits={"S": 1}, memo_pool=pool
+            )
+            for target in range(len(column)):
+                kernels.vector(target, "S")
+            return kernels.counters["levenshtein_dp_calls"], kernels
+
+        pool = DistanceMemoPool()
+        first, _ = distances_computed(pool)
+        assert first > 0
+        assert pool.nbytes > 0
+        # A second run over another relation with the same values
+        # computes nothing, and reports only its own (empty) work.
+        again, kernels = distances_computed(pool)
+        assert again == 0
+        assert all(
+            (misses, size) == (0, 0)
+            for _, misses, size in kernels.cache_report().values()
+        )
+        with mock.patch.object(kernels_module, "MEMO_POOL_BYTES", 0):
+            # Over budget: the holder's first growth forgets the memo,
+            # so the next run starts from nothing — yet the holder
+            # keeps reading the forgotten memo correctly.
+            relation = Relation([Attribute("S")], {"S": ["abc", "abe"]})
+            holder = DonorScanKernels(
+                relation, string_limits={"S": 1}, memo_pool=pool
+            )
+            holder.attach()
+            holder.vector(0, "S")
+            evicted, _ = distances_computed(pool)
+            assert evicted == first
+            relation.set_value(1, "S", "abf")
+            np.testing.assert_array_equal(
+                holder.vector(0, "S"), [0.0, 1.0]
+            )
+            holder.close()
+
+
+class TestSharedMemoBounds:
+    """What one run pays for sharing stays bounded by its own column,
+    and what the pool keeps by :data:`MEMO_POOL_BYTES`."""
+
+    @staticmethod
+    def _run(pool, column, limit=2):
+        relation = Relation([Attribute("S")], {"S": list(column)})
+        kernels = DonorScanKernels(
+            relation, string_limits={"S": limit}, memo_pool=pool
+        )
+        for target in range(len(column)):
+            np.testing.assert_array_equal(
+                kernels.vector(target, "S"),
+                _oracle_vector(column, target, limit),
+            )
+        return kernels._codecs["S"].memo
+
+    def test_a_small_run_is_not_handed_a_wide_memo(self, monkeypatch):
+        monkeypatch.setattr(kernels_module, "_MIN_ROW_CELLS", 0)
+        pool = DistanceMemoPool()
+        wide = self._run(pool, [f"v{index}" for index in range(40)])
+        assert len(wide.values) == 40
+        # Five rows may read a memo of up to 40 values: shared.
+        assert self._run(pool, ["v1", "v2", "x", "v3", "y"]) is wide
+        # Four rows may not read one of 42: a fresh memo, whose rows
+        # are as wide as this run's own values.
+        small = self._run(pool, ["v1", "z", MISSING, "v1"])
+        assert small is not wide
+        assert small.values == ["v1", "z"]
+        assert {row.size for row in small.rows.values()} == {3}
+        # The fresh memo is the one later runs share.
+        assert self._run(pool, ["z", "v1"]) is small
+
+    def test_every_growth_keeps_the_pool_within_budget(self, monkeypatch):
+        # 200 values fit the budget; their 200 memo rows do not.
+        budget = 48 * 2**10
+        monkeypatch.setattr(kernels_module, "MEMO_POOL_BYTES", budget)
+        pool = DistanceMemoPool()
+        seen = []
+        row = kernels_module._ValueMemo.row
+
+        def recording(memo, target, size):
+            answer = row(memo, target, size)
+            seen.append(pool.nbytes)
+            return answer
+
+        monkeypatch.setattr(kernels_module._ValueMemo, "row", recording)
+        self._run(pool, [f"value-{index}" for index in range(200)])
+        assert len(seen) == 200
+        assert budget // 2 < max(seen) <= budget
+        assert pool.nbytes <= budget
+
+
+class TestSharedMemoThreads:
+    def test_threads_sharing_one_pool_stay_consistent(self):
+        """More threads than cores, switching as often as the
+        interpreter allows, each write the same new value into their own
+        relation at the same step, then gather over the one shared memo.
+        Every vector must match the oracle, and a lost update while
+        interning would leave a value twice in the memo or a wrong
+        length beside it."""
+        pool = DistanceMemoPool()
+        words = ["", "a", "ab", "abc", "bca", "cab", "abcab", "ccc"]
+        steps = 60
+        barrier = threading.Barrier(6)
+        errors: list = []
+
+        def worker(seed):
+            try:
+                local = random.Random(seed)
+                column = [local.choice(words) for _ in range(8)]
+                relation = Relation([Attribute("S")], {"S": list(column)})
+                kernels = DonorScanKernels(
+                    relation, string_limits={"S": 2}, memo_pool=pool
+                )
+                kernels.attach()
+                for step in range(steps):
+                    row = local.randrange(len(column))
+                    value = f"{words[step % len(words)]}{step}"
+                    barrier.wait(timeout=60)
+                    relation.set_value(row, "S", value)
+                    column[row] = value
+                    for target in range(len(column)):
+                        expected = _oracle_vector(column, target, 2)
+                        if not np.array_equal(
+                            kernels.vector(target, "S"), expected,
+                            equal_nan=True,
+                        ):
+                            errors.append((seed, step, target))
+                kernels.close()
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+                barrier.abort()
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(seed,))
+                for seed in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[:5]
+        memo = pool.memo("S", 2, rows=8)
+        values = memo.values
+        assert len(set(values)) == len(values) == len(memo._index)
+        assert all(memo._index[value] == code
+                   for code, value in enumerate(values))
+        assert memo.lengths[:len(values)].tolist() == [
+            len(value) for value in values
+        ]
 
 
 class TestDirtyCellHook:

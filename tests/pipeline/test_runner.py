@@ -231,7 +231,7 @@ class TestDerivedOnce:
         assert calls["Relation.append_rows"] == 1
         assert calls["ArtifactStore.load_discovery"] == 1
         assert calls["Relation.copy"] <= 2
-        assert calls["relation_fingerprint"] <= 6
+        assert calls["relation_fingerprint"] <= 4
 
     def test_resumed_incr_run_looks_up_its_rfds_once(
         self, root, ingest, calls
