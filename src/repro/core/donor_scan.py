@@ -60,7 +60,6 @@ from repro.core.verification import (
 from repro.dataset.relation import Relation
 from repro.distance.base import DistanceFunction
 from repro.distance.kernels import DistanceMemoPool, DonorScanKernels
-from repro.distance.levenshtein import BOUNDED_STATS
 from repro.distance.pattern import DistancePattern, PatternCalculator
 from repro.rfd.keyness import (
     _check_scope,  # noqa: SLF001 - shared scope validation
@@ -123,11 +122,6 @@ class KernelCallSeam:
         #: Seam entries per operation since construction.
         self.op_counts: dict[str, int] = {}
         self._op_counters: dict[str, object] = {}
-        # Baseline for the bounded-Levenshtein deltas of counters().
-        # The totals are process-wide, so concurrent engines in one
-        # process each see the sum of everyone's calls since their own
-        # construction — exact for the sequential runs that read them.
-        self._bounded_baseline = BOUNDED_STATS.snapshot()
 
     def add_kernel_hook(
         self, hook: Callable[[str, int, str], None]
@@ -183,19 +177,12 @@ class KernelCallSeam:
         One code path for both engines: the seam's per-operation call
         counts (``calls_<op>``) merged with whatever engine-specific
         counters :meth:`_engine_counters` contributes (vector builds,
-        cache hits, DP-blocking stats for the vectorized engine), plus
-        the bounded-Levenshtein deltas since this seam was built —
-        ``levenshtein_bounded_calls`` and ``levenshtein_length_filtered``
-        (calls the length filter settled before any DP row allocation).
+        cache hits, DP-blocking stats for the vectorized engine).
         """
         merged = {
             f"calls_{op}": count
             for op, count in sorted(self.op_counts.items())
         }
-        calls, filtered = BOUNDED_STATS.snapshot()
-        base_calls, base_filtered = self._bounded_baseline
-        merged["levenshtein_bounded_calls"] = calls - base_calls
-        merged["levenshtein_length_filtered"] = filtered - base_filtered
         merged.update(self._engine_counters())
         return merged
 

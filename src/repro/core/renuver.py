@@ -565,7 +565,9 @@ class Renuver:
                 except BudgetExceededError as exc:
                     # Record with cell context, then let impute() settle
                     # the run (partial result or raise, per on_budget).
-                    self._record_budget_event(state, exc, row, attribute)
+                    self._record_budget_event(
+                        state.report, state.writer, exc, row, attribute
+                    )
                     raise
                 span.set_attribute("status", outcome.status.value)
                 span.set_attribute(
@@ -621,7 +623,9 @@ class Renuver:
                 self._restore_cell(state, row, attribute)
                 if exc.scope != "cell" or config.fallback == "raise":
                     raise
-                self._record_budget_event(state, exc, row, attribute)
+                self._record_budget_event(
+                    state.report, state.writer, exc, row, attribute
+                )
                 last_reason = f"cell deadline: {exc}"
                 self._record_degradation(
                     state, row, attribute, tier_name,
@@ -857,11 +861,14 @@ class Renuver:
 
     def _record_budget_event(
         self,
-        state: _RunState,
+        report: ImputationReport,
+        writer: object | None,
         exc: BudgetExceededError,
-        row: int,
-        attribute: str,
+        row: int | None = None,
+        attribute: str | None = None,
     ) -> None:
+        """Report, journal, trace, count and log one budget overrun —
+        at a cell, or (``row`` None) before the first cell."""
         event = BudgetEvent(
             scope=exc.scope,
             kind=exc.kind,
@@ -871,28 +878,25 @@ class Renuver:
             row=row,
             attribute=attribute,
         )
-        state.report.budget_events.append(event)
-        if state.writer is not None:
-            state.writer.record_budget(event)
+        report.budget_events.append(event)
+        if writer is not None:
+            writer.record_budget(event)
+        cell = {} if row is None else {"row": row, "attribute": attribute}
         self.telemetry.tracer.event(
-            "budget_exceeded",
-            scope=event.scope,
-            kind=event.kind,
-            row=row,
-            attribute=attribute,
+            "budget_exceeded", scope=event.scope, kind=event.kind, **cell
         )
-        self._count_budget_event(event)
-        logger.warning(
-            "budget exceeded at cell (%d, %s): %s", row, attribute, exc
-        )
-
-    def _count_budget_event(self, event: BudgetEvent) -> None:
         self.telemetry.metrics.counter(
             "renuver_budget_events_total",
             "Budget overruns, by scope and kind.",
             scope=event.scope,
             kind=event.kind,
         ).inc()
+        if row is None:
+            logger.warning("budget exceeded before first cell: %s", exc)
+        else:
+            logger.warning(
+                "budget exceeded at cell (%d, %s): %s", row, attribute, exc
+            )
 
     def _settle_budget_overrun(
         self,
@@ -922,21 +926,7 @@ class Renuver:
             for outcome in replayed:
                 report.add(outcome)
             report.replayed_count = len(replayed)
-            event = BudgetEvent(
-                scope=exc.scope,
-                kind=exc.kind,
-                context=str(exc),
-                elapsed_seconds=exc.elapsed_seconds,
-                peak_bytes=exc.peak_bytes,
-            )
-            report.budget_events.append(event)
-            if writer is not None:
-                writer.record_budget(event)
-            self.telemetry.tracer.event(
-                "budget_exceeded", scope=event.scope, kind=event.kind
-            )
-            self._count_budget_event(event)
-            logger.warning("budget exceeded before first cell: %s", exc)
+            self._record_budget_event(report, writer, exc)
         report.elapsed_seconds = timer.elapsed
         if self.config.on_budget == "partial" and exc.scope == "run":
             settled = {(o.row, o.attribute) for o in report}

@@ -6,7 +6,6 @@ One :class:`Pipeline` owns a root directory::
     <root>/pipeline.lock       single-writer lease
     <root>/store/              versioned imputed snapshots (reconcile)
     <root>/runs/<run_id>/      per-run artifacts           (runs)
-    <root>/artifacts/          fingerprint-keyed RFD cache (service)
 
 and executes runs over an append-only ingest directory in five staged
 phases — ``load``, ``discover``, ``impute``, ``artifacts``,
@@ -16,27 +15,29 @@ phases — ``load``, ``discover``, ``impute``, ``artifacts``,
 Crash model
 -----------
 A run's *only* commit point is the atomic replacement of the state
-envelope in the ``commit`` stage.  Everything before it — the journal,
-the delta CSV, even the new store snapshot file — is reconstructible
-debris: ``pipeline resume`` rebuilds the identical dirty relation from
-the persisted :class:`~repro.pipeline.state.RunRecord`, replays the
-journal prefix (fingerprint-checked), finishes the remaining cells and
-rewrites every artifact atomically.  Because the imputation driver is
+envelope in the ``commit`` stage; the envelope carries the new store
+version together with the RFD set that holds on it.  Everything before
+it — the journal, the delta CSV, even the new store snapshot file — is
+reconstructible debris: ``pipeline resume`` rebuilds the identical
+dirty relation from the persisted
+:class:`~repro.pipeline.state.RunRecord`, replays the journal prefix
+(fingerprint-checked), finishes the remaining cells and rewrites every
+artifact atomically.  Because discovery and imputation are
 deterministic, a SIGKILL at any instant followed by ``resume`` yields a
 persistent store bit-identical to an uninterrupted run's.
 
 Mode selection
 --------------
-``full``  rebuilds the store from *all* ingest files.  ``incr`` extends
-the committed store with only the new files, riding two warm paths: the
-fingerprint-keyed artifact cache supplies the store's RFD set with zero
-rediscovery, and :class:`~repro.discovery.incremental
-.IncrementalDiscovery` maintains it under the inserted rows.  ``auto``
-prefers INCR whenever its prerequisites hold.  A broken prerequisite —
-store snapshot missing or fingerprint-mismatched, watermarked ingest
-files deleted, artifact-cache miss — *degrades* the run to FULL with a
-counted reason (``renuver_pipeline_degradations_total{reason}``); it
-never crashes the pipeline.
+``full``  rebuilds the store from *all* ingest files and discovers its
+RFD set.  ``incr`` extends the committed store with only the new files:
+the RFD set committed with the store is maintained under the inserted
+rows by :class:`~repro.discovery.incremental.IncrementalDiscovery`,
+with zero rediscovery.  ``auto`` prefers INCR whenever its
+prerequisites hold.  A broken prerequisite — store snapshot missing or
+fingerprint-mismatched, watermarked ingest files deleted, no committed
+RFD set for the current discovery config — *degrades* the run to FULL
+with a counted reason (``renuver_pipeline_degradations_total{reason}``);
+it never crashes the pipeline.
 
 INCR runs additionally preseed their journal with the carried-forward
 *unresolved ledger*: cells earlier runs settled without a fill.  Replay
@@ -46,12 +47,12 @@ successive 8-row INCR runs.
 
 One derivation per input
 ------------------------
-A run parses, looks up and grows each thing once and hands it on.  The
-store snapshot is loaded once per version (and the commit that writes
-a version hands back its re-read, which primes that cache and keys the
-artifact).  The RFD set decoded at mode choice — by :meth:`Pipeline.run`
-or by resume revalidation — is the one the discover stage maintains.
-The new rows are parsed once and appended once: the maintainer's copy
+A run parses and grows each thing once and hands it on.  The store
+snapshot is loaded once per version (and the commit that writes a
+version hands back its re-read, which primes that cache).  The RFD set
+is decoded once, with the state envelope the run loaded, and is the
+one the discover stage maintains.  The new rows are parsed once and
+appended once: the maintainer's copy
 of the store, grown by :meth:`IncrementalDiscovery.insert
 <repro.discovery.incremental.IncrementalDiscovery.insert>`, is the
 relation the run imputes, while the cached snapshot stays unmutated.
@@ -59,7 +60,6 @@ relation the run imputes, while the cached snapshot stays unmutated.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -92,7 +92,6 @@ from repro.robustness.journal import (
     cell_record,
     outcome_from_record,
 )
-from repro.service.artifacts import ArtifactStore
 from repro.telemetry import Telemetry
 from repro.telemetry.logs import get_logger
 
@@ -104,6 +103,10 @@ _DEGRADATIONS = "renuver_pipeline_degradations_total"
 _HELP_DEGRADATIONS = (
     "INCR runs degraded to FULL, by broken prerequisite."
 )
+#: Committed store snapshots kept on disk (older ones are pruned).
+KEEP_STORE_VERSIONS = 2
+#: Committed run records retained in the state envelope.
+HISTORY_LIMIT = 50
 
 
 @dataclass(frozen=True)
@@ -118,10 +121,6 @@ class PipelineConfig:
     mode: str = "auto"
     lease_ttl_seconds: float = 30.0
     owner: str | None = None
-    #: Committed store snapshots kept on disk (older ones are pruned).
-    keep_store_versions: int = 2
-    #: Committed/failed run records retained in the state envelope.
-    history_limit: int = 50
 
     def __post_init__(self) -> None:
         if self.mode not in ("auto", "full", "incr"):
@@ -173,8 +172,8 @@ class Pipeline:
     Parameters
     ----------
     root:
-        The pipeline's private directory (state, lease, store, runs,
-        artifact cache); created on first use.
+        The pipeline's private directory (state, lease, store, runs);
+        created on first use.
     ingest_dir:
         The append-only directory of ``*.csv`` batches.
     config:
@@ -200,9 +199,6 @@ class Pipeline:
         self.root.mkdir(parents=True, exist_ok=True)
         self.state_store = RunStateStore(
             self.root, telemetry=self.telemetry
-        )
-        self.artifacts = ArtifactStore(
-            self.root / "artifacts", telemetry=self.telemetry
         )
         #: One store snapshot per version is enough for a whole run:
         #: mode choice, loading, and commit all read the same bytes.
@@ -236,9 +232,7 @@ class Pipeline:
                 self._count_run("noop", "noop")
                 return RunResult(run_id=None, mode="noop", outcome="noop")
 
-            mode, base_version, degraded, cached = self._choose_mode(
-                state, files
-            )
+            mode, base_version, degraded = self._choose_mode(state, files)
             record = RunRecord(
                 run_id=f"{state.runs_started + 1:06d}-{mode}",
                 mode=mode,
@@ -256,7 +250,7 @@ class Pipeline:
             # Persist the running record *before* any work: a crash
             # from here on leaves a resumable state envelope.
             self.state_store.save(state)
-            return self._execute(state, cached, resumed=False)
+            return self._execute(state, resumed=False)
 
     def resume(self) -> RunResult:
         """Finish the run the state envelope says is in flight.
@@ -272,8 +266,8 @@ class Pipeline:
             if record is None or record.status != "running":
                 self._count_run("noop", "noop")
                 return RunResult(run_id=None, mode="noop", outcome="noop")
-            state, cached = self._revalidate_for_resume(state)
-            return self._execute(state, cached, resumed=True)
+            state = self._revalidate_for_resume(state)
+            return self._execute(state, resumed=True)
 
     def status(self) -> dict[str, Any]:
         """A lease-free, read-only snapshot for ``pipeline status``."""
@@ -287,8 +281,7 @@ class Pipeline:
             "root": str(self.root),
             "runs_started": state.runs_started,
             "watermark": state.watermark.to_payload(),
-            "store": None if state.store is None
-            else state.store.to_payload(),
+            "store": _store_status(state.store),
             "in_flight": None if state.run is None
             else state.run.to_payload(),
             "unresolved_cells": len(state.unresolved),
@@ -309,45 +302,37 @@ class Pipeline:
     # ------------------------------------------------------------------
     def _choose_mode(
         self, state: PipelineState, files: Sequence[str]
-    ) -> tuple[str, int | None, str | None, DiscoveryResult | None]:
-        """``(mode, base_version, degraded_reason, cached)`` for a fresh
-        run; ``cached`` is the store's RFD set on INCR, else ``None``."""
+    ) -> tuple[str, int | None, str | None]:
+        """``(mode, base_version, degraded_reason)`` for a fresh run."""
         if self.config.mode == "full":
-            return "full", None, None, None
+            return "full", None, None
         if state.store is None:
             # Bootstrap: there is nothing to extend.  Only a *requested*
             # INCR counts as degraded; auto's first run is simply FULL.
             if self.config.mode == "incr":
-                return "full", None, self._degrade("no_store"), None
-            return "full", None, None, None
-        reason, cached = self._incr_blocker(state, files)
+                return "full", None, self._degrade("no_store")
+            return "full", None, None
+        reason = self._incr_blocker(state, files)
         if reason is None:
-            return "incr", state.store.version, None, cached
-        return "full", None, self._degrade(reason), None
+            return "incr", state.store.version, None
+        return "full", None, self._degrade(reason)
 
     def _incr_blocker(
         self, state: PipelineState, files: Sequence[str]
-    ) -> tuple[str | None, DiscoveryResult | None]:
-        """``(reason, None)`` when INCR cannot run; ``(None, cached)``
-        when it can, ``cached`` being the store's RFD set — decoded here
-        once, and the set the run's discovery stage maintains."""
+    ) -> str | None:
+        """Why INCR cannot extend ``state.store``; ``None`` when it can."""
         missing = set(state.watermark.files) - set(files)
         if missing:
-            return "watermark_mismatch", None
+            return "watermark_mismatch"
         assert state.store is not None
         try:
-            base = self._load_base(state.store)
+            self._load_base(state.store)
         except PipelineError:
-            return "store_integrity", None
-        # ``_load_base`` verified the base against this fingerprint (or
-        # the commit that wrote the version computed it from the bytes).
-        cached = self.artifacts.load_discovery(
-            base, self.config.discovery,
-            fingerprint=state.store.fingerprint,
-        )
-        if cached is None:
-            return "discovery_cache_miss", None
-        return None, cached
+            return "store_integrity"
+        committed = state.store.discovery
+        if committed is None or committed.config != self.config.discovery:
+            return "stale_rfds"
+        return None
 
     def _degrade(self, reason: str) -> str:
         self.telemetry.metrics.counter(
@@ -358,21 +343,17 @@ class Pipeline:
         )
         return reason
 
-    def _revalidate_for_resume(
-        self, state: PipelineState
-    ) -> tuple[PipelineState, DiscoveryResult | None]:
+    def _revalidate_for_resume(self, state: PipelineState) -> PipelineState:
         """Degrade a resumed INCR run whose prerequisites rotted while
-        it was down (store pruned, cache evicted, files deleted); returns
-        the state and, for a run that stays INCR, the store's RFD set."""
+        it was down (store pruned, discovery config changed, files
+        deleted)."""
         record = state.run
         assert record is not None
         if record.mode != "incr":
-            return state, None
-        reason, cached = self._incr_blocker(
-            state, scan_ingest(self.ingest_dir)
-        )
+            return state
+        reason = self._incr_blocker(state, scan_ingest(self.ingest_dir))
         if reason is None:
-            return state, cached
+            return state
         # The dirty relation changes shape under FULL, so the old
         # journal can never replay; move it aside for forensics.
         rundir = RunDirectory(self.root, record.run_id)
@@ -385,18 +366,12 @@ class Pipeline:
         )
         state = replace(state, run=record)
         self.state_store.save(state)
-        return state, None
+        return state
 
     # ------------------------------------------------------------------
     # Run execution (shared by run() and resume())
     # ------------------------------------------------------------------
-    def _execute(
-        self,
-        state: PipelineState,
-        cached: DiscoveryResult | None,
-        *,
-        resumed: bool,
-    ) -> RunResult:
+    def _execute(self, state: PipelineState, *, resumed: bool) -> RunResult:
         record = state.run
         assert record is not None
         rundir = RunDirectory(self.root, record.run_id)
@@ -411,7 +386,7 @@ class Pipeline:
                 stage = "discover"
                 with self._stage("discover", record):
                     dirty, rfds, discovered = self._discover(
-                        record, base, dirty, rows, cached
+                        state, record, base, dirty, rows
                     )
                 stage = "impute"
                 with self._stage("impute", record):
@@ -507,39 +482,33 @@ class Pipeline:
     # -- discover --------------------------------------------------------
     def _discover(
         self,
+        state: PipelineState,
         record: RunRecord,
         base: Relation | None,
         dirty: Relation | None,
         rows: list[tuple],
-        cached: DiscoveryResult | None,
     ) -> tuple[Relation, DiscoveryResult, bool]:
         """``(dirty, rfds, discovered)``: the relation the run imputes,
         its RFD set and whether batch discovery ran.
 
-        FULL discovers on the dirty relation (artifact-cached by its
-        fingerprint, so re-running an identical input is warm too).
-        INCR never discovers: the store's RFD set ``cached``, decoded at
-        mode choice, is maintained incrementally under the batch
-        ``rows``, and the maintainer's own copy of the base, grown by
-        those rows, is the dirty relation.  The base stays unmutated.
+        FULL always discovers on the dirty relation (deterministic, so a
+        resumed FULL run finds the same set).  INCR never discovers: the
+        RFD set committed with the base store is maintained
+        incrementally under the batch ``rows``, and the maintainer's own
+        copy of the base, grown by those rows, is the dirty relation.
+        The base stays unmutated.
         """
         if record.mode == "full":
             assert dirty is not None
-            found = self.artifacts.load_discovery(
-                dirty, self.config.discovery
-            )
-            if found is not None:
-                return dirty, found, False
             result = discover_rfds(
                 dirty, self.config.discovery, telemetry=self.telemetry
             )
-            self.artifacts.save_discovery(
-                dirty, self.config.discovery, result
-            )
             return dirty, result, True
-        assert base is not None and cached is not None
+        assert base is not None and state.store is not None
+        committed = state.store.discovery
+        assert committed is not None
         maintainer = IncrementalDiscovery(
-            base, self.config.discovery, initial=cached
+            base, self.config.discovery, initial=committed
         )
         dirty = maintainer.relation
         dirty.name = "ingest"
@@ -552,7 +521,7 @@ class Pipeline:
             rfds=maintainer.rfds,
             key_rfds=maintainer.key_rfds,
             config=self.config.discovery,
-            n_pairs=cached.n_pairs,
+            n_pairs=committed.n_pairs,
             exact=False,
         )
         return dirty, maintained, False
@@ -674,28 +643,23 @@ class Pipeline:
         resumed: bool,
     ) -> RunResult:
         """Fold the accepted result into the persistent store and move
-        the state envelope — the run's single commit point."""
+        the state envelope, with the RFD set that holds on the new
+        snapshot — the run's single commit point."""
         report: ImputationReport = result.report
         version = 1 if state.store is None else state.store.version + 1
         committed, store_relation = commit_store(
             self.root, result.relation, version
         )
         # The re-read snapshot is what the next run's ``_load_base``
-        # would parse, so it primes the cache and keys the store's RFD
-        # set: the next INCR run's lookup hits.  A failed save degrades
-        # that run to FULL (counted there), never this commit.
+        # would parse, so it primes the cache.
         self._store_cache = (committed.version, store_relation)
-        self.artifacts.save_discovery(
-            store_relation, self.config.discovery,
-            DiscoveryResult(
-                rfds=rfds.rfds,
-                key_rfds=rfds.key_rfds,
-                config=self.config.discovery,
-                n_pairs=rfds.n_pairs,
-                exact=False,
-            ),
-            fingerprint=committed.fingerprint,
-        )
+        committed = replace(committed, discovery=DiscoveryResult(
+            rfds=rfds.rfds,
+            key_rfds=rfds.key_rfds,
+            config=self.config.discovery,
+            n_pairs=rfds.n_pairs,
+            exact=False,
+        ))
 
         unresolved = tuple(
             cell_record(outcome)
@@ -709,9 +673,7 @@ class Pipeline:
             rows_ingested=new_rows,
             cells_imputed=report.filled_count,
         )
-        history = (state.history + (finished,))[
-            -self.config.history_limit:
-        ]
+        history = (state.history + (finished,))[-HISTORY_LIMIT:]
         new_state = replace(
             state,
             watermark=Watermark(
@@ -723,9 +685,7 @@ class Pipeline:
             unresolved=unresolved,
         )
         self.state_store.save(new_state)  # <-- THE commit point
-        prune_store(
-            self.root, committed, keep=self.config.keep_store_versions
-        )
+        prune_store(self.root, committed, keep=KEEP_STORE_VERSIONS)
         rundir.write_manifest(
             mode=finished.mode,
             store_version=committed.version,
@@ -756,6 +716,18 @@ class Pipeline:
             owner=self.config.owner,
             ttl_seconds=self.config.lease_ttl_seconds,
         )
+
+
+def _store_status(store: StoreVersion | None) -> dict[str, Any] | None:
+    """``store`` for ``pipeline status``: its RFD set as a count."""
+    if store is None:
+        return None
+    payload = store.to_payload()
+    del payload["discovery"]
+    payload["rfds"] = (
+        None if store.discovery is None else len(store.discovery)
+    )
+    return payload
 
 
 # ----------------------------------------------------------------------

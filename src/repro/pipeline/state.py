@@ -5,8 +5,9 @@ Two crash-safety primitives live here:
 :class:`RunStateStore`
     ``state.json`` — a two-generation
     :class:`~repro.utils.envelope.Envelope` holding the pipeline's
-    :class:`PipelineState` (watermark, store version, the run in
-    flight, history, and the carried-forward unresolved-cell ledger).
+    :class:`PipelineState` (watermark, store version with its RFD set,
+    the run in flight, history, and the carried-forward unresolved-cell
+    ledger).
     A torn or corrupted current envelope degrades to a *counted*
     one-version rollback to ``state.json.prev``
     (``renuver_envelope_recoveries_total{store="pipeline_state"}``)
@@ -45,6 +46,7 @@ from typing import Any, Iterator
 
 from contextlib import contextmanager
 
+from repro.discovery.dime import DiscoveryResult
 from repro.exceptions import LeaseError, StateError
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.telemetry.logs import get_logger
@@ -100,10 +102,13 @@ class StoreVersion:
     version: int
     filename: str
     #: SHA-256 relation fingerprint of the snapshot *as re-read from
-    #: disk* — the exact key the next INCR run's artifact-cache lookup
-    #: and store-integrity check must match.
+    #: disk* — what the next INCR run's store-integrity check must match.
     fingerprint: str
     rows: int
+    #: The RFD set that holds on the snapshot, committed with it: the
+    #: set the next INCR run maintains.  ``None`` in a state written
+    #: before the envelope carried it (that run degrades to FULL).
+    discovery: DiscoveryResult | None = None
 
     def to_payload(self) -> dict[str, Any]:
         return {
@@ -111,6 +116,8 @@ class StoreVersion:
             "filename": self.filename,
             "fingerprint": self.fingerprint,
             "rows": self.rows,
+            "discovery": None if self.discovery is None
+            else self.discovery.to_json(),
         }
 
     @classmethod
@@ -136,9 +143,16 @@ class StoreVersion:
             isinstance(rows, int) and rows >= 0,
             "store.rows is not a non-negative integer",
         )
+        discovery = payload.get("discovery")
+        _require(
+            discovery is None or isinstance(discovery, dict),
+            "store.discovery is not an object",
+        )
         return cls(
             version=version, filename=filename,
             fingerprint=fingerprint, rows=rows,
+            discovery=None if discovery is None
+            else DiscoveryResult.from_json(discovery),
         )
 
 

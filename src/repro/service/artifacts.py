@@ -12,6 +12,12 @@ The store persists one artifact kind under a cache directory:
     ``renuver_artifact_cache_hits_total`` increments and no ``discover``
     span is emitted.
 
+The cache serves the service's warm path alone
+(:meth:`~repro.service.engine.PreparedEngine.prepare_rfds` and the
+brownout tier's existence check).  No committed state is recovered
+from it: the pipeline commits its RFD set in its state envelope, and a
+durable session journals its own inline.
+
 The pair-distance matrix is not cached: serialized as JSON it costs
 more to save and load than to rebuild (``docs/SERVICE.md``), so a
 discovery-config miss rebuilds it.
@@ -102,22 +108,16 @@ class ArtifactStore:
     # Discovery results
     # ------------------------------------------------------------------
     def load_discovery(
-        self,
-        relation: Relation,
-        config: DiscoveryConfig,
-        *,
-        fingerprint: str | None = None,
+        self, relation: Relation, config: DiscoveryConfig
     ) -> DiscoveryResult | None:
         """The cached discovery result for ``(relation, config)``.
 
         Returns ``None`` on any miss — including a corrupt or
         incompatible artifact — so the caller simply recomputes.
-        ``fingerprint`` is ``relation``'s fingerprint when the caller
-        already verified it; it spares hashing the relation again.
         """
         return self._load(
             "discovery",
-            *self._discovery_key(relation, config, fingerprint),
+            *self._discovery_key(relation, config),
             DiscoveryResult.from_json,
         )
 
@@ -126,15 +126,12 @@ class ArtifactStore:
         relation: Relation,
         config: DiscoveryConfig,
         result: DiscoveryResult,
-        *,
-        fingerprint: str | None = None,
     ) -> Path | None:
         """Persist a discovery result; returns the artifact path, or
-        ``None`` when the write failed (counted as a miss).
-        ``fingerprint`` is as for :meth:`load_discovery`."""
+        ``None`` when the write failed (counted as a miss)."""
         return self._save(
             "discovery",
-            *self._discovery_key(relation, config, fingerprint),
+            *self._discovery_key(relation, config),
             result.to_json(),
         )
 
@@ -152,18 +149,14 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     @staticmethod
     def _discovery_key(
-        relation: Relation,
-        config: DiscoveryConfig,
-        fingerprint: str | None = None,
+        relation: Relation, config: DiscoveryConfig
     ) -> tuple[str, str]:
         from dataclasses import asdict
 
         payload = asdict(config)
         if payload.get("attribute_limits") is not None:
             payload["attribute_limits"] = dict(payload["attribute_limits"])
-        if fingerprint is None:
-            fingerprint = relation_fingerprint(relation)
-        return fingerprint, payload_fingerprint(payload)
+        return relation_fingerprint(relation), payload_fingerprint(payload)
 
     def path_for(self, kind: str, fingerprint: str, key: str) -> Path:
         """Where the artifact for ``(kind, fingerprint, key)`` lives."""

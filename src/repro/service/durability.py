@@ -26,12 +26,11 @@ exactly as it would have on an uninterrupted server (asserted
 byte-for-byte in ``tests/service/test_chaos_http.py``).
 
 A discovered session's creation record also carries its discovery
-result *inline* (the serialized result).  Replay first looks the result
-up in the artifact cache by the re-parsed relation, exactly as a live
-request does; on a miss it uses the inline copy, so recovery survives
-an evicted or corrupted artifact cache without recomputing discovery.
-Records written with a ``discovery_ref`` field still load; the field is
-ignored, since the relation itself keys the cache.
+result *inline* (the serialized result), and replay reads that copy
+only: the session's RFD set is committed with its journal, so recovery
+never consults the artifact cache and survives an evicted or corrupted
+one without recomputing discovery.  Records written with a
+``discovery_ref`` field still load; the field is ignored.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.dataset.csv_io import read_csv_text
-from repro.dataset.relation import Relation
 from repro.discovery.config import DiscoveryConfig
 from repro.discovery.dime import DiscoveryResult
 from repro.exceptions import ServiceError
@@ -189,8 +187,8 @@ def rebuild_session(
 ) -> ImputationSession:
     """A fresh session from a creation record, built by
     :meth:`~repro.service.engine.PreparedEngine.build_session` exactly
-    as the live request built it — only the discovery result is looked
-    up instead of recomputed."""
+    as the live request built it — only the discovery result is read
+    from the record instead of recomputed."""
     try:
         relation = read_csv_text(
             created["csv"], name=str(created.get("name", "request"))
@@ -226,7 +224,7 @@ def rebuild_session(
             raise SessionRecoveryError(
                 f"cannot rebuild the discovery config: {exc}"
             ) from exc
-        result = _resolve_discovery(engine, relation, discovery, created)
+        result = _inline_discovery(created)
         rfds = result.all_rfds
     return engine.build_session(
         relation,
@@ -239,33 +237,19 @@ def rebuild_session(
     )
 
 
-def _resolve_discovery(
-    engine: "PreparedEngine",
-    relation: Relation,
-    discovery: DiscoveryConfig | None,
-    created: dict[str, Any],
-) -> DiscoveryResult:
-    """The session's discovery result: the artifact cache first (keyed
-    by the re-parsed relation, as :meth:`PreparedEngine.prepare_rfds`
-    looks it up), the inline journal copy second."""
-    if engine.store is not None:
-        cached = engine.store.load_discovery(
-            relation, discovery or engine.config.discovery
-        )
-        if cached is not None:
-            return cached
+def _inline_discovery(created: dict[str, Any]) -> DiscoveryResult:
+    """The discovery result the creation record carries inline."""
     inline = created.get("discovery_inline")
-    if isinstance(inline, dict):
-        try:
-            return DiscoveryResult.from_json(inline)
-        except Exception as exc:  # noqa: BLE001
-            raise SessionRecoveryError(
-                f"inline discovery result is unreadable: {exc}"
-            ) from exc
-    raise SessionRecoveryError(
-        "no resolvable discovery result (artifact evicted and no "
-        "inline copy)"
-    )
+    if not isinstance(inline, dict):
+        raise SessionRecoveryError(
+            "the creation record carries no inline discovery result"
+        )
+    try:
+        return DiscoveryResult.from_json(inline)
+    except Exception as exc:  # noqa: BLE001
+        raise SessionRecoveryError(
+            f"inline discovery result is unreadable: {exc}"
+        ) from exc
 
 
 __all__ = [

@@ -211,11 +211,12 @@ class SessionManager:
 
         Called once at boot, before the server accepts traffic.  Each
         envelope's creation record goes through the live session
-        builder (discovery comes from the artifact cache or the inline
-        journal copy — never recomputed), then the event list replays
-        through the live :meth:`ServiceSession.append` / :meth:`impute`
-        paths with journaling suspended.  A session whose journal cannot be
-        replayed is dropped and counted; recovery never refuses to boot.
+        builder (discovery comes from the inline journal copy — never
+        recomputed, never looked up in the cache), then the event list
+        replays through the live :meth:`ServiceSession.append` /
+        :meth:`impute` paths with journaling suspended.  A session whose
+        journal cannot be replayed is dropped and counted; recovery never
+        refuses to boot.
         """
         if self.store is None:
             return {"recovered": 0, "dropped": 0}

@@ -494,6 +494,49 @@ class TestSharedMemoThreads:
         ]
 
 
+class TestPerRunCounters:
+    def test_concurrent_runs_report_what_serial_runs_report(self):
+        """Two library imputes on two threads, each with a private
+        memo pool, report the kernel counters they report one after the
+        other: no counter reads state another run also moves."""
+        relation = load_dataset("restaurant", n_tuples=120, seed=0)
+        rfds = list(discover_rfds(relation, ORACLE_DISCOVERY).all_rfds)
+        dirty = inject_missing(relation, rate=0.04, seed=3).relation
+        serial = Renuver(rfds).impute(dirty).report.kernel_counters
+        assert serial["levenshtein_dp_calls"] > 0
+        assert Renuver(rfds).impute(dirty).report.kernel_counters == serial
+        barrier = threading.Barrier(2)
+        reports: list = [None, None]
+        errors: list = []
+
+        def worker(slot):
+            try:
+                barrier.wait(timeout=60)
+                reports[slot] = Renuver(rfds).impute(
+                    dirty
+                ).report.kernel_counters
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+                barrier.abort()
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(slot,))
+                for slot in range(2)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert reports == [serial, serial]
+
+
 class TestDirtyCellHook:
     """The tentpole regression: remove the mutation listener and these
     tests fail on stale vectors."""

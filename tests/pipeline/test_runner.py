@@ -13,6 +13,7 @@ import pytest
 from repro.cli import main
 from repro.dataset.relation import Relation
 from repro.discovery import DiscoveryConfig
+from repro.discovery.dime import DiscoveryResult
 from repro.exceptions import PipelineError
 from repro.pipeline import Pipeline, PipelineConfig, reconcile
 from repro.pipeline.ingest import combined_csv_text, scan_ingest
@@ -63,6 +64,16 @@ def root(tmp_path):
 
 def pipeline(root, ingest, config=CONFIG):
     return Pipeline(root, ingest, config)
+
+
+def degradations(p):
+    """Counted degradations of ``p``'s runs, by reason."""
+    return {
+        dict(key)["reason"]: instrument.value
+        for family in p.telemetry.metrics.families()
+        if family.name == "renuver_pipeline_degradations_total"
+        for key, instrument in family.instruments.items()
+    }
 
 
 class TestFullRuns:
@@ -180,7 +191,7 @@ class TestIncrementalRuns:
 @pytest.fixture()
 def calls(monkeypatch):
     """Counts, by name, the calls a run makes to the store parser, the
-    relation growth and copy paths, the artifact lookup and the
+    relation growth and copy paths, the RFD set decoder and the
     relation fingerprint (every module binding of it)."""
     counts: Counter[str] = Counter()
 
@@ -196,11 +207,16 @@ def calls(monkeypatch):
     for owner, attribute in (
         (Relation, "append_rows"),
         (Relation, "copy"),
-        (ArtifactStore, "load_discovery"),
     ):
         monkeypatch.setattr(owner, attribute, counting(
             f"{owner.__name__}.{attribute}", getattr(owner, attribute)
         ))
+    monkeypatch.setattr(DiscoveryResult, "from_json", classmethod(
+        counting(
+            "DiscoveryResult.from_json",
+            DiscoveryResult.from_json.__func__,
+        )
+    ))
     original = fingerprint.relation_fingerprint
     wrapped = counting("relation_fingerprint", original)
     for name, module in list(sys.modules.items()):
@@ -229,9 +245,9 @@ class TestDerivedOnce:
         assert result.discovered is False
         assert calls["read_csv"] == 2  # the base, then commit's re-read
         assert calls["Relation.append_rows"] == 1
-        assert calls["ArtifactStore.load_discovery"] == 1
+        assert calls["DiscoveryResult.from_json"] == 1
         assert calls["Relation.copy"] <= 2
-        assert calls["relation_fingerprint"] <= 4
+        assert calls["relation_fingerprint"] == 3
 
     def test_resumed_incr_run_looks_up_its_rfds_once(
         self, root, ingest, calls
@@ -249,7 +265,7 @@ class TestDerivedOnce:
         calls.clear()
         result = pipeline(root, ingest).resume()
         assert (result.mode, result.resumed) == ("incr", True)
-        assert calls["ArtifactStore.load_discovery"] == 1
+        assert calls["DiscoveryResult.from_json"] == 1
         assert calls["Relation.append_rows"] == 1
 
     def test_the_base_stays_unmutated(self, root, ingest):
@@ -288,16 +304,6 @@ class TestDegradation:
         store = (root / "store" / "imputed-000002.csv").read_text()
         assert "ann,rome" not in store
 
-    def test_evicted_artifact_cache_degrades_to_full(self, root, ingest):
-        import shutil
-
-        pipeline(root, ingest).run()
-        shutil.rmtree(root / "artifacts")
-        (ingest / "b2.csv").write_text(CSV2)
-        result = pipeline(root, ingest).run()
-        assert result.mode == "full"
-        assert result.degraded_reason == "discovery_cache_miss"
-
     def test_degradations_are_counted(self, root, ingest):
         pipeline(root, ingest).run()
         store = root / "store" / "imputed-000001.csv"
@@ -313,6 +319,44 @@ class TestDegradation:
         labels = [dict(key) for key in counter.instruments]
         assert {"reason": "store_integrity"} in labels
 
+    def test_changed_discovery_config_degrades_with_stale_rfds(
+        self, root, ingest
+    ):
+        pipeline(root, ingest).run()
+        (ingest / "b2.csv").write_text(CSV2)
+        changed = PipelineConfig(
+            discovery=DiscoveryConfig(threshold_limit=2, max_lhs_size=1)
+        )
+        p = pipeline(root, ingest, changed)
+        result = p.run()
+        assert (result.mode, result.discovered) == ("full", True)
+        assert result.degraded_reason == "stale_rfds"
+        assert degradations(p) == {"stale_rfds": 1}
+        (ingest / "b3.csv").write_text(CSV3)
+        assert pipeline(root, ingest, changed).run().mode == "incr"
+
+    def test_state_without_rfds_degrades_once(self, root, ingest):
+        """A state envelope whose store carries no RFD set, as written
+        before the envelope committed one: one counted FULL run, which
+        commits the set, then INCR again."""
+        p = pipeline(root, ingest)
+        p.run()
+        payload = p.state_store.load().to_payload()
+        del payload["store"]["discovery"]
+        p.state_store.envelope.save(payload)
+        assert p.state_store.load().store.discovery is None
+        (ingest / "b2.csv").write_text(CSV2)
+        p = pipeline(root, ingest)
+        result = p.run()
+        assert (result.mode, result.degraded_reason) == (
+            "full", "stale_rfds"
+        )
+        assert degradations(p) == {"stale_rfds": 1}
+        (ingest / "b3.csv").write_text(CSV3)
+        result = pipeline(root, ingest).run()
+        assert (result.mode, result.discovered) == ("incr", False)
+        assert result.degraded_reason is None
+
     def test_forced_full_mode_is_not_a_degradation(self, root, ingest):
         full_config = PipelineConfig(
             discovery=CONFIG.discovery, mode="full"
@@ -322,6 +366,37 @@ class TestDegradation:
         result = pipeline(root, ingest, full_config).run()
         assert result.mode == "full"
         assert result.degraded_reason is None
+
+
+class TestCommittedRfds:
+    """The RFD set an INCR run maintains is the one committed with the
+    store in the state envelope; no artifact cache is involved."""
+
+    def test_incr_run_stays_warm_without_an_artifact_cache(
+        self, root, ingest, monkeypatch
+    ):
+        def no_cache(*args, **kwargs):
+            raise AssertionError("the pipeline built an artifact cache")
+
+        monkeypatch.setattr(ArtifactStore, "__init__", no_cache)
+        pipeline(root, ingest).run()
+        (ingest / "b2.csv").write_text(CSV2)
+        result = pipeline(root, ingest).run()
+        assert (result.mode, result.discovered) == ("incr", False)
+        assert result.degraded_reason is None
+        assert not (root / "artifacts").exists()
+
+    def test_commit_records_the_maintained_set(self, root, ingest):
+        pipeline(root, ingest).run()
+        (ingest / "b2.csv").write_text(CSV2)
+        p = pipeline(root, ingest)
+        p.run()
+        committed = p.state_store.load().store.discovery
+        assert committed.config == CONFIG.discovery
+        assert committed.exact is False
+        status = p.status()["store"]
+        assert status["rfds"] == len(committed)
+        assert "discovery" not in status
 
 
 class TestIngestContract:

@@ -184,6 +184,51 @@ class TestJournalReplayRecovery:
         finally:
             revived.drain()
 
+    @pytest.mark.parametrize("damage", ["deleted", "garbage"])
+    def test_discovery_session_replays_from_its_inline_copy(
+        self, tmp_path, damage
+    ):
+        """A discovered session whose artifact cache is gone or garbled
+        replays from the RFD set its creation record carries, looks
+        nothing up in the cache and answers as if never interrupted."""
+        rows = [["eve", "bern", "555"], ["bob", "oslo", None]]
+        control = _serve(tmp_path / "a")
+        try:
+            sid = _call(control, "POST", "/v1/sessions", {"csv": CSV})["id"]
+            _call(control, "POST", f"/v1/sessions/{sid}/tuples",
+                  {"rows": rows})
+            expected = _call(
+                control, "POST", f"/v1/sessions/{sid}/impute"
+            )
+        finally:
+            control.drain()
+
+        serve_dir = tmp_path / "b"
+        crashed = _serve(serve_dir)
+        sid = _call(crashed, "POST", "/v1/sessions", {"csv": CSV})["id"]
+        _call(crashed, "POST", f"/v1/sessions/{sid}/tuples",
+              {"rows": rows})
+        crashed.drain()
+        artifacts = list((serve_dir / "discovery").rglob("*.json"))
+        assert len(artifacts) == 1
+        if damage == "deleted":
+            shutil.rmtree(serve_dir / "discovery")
+        else:
+            artifacts[0].write_text("garbage", encoding="utf-8")
+
+        revived = _serve(serve_dir)
+        try:
+            assert revived.recovery == {"recovered": 1, "dropped": 0}
+            store = revived.engine.store
+            assert (store.hits, store.misses) == (0, 0)
+            replayed = _call(
+                revived, "POST", f"/v1/sessions/{sid}/impute"
+            )
+            assert replayed["csv"] == expected["csv"]
+            assert replayed["outcomes"] == expected["outcomes"]
+        finally:
+            revived.drain()
+
     def test_corrupt_envelope_drops_session_but_boots(self, tmp_path):
         serve_dir = tmp_path / "cache"
         first = _serve(serve_dir)
@@ -229,9 +274,8 @@ class TestLegacySessionEnvelope:
         server = _serve(root)
         try:
             assert server.recovery == {"recovered": 1, "dropped": 0}
-            # The cache, keyed by the re-parsed relation, serves replay
-            # when present; the inline copy does otherwise.
-            assert server.engine.store.hits == (cache == "present")
+            # Replay reads the inline copy, never the cache.
+            assert server.engine.store.hits == 0
             appended = _call(
                 server, "POST", "/v1/sessions/s000001/tuples",
                 {"rows": expected["next_rows"]},

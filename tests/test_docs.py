@@ -286,7 +286,7 @@ class TestPipelineDoc:
             ROOT / "src" / "repro" / "pipeline" / "runner.py"
         ).read_text(encoding="utf-8")
         for reason in ["watermark_mismatch", "store_integrity",
-                       "discovery_cache_miss", "no_store"]:
+                       "stale_rfds", "no_store"]:
             assert reason in text, reason
             assert f'"{reason}"' in runner, (
                 f"runner.py misses degradation reason {reason}"

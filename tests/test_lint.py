@@ -1,9 +1,12 @@
-"""Repo lint: no bare ``print`` calls outside the sanctioned modules.
+"""Repo lint: no bare ``print`` calls outside the sanctioned modules,
+and no upward imports of the service layer.
 
 Library code must log through :mod:`repro.telemetry.logs` so embedders
 control verbosity; only the CLI and the evaluation report renderer talk
-to stdout/stderr directly.  The check walks the AST (not grep) so
-``print`` appearing in docstrings or comments does not trip it.
+to stdout/stderr directly.  The algorithm, discovery, robustness and
+pipeline layers sit below :mod:`repro.service`, so none of them may
+import it.  The checks walk the AST (not grep) so names appearing in
+docstrings or comments do not trip them.
 """
 
 import ast
@@ -47,3 +50,35 @@ def test_the_allowed_modules_exist():
     # Guard the allowlist against renames silently voiding the lint.
     for path in ALLOWED:
         assert path.exists(), f"allowlisted module moved: {path}"
+
+
+#: Packages below the service layer.
+BELOW_SERVICE = ("pipeline", "core", "discovery", "extensions", "robustness")
+
+
+def imported_modules(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.lineno, node.module
+            for alias in node.names:
+                yield node.lineno, f"{node.module}.{alias.name}"
+
+
+def test_no_service_imports_below_the_service_layer():
+    offenders = {}
+    for package in BELOW_SERVICE:
+        for path in sorted((SRC / package).rglob("*.py")):
+            lines = [
+                lineno for lineno, name in imported_modules(path)
+                if name == "repro.service"
+                or name.startswith("repro.service.")
+            ]
+            if lines:
+                offenders[str(path.relative_to(SRC))] = sorted(set(lines))
+    assert not offenders, (
+        f"modules below repro.service import it: {offenders}"
+    )
