@@ -47,7 +47,14 @@ checks it on every builtin dataset):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    Sequence,
+)
 
 import numpy as np
 
@@ -594,7 +601,7 @@ class _VectorizedCellScan:
 
     def candidates(
         self, cluster: Cluster, *, max_candidates: int | None = None
-    ) -> list[Candidate]:
+    ) -> Sequence[Candidate]:
         """Algorithm 3 over the rows :meth:`VectorizedEngine._lhs_rows`
         returns.
 
@@ -602,7 +609,9 @@ class _VectorizedCellScan:
         LHS distance (summed in sorted-attribute order, the same float
         operation order as ``DistancePattern.mean_over``), per-donor
         minimum across the cluster's RFDs with first-RFD tie-breaks, and
-        an ascending (distance, row) sort.
+        an ascending (distance, row) order — ranked in numpy and handed
+        back as a :class:`RankedCandidates` view that builds each
+        candidate only when the driver reaches it.
         """
         target_row = self._target_row
         attribute = self._attribute
@@ -621,7 +630,7 @@ class _VectorizedCellScan:
 
     def _scan(
         self, cluster: Cluster, max_candidates: int | None
-    ) -> list[Candidate]:
+    ) -> Sequence[Candidate]:
         target_row = self._target_row
         attribute = self._attribute
         engine = self._engine
@@ -650,16 +659,81 @@ class _VectorizedCellScan:
                     best[improved] = score[better]
                     best_rfd[improved] = index
         found = np.flatnonzero(best_rfd >= 0)
-        candidates = [
-            Candidate(
-                int(row),
-                relation.value(int(row), attribute),
-                float(best[row]),
-                cluster.rfds[int(best_rfd[row])],
-            )
-            for row in found
-        ]
-        candidates.sort(key=Candidate.sort_key)
+        # (distance, row) order; ``found`` is ascending and unique, so
+        # it breaks distance ties exactly as ``Candidate.sort_key``.
+        order = found[np.lexsort((found, best[found]))]
         if max_candidates is not None:
-            candidates = candidates[:max_candidates]
-        return candidates
+            order = order[:max_candidates]
+        return RankedCandidates(
+            relation,
+            attribute,
+            order,
+            best[order],
+            best_rfd[order],
+            cluster.rfds,
+        )
+
+
+class RankedCandidates(Sequence[Candidate]):
+    """One cluster's candidates in (distance, row) order, built lazily.
+
+    The driver usually accepts one of the first candidates and never
+    reaches the rest, so each :class:`Candidate` (and its donor value)
+    is built only when it is indexed or iterated to.  ``len`` is the
+    full count.  The view compares equal to a list of the same
+    candidates, and a slice is a list.
+
+    Donor values are read when a candidate is built.  Within one cell
+    only the target cell is written, and the target row is never a
+    donor, so that reads what an eager build would have read.
+    """
+
+    __slots__ = (
+        "_relation", "_attribute", "_rows", "_distances", "_rfd_index",
+        "_rfds",
+    )
+
+    def __init__(
+        self,
+        relation: Relation,
+        attribute: str,
+        rows: np.ndarray,
+        distances: np.ndarray,
+        rfd_index: np.ndarray,
+        rfds: Sequence[RFD],
+    ) -> None:
+        self._relation = relation
+        self._attribute = attribute
+        self._rows = rows
+        self._distances = distances
+        self._rfd_index = rfd_index
+        self._rfds = rfds
+
+    def __len__(self) -> int:
+        return int(self._rows.size)
+
+    def _build(self, position: int) -> Candidate:
+        row = int(self._rows[position])
+        return Candidate(
+            row,
+            self._relation.value(row, self._attribute),
+            float(self._distances[position]),
+            self._rfds[int(self._rfd_index[position])],
+        )
+
+    def __getitem__(self, index):  # type: ignore[override]
+        if isinstance(index, slice):
+            return [self._build(i) for i in range(len(self))[index]]
+        return self._build(range(len(self))[index])
+
+    def __iter__(self) -> Iterator[Candidate]:
+        for position in range(len(self)):
+            yield self._build(position)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (RankedCandidates, list)):
+            return len(self) == len(other) and list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"RankedCandidates({list(self)!r})"

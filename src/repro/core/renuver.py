@@ -82,6 +82,18 @@ from repro.utils.timer import Timer
 logger = get_logger("core.renuver")
 
 
+def _missing_cells_in_row_order(relation: Relation) -> list[tuple[int, str]]:
+    """The missing cells by row, each row's in schema order: the order
+    the driver imputes them in."""
+    names = relation.attribute_names
+    return [
+        (row, name)
+        for row in relation.incomplete_rows()
+        for name, value in zip(names, relation.row_values(row))
+        if value is MISSING
+    ]
+
+
 @dataclass(frozen=True)
 class RenuverConfig:
     """Tuning knobs of a RENUVER run.
@@ -541,11 +553,7 @@ class Renuver:
         (``on_budget="partial"``) or propagate after being recorded.
         """
         relation = state.relation
-        cells = [
-            (row, attribute)
-            for row in relation.incomplete_rows()
-            for attribute in relation.row(row).missing_attributes()
-        ]
+        cells = _missing_cells_in_row_order(relation)
         tracer = self.telemetry.tracer
         metrics = self.telemetry.metrics
         for row, attribute in cells:
@@ -931,13 +939,12 @@ class Renuver:
         if self.config.on_budget == "partial" and exc.scope == "run":
             settled = {(o.row, o.attribute) for o in report}
             reason = f"run budget exhausted ({exc.kind})"
-            for row in working.incomplete_rows():
-                for attribute in working.row(row).missing_attributes():
-                    if (row, attribute) not in settled:
-                        report.add(CellOutcome(
-                            row, attribute, OutcomeStatus.SKIPPED,
-                            reason=reason,
-                        ))
+            for row, attribute in _missing_cells_in_row_order(working):
+                if (row, attribute) not in settled:
+                    report.add(CellOutcome(
+                        row, attribute, OutcomeStatus.SKIPPED,
+                        reason=reason,
+                    ))
             return ImputationResult(working, report)
         exc.partial_result = ImputationResult(working, report)
         return None

@@ -125,7 +125,9 @@ def coerce_value(value: Any, attr_type: AttributeType) -> Any:
         if attr_type is AttributeType.FLOAT:
             if isinstance(value, bool):
                 return float(value)
-            return float(str(value).strip())
+            number = float(str(value).strip())
+            # A spelled-out "nan" is missing too: store the sentinel.
+            return number if number == number else MISSING
         return str(value)
     except (ValueError, TypeError) as exc:
         raise DataError(

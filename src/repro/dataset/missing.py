@@ -56,6 +56,9 @@ def is_missing(value: Any) -> bool:
     """
     if value is MISSING or value is None:
         return True
+    kind = type(value)
+    if kind is str or kind is int:
+        return False
     if isinstance(value, MissingType):
         return True
     if isinstance(value, float) and math.isnan(value):

@@ -116,8 +116,7 @@ class Relation:
         for attr in self._attributes:
             raw = columns[attr.name]
             if coerce:
-                col = [coerce_value(normalize_missing(v), attr.type)
-                       for v in raw]
+                col = [coerce_value(v, attr.type) for v in raw]
             else:
                 col = [normalize_missing(v) for v in raw]
             self._columns[attr.name] = col
@@ -259,9 +258,7 @@ class Relation:
         """
         attr = self.attribute(name)
         self._check_row(row)
-        self._columns[name][row] = coerce_value(
-            normalize_missing(value), attr.type
-        )
+        self._columns[name][row] = coerce_value(value, attr.type)
         self._version += 1
         if not self._listeners:
             return
@@ -366,12 +363,11 @@ class Relation:
     # ------------------------------------------------------------------
     def missing_cells(self) -> list[tuple[int, str]]:
         """All ``(row, attribute)`` coordinates holding a missing value."""
-        cells: list[tuple[int, str]] = []
-        for attr in self._attributes:
-            column = self._columns[attr.name]
-            for row, value in enumerate(column):
-                if is_missing(value):
-                    cells.append((row, attr.name))
+        cells = [
+            (row, attr.name)
+            for attr in self._attributes
+            for row in _missing_rows(self._columns[attr.name])
+        ]
         cells.sort()
         return cells
 
@@ -379,19 +375,14 @@ class Relation:
         """Indices of tuples with at least one missing value (``r-hat``)."""
         incomplete: set[int] = set()
         for attr in self._attributes:
-            column = self._columns[attr.name]
-            for row, value in enumerate(column):
-                if is_missing(value):
-                    incomplete.add(row)
+            incomplete.update(_missing_rows(self._columns[attr.name]))
         return sorted(incomplete)
 
     def count_missing(self) -> int:
         """Total number of missing cells."""
         return sum(
-            1
+            len(_missing_rows(self._columns[attr.name]))
             for attr in self._attributes
-            for value in self._columns[attr.name]
-            if is_missing(value)
         )
 
     def completeness(self) -> float:
@@ -517,6 +508,17 @@ class Relation:
             raise DataError(
                 f"row {row} out of range for {self.n_tuples} tuples"
             )
+
+
+def _missing_rows(column: list[Any]) -> list[int]:
+    """Rows of one column holding :data:`MISSING`.
+
+    Construction and :meth:`Relation.set_value` store every missing
+    representation (``None``, ``NaN``, a spelled-out float ``"nan"``) as
+    the canonical sentinel, so one identity test per cell finds every
+    missing cell.
+    """
+    return [row for row, value in enumerate(column) if value is MISSING]
 
 
 def _render(value: Any) -> str:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.dataset.missing import MISSING, is_missing
+from repro.dataset.missing import MISSING
 from repro.dataset.relation import Relation
 from repro.exceptions import EvaluationError
 from repro.utils.rng import spawn_rng
@@ -89,12 +89,14 @@ def inject_missing(
     if unknown:
         raise EvaluationError(f"unknown attributes {sorted(unknown)}")
 
+    # Columns hold only the canonical MISSING, so one identity test per
+    # cell finds the present ones.
     present = [
         (row, name)
         for name in relation.attribute_names
         if name in allowed
-        for row in range(relation.n_tuples)
-        if not is_missing(relation.value(row, name))
+        for row, value in enumerate(relation.column(name))
+        if value is not MISSING
     ]
     if count > len(present):
         raise EvaluationError(

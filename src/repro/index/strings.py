@@ -1,10 +1,10 @@
 """Length- and q-gram-bucketed inverted index for banded Levenshtein.
 
 Two classic filters bound the edit distance from below, and both are
-bucket lookups here:
+array comparisons here:
 
 * **Length filter** — ``|len(a) - len(b)| > tau`` forces more than
-  ``tau`` insertions, so candidates live in the length buckets
+  ``tau`` insertions, so candidates have lengths in
   ``len(target) - tau .. len(target) + tau``.
 * **Count filter** — one edit operation destroys at most ``q``
   overlapping q-grams, so two strings within distance ``tau`` share at
@@ -12,15 +12,32 @@ bucket lookups here:
   *multiset* intersection (set semantics would under-count repeated
   grams and could prune a true match).
 
-A probe unions the rows of every distinct value surviving both filters.
-When the count filter binds (``len(target) - q + 1 - q*tau > 0``) every
-survivor shares at least one gram with the target, so only the postings
-of the target's grams are walked; otherwise the length buckets are
-swept with the length filter alone (the count filter is optional — it
-only ever prunes).  Either walk declines with ``skip_reason =
-"probe_cost"`` when the postings it would touch exceed the probe-cost
-cap: hot gram distributions are exactly where a linear walk stops
-beating the full scan.
+Layout.  Every distinct value of the column gets an index-local integer
+code; ``lengths[code]`` is its length and the rows holding it are one
+set per code.  The postings are CSR arrays: the slice
+``offsets[g]:offsets[g + 1]`` of ``posting_codes`` / ``posting_counts``
+lists the codes whose value contains gram ``g``, with the gram's count
+in that value.
+
+A probe unions the rows of every code surviving both filters.  When the
+count filter binds (``len(target) - q + 1 - q*tau > 0``) every survivor
+shares at least one gram with the target, so only the slices of the
+target's grams are gathered: the multiset intersection is one
+``np.minimum`` against the target's gram counts and one ``np.bincount``
+over the gathered codes, and both filters are comparisons on the result.
+Otherwise the length filter alone is one comparison on ``lengths`` (the
+count filter is optional — it only ever prunes).  Either walk declines
+with ``skip_reason = "probe_cost"`` when the postings it would touch (the
+gathered slice lengths, or the codes in the length window) exceed the
+probe-cost cap: hot gram distributions are exactly where a linear walk
+stops beating the full scan.
+
+Maintenance.  An update moves one row between code sets.  A write that
+adds a distinct value, or drops a value's last row, marks the arrays
+stale, and the next probe rebuilds them over the live values (dead codes
+are dropped then).  Alg. 4's tentative writes copy a donor's value and
+roll back to missing, so during an imputation the distinct set, and the
+arrays, stay put.
 """
 
 from __future__ import annotations
@@ -64,41 +81,82 @@ class QGramIndex:
         self._values: list[str | None] = [
             None if value is MISSING else str(value) for value in column
         ]
-        self._rows_by_value: dict[str, set[int]] = {}
-        self._values_by_length: dict[int, set[str]] = {}
-        #: gram -> {distinct value -> gram count in that value}
-        self._postings: dict[str, dict[str, int]] = {}
+        #: distinct value -> code; code -> value / rows holding it.
+        self._code_of: dict[str, int] = {}
+        self._value_of: list[str] = []
+        self._rows_of: list[set[int]] = []
         for row, value in enumerate(self._values):
-            if value is None:
-                continue
-            rows = self._rows_by_value.get(value)
-            if rows is None:
-                self._rows_by_value[value] = {row}
-                self._add_value(value)
-            else:
-                rows.add(row)
+            if value is not None:
+                self._add_row(row, value)
+        self._rebuild()
         self.skip_reason = ""
         self.stats = IndexStats()
         self.stats.builds += 1
 
     # ------------------------------------------------------------------
-    # Distinct-value bucket maintenance
+    # Row membership and the CSR arrays
     # ------------------------------------------------------------------
-    def _add_value(self, value: str) -> None:
-        self._values_by_length.setdefault(len(value), set()).add(value)
-        for gram, count in qgrams(value, self.q).items():
-            self._postings.setdefault(gram, {})[value] = count
+    def _add_row(self, row: int, value: str) -> None:
+        code = self._code_of.get(value)
+        if code is None:
+            self._code_of[value] = len(self._value_of)
+            self._value_of.append(value)
+            self._rows_of.append({row})
+            self._stale = True
+            return
+        rows = self._rows_of[code]
+        if not rows:
+            self._stale = True
+        rows.add(row)
 
-    def _drop_value(self, value: str) -> None:
-        bucket = self._values_by_length[len(value)]
-        bucket.discard(value)
-        if not bucket:
-            del self._values_by_length[len(value)]
-        for gram in qgrams(value, self.q):
-            postings = self._postings[gram]
-            del postings[value]
-            if not postings:
-                del self._postings[gram]
+    def _rebuild(self) -> None:
+        """Re-derive codes, ``lengths`` and the postings from the live
+        distinct values."""
+        live = [
+            (value, rows)
+            for value, rows in zip(self._value_of, self._rows_of)
+            if rows
+        ]
+        self._value_of = [value for value, _ in live]
+        self._rows_of = [rows for _, rows in live]
+        self._code_of = {
+            value: code for code, value in enumerate(self._value_of)
+        }
+        self._lengths = np.fromiter(
+            map(len, self._value_of), dtype=np.int64,
+            count=len(self._value_of),
+        )
+        q = self.q
+        gram_id: dict[str, int] = {}
+        intern = gram_id.setdefault
+        gram_ids: list[int] = []
+        owners: list[int] = []
+        for code, value in enumerate(self._value_of):
+            width = len(value) - q + 1
+            if width > 0:
+                gram_ids.extend(
+                    intern(value[i:i + q], len(gram_id))
+                    for i in range(width)
+                )
+                owners.extend([code] * width)
+        # One (gram, code) key per posting, sorted: gram-major runs are
+        # the CSR slices, and repeats of a key are the gram's count.
+        stride = max(len(self._value_of), 1)
+        keys, counts = np.unique(
+            np.array(gram_ids, dtype=np.int64) * stride
+            + np.array(owners, dtype=np.int64),
+            return_counts=True,
+        )
+        offsets = np.zeros(len(gram_id) + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(keys // stride, minlength=len(gram_id)),
+            out=offsets[1:],
+        )
+        self._gram_id = gram_id
+        self._offsets = offsets.tolist()
+        self._posting_codes = keys % stride
+        self._posting_counts = counts
+        self._stale = False
 
     def update(self, row: int, value: Any) -> None:
         self.stats.updates += 1
@@ -106,20 +164,14 @@ class QGramIndex:
             self._values.extend([None] * (row + 1 - len(self._values)))
         old = self._values[row]
         if old is not None:
-            rows = self._rows_by_value[old]
+            rows = self._rows_of[self._code_of[old]]
             rows.discard(row)
             if not rows:
-                del self._rows_by_value[old]
-                self._drop_value(old)
+                self._stale = True
         new = None if value is MISSING else str(value)
         self._values[row] = new
         if new is not None:
-            rows = self._rows_by_value.get(new)
-            if rows is None:
-                self._rows_by_value[new] = {row}
-                self._add_value(new)
-            else:
-                rows.add(row)
+            self._add_row(row, new)
 
     # ------------------------------------------------------------------
     def probe(self, value: Any, threshold: float) -> np.ndarray | None:
@@ -132,83 +184,79 @@ class QGramIndex:
         if tau < 0:
             self.stats.served += 1
             return EMPTY_ROWS
+        if self._stale:
+            self._rebuild()
         q = self.q
         target_length = len(target)
         low = max(0, target_length - tau)
         high = target_length + tau
         min_required = target_length - q + 1 - q * tau
         if min_required > 0:
-            matches = self._count_filter_walk(
-                target, tau, low, high, min_required
-            )
+            matches = self._count_filter_walk(target, tau, low, high)
         else:
-            matches = self._length_bucket_walk(low, high)
+            matches = self._length_walk(low, high)
         if matches is None:
             self.skip_reason = "probe_cost"
             self.stats.skip("probe_cost")
             return None
-        rows: list[int] = []
-        for match in matches:
-            rows.extend(self._rows_by_value[match])
-        if self._max_result is not None and len(rows) > self._max_result:
+        groups = [self._rows_of[code] for code in matches.tolist()]
+        if self._max_result is not None and (
+            sum(map(len, groups)) > self._max_result
+        ):
             self.skip_reason = "hot_group"
             self.stats.skip("hot_group")
             return None
         self.stats.served += 1
+        rows: list[int] = []
+        for group in groups:
+            rows.extend(group)
         return sorted_rows(rows)
 
     def _count_filter_walk(
-        self,
-        target: str,
-        tau: int,
-        low: int,
-        high: int,
-        min_required: int,
-    ) -> list[str] | None:
-        """Survivors when every match must share >= 1 gram: walk only
-        the postings of the target's grams."""
-        target_grams = qgrams(target, self.q)
-        postings_lists = []
+        self, target: str, tau: int, low: int, high: int
+    ) -> np.ndarray | None:
+        """Surviving codes when every match must share >= 1 gram: gather
+        only the posting slices of the target's grams."""
+        gram_id = self._gram_id
+        offsets = self._offsets
+        spans: list[tuple[int, int, int]] = []
         cost = 0
-        for gram, target_count in target_grams.items():
-            postings = self._postings.get(gram)
-            if postings:
-                postings_lists.append((target_count, postings))
-                cost += len(postings)
+        for gram, count in qgrams(target, self.q).items():
+            found = gram_id.get(gram)
+            if found is not None:
+                start, stop = offsets[found], offsets[found + 1]
+                spans.append((start, stop, count))
+                cost += stop - start
         if self._max_probe_cost is not None and cost > self._max_probe_cost:
             return None
-        shared: dict[str, int] = {}
-        get = shared.get
-        for target_count, postings in postings_lists:
-            for candidate, count in postings.items():
-                shared[candidate] = get(candidate, 0) + (
-                    target_count if target_count < count else count
-                )
-        q = self.q
-        target_length = len(target)
-        matches = []
-        for candidate, shared_count in shared.items():
-            length = len(candidate)
-            if length < low or length > high:
-                continue
-            longer = length if length > target_length else target_length
-            if shared_count < longer - q + 1 - q * tau:
-                continue
-            matches.append(candidate)
-        return matches
+        if not cost:
+            return EMPTY_ROWS
+        codes = np.concatenate(
+            [self._posting_codes[start:stop] for start, stop, _ in spans]
+        )
+        if all(count == 1 for _, _, count in spans):
+            # min(1, count in the value) is 1 for every posting.
+            shared = np.bincount(codes)
+        else:
+            counts = self._posting_counts
+            shared = np.bincount(codes, weights=np.concatenate([
+                np.minimum(counts[start:stop], count)
+                for start, stop, count in spans
+            ]))
+        lengths = self._lengths[:shared.size]
+        required = np.maximum(lengths, len(target)) - self.q + 1 - self.q * tau
+        return np.flatnonzero(
+            (lengths >= low) & (lengths <= high) & (shared >= required)
+        )
 
-    def _length_bucket_walk(self, low: int, high: int) -> list[str] | None:
-        """Survivors by length filter alone (count filter not binding)."""
-        buckets = [
-            self._values_by_length[length]
-            for length in range(low, high + 1)
-            if length in self._values_by_length
-        ]
-        if self._max_probe_cost is not None:
-            cost = sum(len(bucket) for bucket in buckets)
-            if cost > self._max_probe_cost:
-                return None
-        matches: list[str] = []
-        for bucket in buckets:
-            matches.extend(bucket)
+    def _length_walk(self, low: int, high: int) -> np.ndarray | None:
+        """Surviving codes by length filter alone (count filter not
+        binding)."""
+        lengths = self._lengths
+        matches = np.flatnonzero((lengths >= low) & (lengths <= high))
+        if (
+            self._max_probe_cost is not None
+            and matches.size > self._max_probe_cost
+        ):
+            return None
         return matches

@@ -31,6 +31,13 @@ written atomically: readers see the previous complete artifact or the
 new complete artifact, never a torn file.  Being a cache, it keeps no
 ``.prev`` generation.
 
+The cache is bounded: a save that leaves more than
+:data:`MAX_ARTIFACTS` files of its kind deletes the oldest-written ones
+(by modification time).  Loads never touch the directory listing, so a
+warm hit costs one file read.  A request for an evicted relation is a
+plain cache miss: it rediscovers and saves again, and at the
+``cache_only`` brownout tier it is shed like any other cold request.
+
 Loads are corruption-tolerant by contract: a missing file, malformed
 JSON, wrong envelope version, mismatched key, a failed checksum or a
 payload the deserializer rejects all count as a cache *miss* (logged,
@@ -63,6 +70,10 @@ logger = get_logger("service.artifacts")
 #: Readers treat any other version as a cache miss, so old caches are
 #: silently recomputed rather than crashing a newer server.
 ARTIFACT_VERSION = 2
+
+#: Files kept per artifact kind; saves evict the oldest-written beyond
+#: it, so a service with non-repeating traffic holds a bounded cache.
+MAX_ARTIFACTS = 256
 
 _HITS = "renuver_artifact_cache_hits_total"
 _MISSES = "renuver_artifact_cache_misses_total"
@@ -185,7 +196,27 @@ class ArtifactStore:
             self._miss(kind, "write_error", detail=f"{envelope.path}: {exc}")
             return None
         logger.info("saved %s artifact to %s", kind, envelope.path)
+        self._evict(kind)
         return envelope.path
+
+    def _evict(self, kind: str) -> None:
+        """Delete the oldest-written files of ``kind`` beyond
+        :data:`MAX_ARTIFACTS`.  Best effort: a file another writer
+        replaced or removed meanwhile is skipped, and a failure is
+        logged, never raised."""
+        try:
+            aged = []
+            for path in (self.root / kind).glob("*/*.json"):
+                try:
+                    aged.append((path.stat().st_mtime_ns, path.name, path))
+                except FileNotFoundError:
+                    continue
+            aged.sort()
+            for _, _, path in aged[:max(0, len(aged) - MAX_ARTIFACTS)]:
+                path.unlink(missing_ok=True)
+                logger.debug("evicted %s artifact %s", kind, path)
+        except OSError as exc:
+            logger.warning("artifact eviction (%s) failed: %s", kind, exc)
 
     def _load(
         self,

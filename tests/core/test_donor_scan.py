@@ -791,6 +791,91 @@ def test_oracle_on_seed_dataset(seed_case, plan):
         assert counters["index_fallbacks"] > 0
 
 
+def test_ranked_view_matches_scalar_lists(seed_case):
+    """The lazy ranked view reads like the scalar engine's sorted list:
+    length, iteration, indexing, slicing and ``max_candidates``."""
+    dirty, rfds, _ = seed_case
+    relation = dirty.copy()
+    scalar, vectorized = make_engines(relation, rfds)
+    compared = 0
+    try:
+        for row, attribute in relation.missing_cells():
+            clusters = cluster_by_rhs_threshold(
+                select_rfds_for_attribute(rfds, attribute), attribute
+            )
+            scalar_scan = scalar.cell_scan(row, attribute, clusters)
+            vector_scan = vectorized.cell_scan(row, attribute, clusters)
+            for cluster in clusters:
+                expected = scalar_scan.candidates(cluster)
+                view = vector_scan.candidates(cluster)
+                assert len(view) == len(expected)
+                assert list(view) == expected
+                assert view == expected and expected == view
+                assert bool(view) == bool(expected)
+                for part in (slice(1, 3), slice(None, None, 2),
+                             slice(-2, None)):
+                    assert view[part] == expected[part]
+                if expected:
+                    assert view[0] == expected[0]
+                    assert view[-1] == expected[-1]
+                    compared += 1
+                with pytest.raises(IndexError):
+                    view[len(expected)]
+                for cap in (1, 2):
+                    capped = vector_scan.candidates(
+                        cluster, max_candidates=cap
+                    )
+                    assert len(capped) == min(cap, len(expected))
+                    assert capped == scalar_scan.candidates(
+                        cluster, max_candidates=cap
+                    )
+    finally:
+        vectorized.close()
+    assert compared > 0
+
+
+def test_driver_builds_only_the_candidates_it_tries(monkeypatch):
+    """Per cell, the driver builds at most ``candidates_tried``
+    candidates: the ranked view materializes only what is reached."""
+    from repro.core import donor_scan
+    from repro.core.candidates import Candidate
+    from repro.telemetry import NULL_TRACER, MetricsRegistry, Telemetry
+
+    relation = load_dataset("restaurant", n_tuples=120, seed=0)
+    rfds = list(discover_rfds(relation, ORACLE_DISCOVERY).all_rfds)
+    dirty = inject_missing(relation, rate=0.04, seed=3).relation
+    built: list[Candidate] = []
+
+    def counting_candidate(*args):
+        candidate = Candidate(*args)
+        built.append(candidate)
+        return candidate
+
+    monkeypatch.setattr(donor_scan, "Candidate", counting_candidate)
+    per_cell: list[tuple[int, int]] = []
+    impute_cell = Renuver._impute_cell
+
+    def recording_impute_cell(self, state, row, attribute, **kwargs):
+        before = len(built)
+        outcome = impute_cell(self, state, row, attribute, **kwargs)
+        per_cell.append((len(built) - before, outcome.candidates_tried))
+        return outcome
+
+    monkeypatch.setattr(Renuver, "_impute_cell", recording_impute_cell)
+    telemetry = Telemetry(tracer=NULL_TRACER, metrics=MetricsRegistry())
+    Renuver(rfds, telemetry=telemetry).impute(dirty)
+    generated = sum(
+        instrument.value
+        for family in telemetry.metrics.families()
+        if family.name == "renuver_candidates_generated_total"
+        for instrument in family.instruments.values()
+    )
+    assert per_cell
+    assert all(made <= tried for made, tried in per_cell), per_cell
+    assert len(built) == sum(tried for _, tried in per_cell)
+    assert len(built) < generated
+
+
 class TestEngineConfig:
     def test_invalid_engine_rejected(self):
         # The engine is not a setting: the scalar engine is only the

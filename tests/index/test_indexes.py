@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dataset.missing import MISSING
 from repro.distance.levenshtein import levenshtein
@@ -21,6 +23,7 @@ from repro.index import (
     NumericWindowIndex,
     QGramIndex,
 )
+from tests.index.dict_qgram import DictQGramIndex
 
 
 def assert_probe_shape(rows: np.ndarray) -> None:
@@ -153,3 +156,90 @@ class TestQGramIndex:
         index = QGramIndex([1234, 1235, 99])
         rows = index.probe(1234, 1.0)
         assert 0 in rows.tolist() and 1 in rows.tolist()
+
+
+# ----------------------------------------------------------------------
+# QGramIndex against the dict walk it replaced
+# ----------------------------------------------------------------------
+#: A small alphabet, so values share grams and probes cross the
+#: count-filter, length-walk, hot-group and probe-cost paths.
+oracle_texts = st.one_of(
+    st.sampled_from(
+        ["", "a", "ab", "abab", "日本", "cab", "a\x00", "\x00a"]
+    ),
+    st.text(alphabet="abc ", max_size=7),
+)
+oracle_values = st.one_of(st.just(MISSING), oracle_texts)
+oracle_ops = st.one_of(
+    st.tuples(
+        st.just("update"),
+        st.integers(min_value=0, max_value=14),
+        oracle_values,
+    ),
+    st.tuples(
+        st.just("probe"),
+        oracle_values,
+        st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    column=st.lists(oracle_values, max_size=10),
+    ops=st.lists(oracle_ops, max_size=40),
+    max_result=st.sampled_from([None, 1, 5]),
+    max_probe_cost=st.sampled_from([None, 0, 2, 6]),
+)
+def test_qgram_matches_dict_walk_oracle(
+    column, ops, max_result, max_probe_cost
+):
+    """Interleaved writes (new distinct values, a value's last row
+    dropped, MISSING written, appends) and probes: the columnar index
+    returns the dict walk's rows, declines and stats, and a superset of
+    the rows an exact banded Levenshtein accepts."""
+    caps = {"max_result": max_result, "max_probe_cost": max_probe_cost}
+    index = QGramIndex(column, **caps)
+    oracle = DictQGramIndex(column, **caps)
+    values = list(column)
+    for op in ops:
+        if op[0] == "update":
+            _, row, value = op
+            if row >= len(values):
+                values.extend([MISSING] * (row + 1 - len(values)))
+            values[row] = value
+            index.update(row, value)
+            oracle.update(row, value)
+            continue
+        _, target, threshold = op
+        rows = index.probe(target, threshold)
+        expected = oracle.probe(target, threshold)
+        assert (rows is None) == (expected is None), (target, threshold)
+        assert index.stats == oracle.stats
+        if rows is None:
+            assert index.skip_reason == oracle.skip_reason
+            continue
+        assert_probe_shape(rows)
+        assert rows.tolist() == expected.tolist(), (target, threshold)
+        if target is MISSING:
+            continue
+        within = {
+            row
+            for row, value in enumerate(values)
+            if value is not MISSING
+            and levenshtein(str(value), str(target)) <= threshold
+        }
+        assert within <= set(rows.tolist()), (target, threshold)
+    assert index.stats == oracle.stats
+
+
+def test_qgram_rebuilds_only_on_distinct_set_change():
+    index = QGramIndex(["ROME", "ROMA", MISSING])
+    arrays = index._posting_codes  # noqa: SLF001 - layout under test
+    index.update(2, "ROME")  # a copy of a present value
+    index.update(2, MISSING)  # and its rollback
+    assert index.probe("ROME", 1.0).tolist() == [0, 1]
+    assert index._posting_codes is arrays  # noqa: SLF001
+    index.update(2, "OSLO")  # a new distinct value
+    assert index.probe("OSLO", 0.0).tolist() == [2]
+    assert index._posting_codes is not arrays  # noqa: SLF001

@@ -130,3 +130,30 @@ class TestStoreErrors:
         # With the fault gone the very same save succeeds.
         assert store.save_discovery(relation, CONFIG, result) is not None
         assert store.load_discovery(relation, CONFIG) is not None
+
+
+class TestEviction:
+    def test_saves_beyond_the_bound_keep_the_newest(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.service import PreparedEngine, ServiceConfig
+        from repro.service import artifacts
+
+        kept, extra = 3, 2
+        monkeypatch.setattr(artifacts, "MAX_ARTIFACTS", kept)
+        root = tmp_path / "cache"
+        engine = PreparedEngine(
+            ServiceConfig(discovery=CONFIG), store=ArtifactStore(root)
+        )
+        relations = [
+            read_csv_text(CSV.replace("lima", f"lima{i}"), name="t")
+            for i in range(kept + extra)
+        ]
+        for relation in relations:
+            assert engine.prepare_rfds(relation)[2] == "discovered"
+        assert len(list((root / "discovery").glob("*/*.json"))) == kept
+        for relation in relations[extra:]:
+            assert engine.prepare_rfds(relation)[2] == "cache"
+        # An evicted relation is a plain miss: rediscovered and saved.
+        assert engine.prepare_rfds(relations[0])[2] == "discovered"
+        assert len(list((root / "discovery").glob("*/*.json"))) == kept
