@@ -14,12 +14,14 @@ code path:
   goes through one helper, ``_lhs_rows``, which returns the rows whose
   pair with the target satisfies the RFD's LHS: the AND of the cached
   per-attribute within-threshold masks, or — when an optional
-  :class:`~repro.index.plan.IndexPlan` answers the probe — the probed
-  rows that pass the same constraints.  The Equation-2 score is the sum
-  of the LHS distances of those rows over ``|X|``, the per-donor best
-  RFD an element-wise running minimum.  Verification orders the
-  relevant RFDs by measured selectivity (how often each one produced a
-  violation so far) and exits at the first violating RFD.
+  :class:`~repro.index.plan.IndexPlan` answers — the plan's rows, with
+  only the constraints it did not answer exactly confirmed on them.
+  The Equation-2 score is the sum of the LHS distances of those rows
+  over ``|X|``; each donor keeps its smallest score over the cluster's
+  RFDs, merged from the per-RFD row sets without relation-sized
+  arrays.  Verification orders the relevant RFDs by measured
+  selectivity (how often each one produced a violation so far) and
+  exits at the first violating RFD.
 * :class:`ScalarEngine` wraps the paper's pair-at-a-time functions
   (``find_candidate_tuples`` / ``is_faultless``) over a
   :class:`~repro.distance.pattern.PatternCalculator`.  No imputation run
@@ -33,13 +35,17 @@ distances only differ beyond every threshold in play.  An index plan
 changes no outcome either (the equivalence suite in ``tests/index/``
 checks it on every builtin dataset):
 
-* a probe result is a superset of the rows whose every LHS distance is
-  within threshold (the indexes only apply filters the thresholds
-  already imply), so confirming the constraints on the subset selects
-  exactly the rows the full masks would;
+* a string constraint the plan serves is exact: its distinct values
+  within threshold are matched once per (attribute, value, threshold)
+  per run — the index's filters only drop values the threshold already
+  rejects, and each surviving value is confirmed through this engine's
+  ``subset_vector`` — and its rows are the live rows of those values;
+* a numeric window, or a constraint the plan could not serve, is a
+  superset of the rows within threshold, so confirming it on the
+  plan's rows selects exactly the rows the full masks would;
 * ``subset_vector`` entries equal the corresponding ``vector`` entries
-  bit for bit (one gather, same clamps, same memo), so scores,
-  strict-minimum tie-breaks and the (distance, row) sort are unchanged;
+  bit for bit (one gather, same clamps, same memo), so matches, scores,
+  minimum-score tie-breaks and the (distance, row) sort are unchanged;
 * any probe the plan declines (hot value past ``max_group_size``,
   overridden distance, un-probeable attribute) scans the full column
   for that RFD: slower, never different.
@@ -425,25 +431,28 @@ class VectorizedEngine(KernelCallSeam):
         The one LHS check of Algorithms 3-4 and Definition 3.4: a sorted
         ``int64`` array of the rows other than the target (and within
         ``eligible``, when given) that satisfy every LHS constraint of
-        ``rfd``, or ``None`` when none do.  With a plan, the constraints
-        are confirmed on the probed rows only; a declined probe, or no
+        ``rfd``, or ``None`` when none do.  With a plan, only the
+        constraints the plan did not answer exactly are confirmed, on
+        the rows it returned; a plan that serves no constraint, or no
         plan, ANDs the cached full-column masks.
         """
         kernels = self.kernels
-        rows = None
         if self.plan is not None:
-            rows = self.plan.candidate_rows(target_row, rfd.lhs)
-        if rows is not None:
-            if eligible is not None:
-                rows = rows[eligible[rows]]
-            for constraint in rfd.lhs:
-                if not rows.size:
-                    return None
-                vector = kernels.subset_vector(
-                    target_row, constraint.attribute, rows
-                )
-                rows = rows[vector <= constraint.threshold]
-            return rows if rows.size else None
+            answer = self.plan.candidate_rows(
+                target_row, rfd.lhs, kernels.subset_vector
+            )
+            if answer is not None:
+                rows, pending = answer
+                if eligible is not None:
+                    rows = rows[eligible[rows]]
+                for constraint in pending:
+                    if not rows.size:
+                        return None
+                    vector = kernels.subset_vector(
+                        target_row, constraint.attribute, rows
+                    )
+                    rows = rows[vector <= constraint.threshold]
+                return rows if rows.size else None
         if eligible is None:
             mask = np.ones(self.relation.n_tuples, dtype=bool)
         else:
@@ -632,17 +641,14 @@ class _VectorizedCellScan:
         self, cluster: Cluster, max_candidates: int | None
     ) -> Sequence[Candidate]:
         target_row = self._target_row
-        attribute = self._attribute
         engine = self._engine
         kernels = engine.kernels
-        relation = engine.relation
-        donors = kernels.present_mask(attribute).copy()
-        donors[target_row] = False
-        if not donors.any():
+        # Donors are the rows present on the attribute; ``_lhs_rows``
+        # drops the target itself.
+        donors = kernels.present_mask(self._attribute)
+        if np.count_nonzero(donors) <= donors[target_row]:
             return []
-        n = donors.shape[0]
-        best = np.full(n, np.inf)
-        best_rfd = np.full(n, -1, dtype=np.int64)
+        hits: list[tuple[np.ndarray, np.ndarray, int]] = []
         with np.errstate(invalid="ignore"):
             for index, rfd in enumerate(cluster.rfds):
                 rows = engine._lhs_rows(target_row, rfd, donors)
@@ -652,24 +658,40 @@ class _VectorizedCellScan:
                 for name in rfd.lhs_attributes:
                     vector = kernels.subset_vector(target_row, name, rows)
                     total = vector if total is None else total + vector
-                score = total / len(rfd.lhs)
-                better = score < best[rows]  # strict: first RFD wins ties
-                if better.any():
-                    improved = rows[better]
-                    best[improved] = score[better]
-                    best_rfd[improved] = index
-        found = np.flatnonzero(best_rfd >= 0)
-        # (distance, row) order; ``found`` is ascending and unique, so
-        # it breaks distance ties exactly as ``Candidate.sort_key``.
-        order = found[np.lexsort((found, best[found]))]
+                hits.append((rows, total / len(rfd.lhs), index))
+        if not hits:
+            rows = scores = rfd_index = _NO_ROWS
+        elif len(hits) == 1:
+            rows, scores, index = hits[0]
+            rfd_index = np.full(rows.size, index, dtype=np.int64)
+        else:
+            # Each donor keeps its smallest score, and among equal
+            # scores its first RFD: sort by (row, score, RFD) and keep
+            # each row's first entry.
+            rows = np.concatenate([hit[0] for hit in hits])
+            scores = np.concatenate([hit[1] for hit in hits])
+            rfd_index = np.concatenate([
+                np.full(hit[0].size, hit[2], dtype=np.int64)
+                for hit in hits
+            ])
+            order = np.lexsort((rfd_index, scores, rows))
+            first = np.ones(order.size, dtype=bool)
+            first[1:] = rows[order[1:]] != rows[order[:-1]]
+            best = order[first]
+            rows, scores, rfd_index = (
+                rows[best], scores[best], rfd_index[best]
+            )
+        # (distance, row) order; ``rows`` is ascending and unique, so it
+        # breaks distance ties exactly as ``Candidate.sort_key``.
+        order = np.lexsort((rows, scores))
         if max_candidates is not None:
             order = order[:max_candidates]
         return RankedCandidates(
-            relation,
-            attribute,
-            order,
-            best[order],
-            best_rfd[order],
+            engine.relation,
+            self._attribute,
+            rows[order],
+            scores[order],
+            rfd_index[order],
             cluster.rfds,
         )
 

@@ -97,11 +97,7 @@ class Relation:
         name: str = "relation",
         coerce: bool = True,
     ) -> None:
-        if not attributes:
-            raise SchemaError("a relation needs at least one attribute")
-        names = [attr.name for attr in attributes]
-        if len(set(names)) != len(names):
-            raise SchemaError(f"duplicate attribute names in {names}")
+        names = _checked_names(attributes)
         missing_cols = [n for n in names if n not in columns]
         if missing_cols:
             raise SchemaError(f"no column data for attributes {missing_cols}")
@@ -109,19 +105,50 @@ class Relation:
         if len(lengths) > 1:
             raise DataError(f"ragged columns: lengths {sorted(lengths)}")
 
-        self.name = name
-        self._attributes: tuple[Attribute, ...] = tuple(attributes)
-        self._index: dict[str, int] = {n: i for i, n in enumerate(names)}
-        self._columns: dict[str, list[Any]] = {}
-        for attr in self._attributes:
+        canonical: dict[str, list[Any]] = {}
+        for attr in attributes:
             raw = columns[attr.name]
             if coerce:
                 col = [coerce_value(v, attr.type) for v in raw]
             else:
                 col = [normalize_missing(v) for v in raw]
-            self._columns[attr.name] = col
+            canonical[attr.name] = col
+        self._adopt(tuple(attributes), canonical, name)
+
+    def _adopt(
+        self,
+        attributes: tuple[Attribute, ...],
+        columns: dict[str, list[Any]],
+        name: str,
+    ) -> None:
+        """Take ``columns`` as this relation's own, unchecked.
+
+        The columns must already be canonical — one list per attribute,
+        in schema order, of equal length, with coerced values and
+        :data:`MISSING` for every missing cell — as the columns of an
+        existing relation are.
+        """
+        self.name = name
+        self._attributes = attributes
+        self._index: dict[str, int] = {
+            attr.name: i for i, attr in enumerate(attributes)
+        }
+        self._columns = columns
         self._version = 0
         self._listeners: list[Callable[[int, str, Any], None]] = []
+
+    @staticmethod
+    def _derive(
+        attributes: tuple[Attribute, ...],
+        columns: dict[str, list[Any]],
+        name: str,
+    ) -> "Relation":
+        """A new relation over columns derived from an existing
+        relation's: already canonical, so nothing is coerced or
+        normalized again."""
+        relation = Relation.__new__(Relation)
+        relation._adopt(attributes, columns, name)
+        return relation
 
     # ------------------------------------------------------------------
     # Constructors
@@ -401,23 +428,16 @@ class Relation:
             attr.name: list(self._columns[attr.name])
             for attr in self._attributes
         }
-        return Relation(
-            self._attributes,
-            columns,
-            name=name or self.name,
-            coerce=False,
-        )
+        return self._derive(self._attributes, columns, name or self.name)
 
     def project(self, names: Sequence[str], *,
                 name: str | None = None) -> "Relation":
         """A copy restricted to the given attributes (``Pi_X(r)``)."""
-        attributes = [self.attribute(n) for n in names]
+        attributes = tuple(self.attribute(n) for n in names)
+        _checked_names(attributes)
         columns = {n: list(self._columns[n]) for n in names}
-        return Relation(
-            attributes,
-            columns,
-            name=name or f"{self.name}[{','.join(names)}]",
-            coerce=False,
+        return self._derive(
+            attributes, columns, name or f"{self.name}[{','.join(names)}]"
         )
 
     def take(self, rows: Sequence[int], *,
@@ -429,11 +449,9 @@ class Relation:
             attr.name: [self._columns[attr.name][row] for row in rows]
             for attr in self._attributes
         }
-        return Relation(
-            self._attributes,
-            columns,
-            name=name or f"{self.name}[{len(rows)} rows]",
-            coerce=False,
+        return self._derive(
+            self._attributes, columns,
+            name or f"{self.name}[{len(rows)} rows]",
         )
 
     def head(self, count: int, *, name: str | None = None) -> "Relation":
@@ -508,6 +526,16 @@ class Relation:
             raise DataError(
                 f"row {row} out of range for {self.n_tuples} tuples"
             )
+
+
+def _checked_names(attributes: Sequence[Attribute]) -> list[str]:
+    """The attribute names of a schema: at least one, none repeated."""
+    if not attributes:
+        raise SchemaError("a relation needs at least one attribute")
+    names = [attr.name for attr in attributes]
+    if len(set(names)) != len(names):
+        raise SchemaError(f"duplicate attribute names in {names}")
+    return names
 
 
 def _missing_rows(column: list[Any]) -> list[int]:

@@ -3,10 +3,12 @@
 The donor-scan engines of :mod:`repro.core.donor_scan` compare the
 target tuple against *every* other tuple.  This package turns the
 engines' threshold comparisons (``distance(t[A], u[A]) <= tau``) into
-index probes that return a *superset* of the rows that can satisfy
-them — pruning only pairs the RFD thresholds already reject, so the
-exact distances recomputed on the surviving rows (and therefore the
-imputation outcomes) stay bit-identical to the unblocked scan.
+index probes — pruning only pairs the RFD thresholds already reject, so
+the imputation outcomes stay bit-identical to the unblocked scan.  A
+string constraint is answered exactly, from the distinct values within
+``tau`` (matched once per value and threshold, each confirmed through
+the engine's own distance kernel); a numeric window returns a
+*superset*, which the engine confirms on the surviving rows.
 
 Three per-attribute index kinds implement the
 :class:`~repro.index.base.BlockingIndex` protocol:
@@ -29,7 +31,12 @@ Indexes are maintained incrementally through the relation's
 reuse them across rounds.  See ``docs/INDEXING.md``.
 """
 
-from repro.index.base import EMPTY_ROWS, BlockingIndex, IndexStats
+from repro.index.base import (
+    EMPTY_ROWS,
+    BlockingIndex,
+    IndexStats,
+    ValueIndex,
+)
 from repro.index.exact import ExactMatchIndex
 from repro.index.numeric import NumericWindowIndex
 from repro.index.plan import AUTO_BLOCKING_MIN_TUPLES, IndexPlan
@@ -44,4 +51,5 @@ __all__ = [
     "IndexStats",
     "NumericWindowIndex",
     "QGramIndex",
+    "ValueIndex",
 ]

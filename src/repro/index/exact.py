@@ -2,24 +2,30 @@
 
 Levenshtein distance is zero exactly when the rendered strings are
 equal, so for attributes whose every LHS constraint is crisp the whole
-probe is one dict lookup.  Probes with a positive threshold decline
-(``skip_reason = "unsupported"``) — the plan picks a
-:class:`~repro.index.strings.QGramIndex` instead when it knows loose
-thresholds are coming.
+probe is one dict lookup, and its answer is exact without a distance
+computed: the one matching value is the probe value itself.  Probes
+with a positive threshold decline (``skip_reason = "unsupported"``) —
+the plan picks a :class:`~repro.index.strings.QGramIndex` instead when
+it knows loose thresholds are coming.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.dataset.missing import MISSING
-from repro.index.base import EMPTY_ROWS, IndexStats, sorted_rows
+from repro.index.base import IndexStats, ValueIndex
 
 
-class ExactMatchIndex:
-    """Distinct-value hash index over one rendered-string column."""
+class ExactMatchIndex(ValueIndex):
+    """Distinct-value hash index over one rendered-string column.
+
+    Keys are the rendered values themselves.  :attr:`generation` moves
+    when a value gains its first row: a key the index did not hold
+    before now has rows.
+    """
 
     kind = "exact"
 
@@ -34,6 +40,8 @@ class ExactMatchIndex:
         for row, value in enumerate(self._values):
             if value is not None:
                 self._rows_by_value.setdefault(value, set()).add(row)
+        self._arrays: dict[str, np.ndarray] = {}
+        self.generation = 0
         self.skip_reason = ""
         self.stats = IndexStats()
         self.stats.builds += 1
@@ -45,6 +53,7 @@ class ExactMatchIndex:
             self._values.extend([None] * (row + 1 - len(self._values)))
         old = self._values[row]
         if old is not None:
+            self._arrays.pop(old, None)
             rows = self._rows_by_value[old]
             rows.discard(row)
             if not rows:
@@ -52,10 +61,24 @@ class ExactMatchIndex:
         new = None if value is MISSING else str(value)
         self._values[row] = new
         if new is not None:
-            self._rows_by_value.setdefault(new, set()).add(row)
+            self._arrays.pop(new, None)
+            rows = self._rows_by_value.get(new)
+            if rows is None:
+                self._rows_by_value[new] = {row}
+                self.generation += 1
+            else:
+                rows.add(row)
 
     # ------------------------------------------------------------------
-    def probe(self, value: Any, threshold: float) -> np.ndarray | None:
+    def match(
+        self,
+        value: Any,
+        threshold: float,
+        within: Callable[[np.ndarray], np.ndarray],
+    ) -> Sequence[str] | None:
+        """The probe value itself (equal strings are at distance 0), or
+        ``None`` for a threshold of 1 or more; ``within`` is not
+        needed."""
         self.stats.probes += 1
         if threshold >= 1.0:
             # Edit distance is integral: tau in [0, 1) still means
@@ -64,15 +87,8 @@ class ExactMatchIndex:
             self.stats.skip("unsupported")
             return None
         if value is MISSING:
-            self.stats.served += 1
-            return EMPTY_ROWS
-        rows = self._rows_by_value.get(str(value))
-        if rows is None:
-            self.stats.served += 1
-            return EMPTY_ROWS
-        if self._max_result is not None and len(rows) > self._max_result:
-            self.skip_reason = "hot_group"
-            self.stats.skip("hot_group")
-            return None
-        self.stats.served += 1
-        return sorted_rows(list(rows))
+            return ()
+        return (str(value),)
+
+    def _row_set(self, key: str) -> set[int]:
+        return self._rows_by_value.get(key, set())

@@ -4,11 +4,20 @@
 :class:`~repro.index.base.BlockingIndex` per LHS attribute of the RFD
 set and answers the engine's question — *which rows can satisfy every
 LHS constraint of this RFD against this target row?* — by intersecting
-the per-attribute probe results (smallest first).  The plan never
-guesses: any probe an index declines falls back to the engine's full
-scan for that attribute, and when *no* attribute could be probed the
-whole composition returns ``None`` (full-scan fallback, counted in
-``renuver_index_fallbacks_total{reason}``).
+the per-attribute answers (smallest first).
+
+A string constraint is answered **exactly**.  The distinct values
+within ``tau`` of the target value are matched once per (attribute,
+value, ``tau``) while the index's ``generation`` stands — the index
+filters candidate values and the engine's own distance kernel confirms
+each one, so no distance is computed that the engine would not compute
+— and each answer reads the live rows of those values.  A numeric
+window answers a superset, which the engine confirms on the
+intersected rows; so does every constraint the plan could not serve.
+The plan never guesses: any probe an index declines falls back to the
+engine's full scan for that attribute, and when *no* attribute could
+be probed the whole composition returns ``None`` (full-scan fallback,
+counted in ``renuver_index_fallbacks_total{reason}``).
 
 The plan attaches to the relation's mutation hook (the same dirty-cell
 seam the distance kernels ride), so tentative writes, rollbacks and
@@ -19,14 +28,14 @@ instead of rebuilding per round.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
 from repro.dataset.attribute import AttributeType
 from repro.dataset.missing import MISSING
 from repro.dataset.relation import Relation
-from repro.index.base import EMPTY_ROWS, BlockingIndex
+from repro.index.base import EMPTY_ROWS, BlockingIndex, ValueIndex
 from repro.index.exact import ExactMatchIndex
 from repro.index.numeric import NumericWindowIndex
 from repro.index.strings import QGramIndex
@@ -40,6 +49,14 @@ from repro.telemetry import NULL_TELEMETRY
 AUTO_BLOCKING_MIN_TUPLES = 5000
 
 _UNINDEXED = "unindexed"
+
+#: Distances from the target row's cell on an attribute to some rows:
+#: the engine kernels' ``subset_vector``.
+Distances = Callable[[int, str, np.ndarray], np.ndarray]
+
+#: The plan's answer: candidate rows, and the constraints the caller
+#: must still confirm on them.
+Answer = tuple[np.ndarray, tuple[Constraint, ...]]
 
 
 class IndexPlan:
@@ -82,6 +99,11 @@ class IndexPlan:
         self._override_names = frozenset(override_names)
         self._kinds: dict[str, str | None] = {}
         self._indexes: dict[str, BlockingIndex] = {}
+        #: Per attribute: the index generation the memo is valid for,
+        #: and (value, threshold) -> matching keys, or a decline reason.
+        self._matches: dict[
+            str, tuple[int, dict[tuple[str, float], Any]]
+        ] = {}
         self._attached = False
         self._telemetry = NULL_TELEMETRY
         self._probe_counter: object | None = None
@@ -134,6 +156,7 @@ class IndexPlan:
         for name, kind in kinds.items():
             if self._kinds.get(name) != kind:
                 self._indexes.pop(name, None)
+                self._matches.pop(name, None)
         self._kinds = kinds
 
     def _kind_for(self, name: str, limit: float) -> str | None:
@@ -157,20 +180,25 @@ class IndexPlan:
     # Probing
     # ------------------------------------------------------------------
     def candidate_rows(
-        self, target_row: int, constraints: Sequence[Constraint]
-    ) -> np.ndarray | None:
+        self,
+        target_row: int,
+        constraints: Sequence[Constraint],
+        distances: Distances,
+    ) -> Answer | None:
         """Rows that can satisfy every constraint against the target.
 
-        Returns a sorted unique ``int64`` array (the target row always
-        excluded; an empty array when the target is missing on some
-        constrained attribute — no pair can satisfy it then), or
-        ``None`` when no constraint could be probed: the caller must
-        run its full scan.  The result is a superset of the truly
-        satisfying rows; exact distances are always recomputed on it.
+        Returns ``(rows, pending)``: a sorted unique ``int64`` array
+        (the target row always excluded; empty when the target is
+        missing on some constrained attribute — no pair can satisfy it
+        then) and the constraints the caller must still check on those
+        rows.  Every other constraint is satisfied by exactly the rows
+        returned.  ``None`` means no constraint could be probed: the
+        caller must run its full scan.  ``distances`` is the engine's
+        distance kernel, through which string matches are confirmed.
         """
         tracer = self._telemetry.tracer
         if not tracer.enabled:
-            return self._candidate_rows(target_row, constraints)
+            return self._candidate_rows(target_row, constraints, distances)
         with tracer.span(
             "index.probe",
             row=target_row,
@@ -178,36 +206,51 @@ class IndexPlan:
                 constraint.attribute for constraint in constraints
             ),
         ) as span:
-            result = self._candidate_rows(target_row, constraints)
+            answer = self._candidate_rows(
+                target_row, constraints, distances
+            )
             span.set_attribute(
                 "candidates",
-                -1 if result is None else int(result.size),
+                -1 if answer is None else int(answer[0].size),
             )
-            return result
+            return answer
 
     def _candidate_rows(
-        self, target_row: int, constraints: Sequence[Constraint]
-    ) -> np.ndarray | None:
+        self,
+        target_row: int,
+        constraints: Sequence[Constraint],
+        distances: Distances,
+    ) -> Answer | None:
         relation = self.relation
         probes: list[np.ndarray] = []
+        pending: list[Constraint] = []
         for constraint in constraints:
             index = self._index_for(constraint.attribute)
             if index is None:
                 self._count_fallback(_UNINDEXED)
+                pending.append(constraint)
                 continue
             value = relation.value(target_row, constraint.attribute)
             if value is MISSING:
                 # The target cannot form a within-threshold pair on a
                 # missing LHS cell; the engine's masks agree (NaN
                 # compares false).
+                return EMPTY_ROWS, ()
+            if isinstance(index, ValueIndex):
+                rows = self._matching_rows(
+                    index, target_row, constraint, value, distances
+                )
+                exact = rows is not None
+            else:
                 self._count_probe()
-                return EMPTY_ROWS
-            rows = index.probe(value, constraint.threshold)
-            self._count_probe()
-            if rows is None:
-                self._count_fallback(index.skip_reason or _UNINDEXED)
-                continue
-            probes.append(rows)
+                rows = index.probe(value, constraint.threshold)
+                exact = False  # a window is a superset
+                if rows is None:
+                    self._count_fallback(index.skip_reason or _UNINDEXED)
+            if not exact:
+                pending.append(constraint)
+            if rows is not None:
+                probes.append(rows)
         if not probes:
             self._count_fallback("full_scan")
             return None
@@ -222,7 +265,43 @@ class IndexPlan:
         pruned = max(0, relation.n_tuples - 1 - int(out.size))
         self.pruned_pairs += pruned
         self._count_pruned(pruned)
-        return out
+        return out, tuple(pending)
+
+    def _matching_rows(
+        self,
+        index: ValueIndex,
+        target_row: int,
+        constraint: Constraint,
+        value: Any,
+        distances: Distances,
+    ) -> np.ndarray | None:
+        """The live rows of the values within the constraint's threshold
+        of ``value``, or ``None`` (fallback counted) when declined."""
+        name = constraint.attribute
+        threshold = constraint.threshold
+        entry = self._matches.get(name)
+        if entry is None or entry[0] != index.generation:
+            entry = self._matches[name] = (index.generation, {})
+        memo = entry[1]
+        key = (str(value), threshold)
+        keys: Sequence[Hashable] | str | None = memo.get(key)
+        if keys is None:
+            self._count_probe()
+
+            def within(rows: np.ndarray) -> np.ndarray:
+                return distances(target_row, name, rows) <= threshold
+
+            keys = index.match(value, threshold, within)
+            if keys is None:
+                keys = index.skip_reason or _UNINDEXED
+            memo[key] = keys
+        if isinstance(keys, str):
+            self._count_fallback(keys)
+            return None
+        rows = index.rows(keys)
+        if rows is None:
+            self._count_fallback(index.skip_reason)
+        return rows
 
     def _index_for(self, name: str) -> BlockingIndex | None:
         index = self._indexes.get(name)

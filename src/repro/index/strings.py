@@ -19,7 +19,7 @@ set per code.  The postings are CSR arrays: the slice
 lists the codes whose value contains gram ``g``, with the gram's count
 in that value.
 
-A probe unions the rows of every code surviving both filters.  When the
+The candidates are the codes surviving both filters.  When the
 count filter binds (``len(target) - q + 1 - q*tau > 0``) every survivor
 shares at least one gram with the target, so only the slices of the
 target's grams are gathered: the multiset intersection is one
@@ -32,23 +32,31 @@ gathered slice lengths, or the codes in the length window) exceed the
 probe-cost cap: hot gram distributions are exactly where a linear walk
 stops beating the full scan.
 
-Maintenance.  An update moves one row between code sets.  A write that
-adds a distinct value, or drops a value's last row, marks the arrays
-stale, and the next probe rebuilds them over the live values (dead codes
-are dropped then).  Alg. 4's tentative writes copy a donor's value and
-roll back to missing, so during an imputation the distinct set, and the
-arrays, stay put.
+Answers.  :meth:`~repro.index.base.ValueIndex.match` confirms each
+candidate code once, on one row holding it, and keeps the codes within
+``tau``; :meth:`~repro.index.base.ValueIndex.rows` unions the sorted row
+arrays of the kept codes, declining with ``skip_reason = "hot_group"``
+past ``max_result`` rows.
+
+Maintenance.  An update moves one row between code sets and drops the
+row arrays of the two codes involved.  A write that adds a distinct
+value, or drops a value's last row, marks the CSR arrays stale and moves
+:attr:`QGramIndex.generation`; the next walk rebuilds the arrays over
+the live values (dead codes are dropped then, so codes are renumbered).
+Alg. 4's tentative writes copy a donor's value and roll back to
+missing, so during an imputation the distinct set, the arrays and the
+codes stay put.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from repro.dataset.missing import MISSING
-from repro.index.base import EMPTY_ROWS, IndexStats, sorted_rows
+from repro.index.base import EMPTY_ROWS, IndexStats, ValueIndex
 
 
 def qgrams(value: str, q: int) -> dict[str, int]:
@@ -60,8 +68,12 @@ def qgrams(value: str, q: int) -> dict[str, int]:
     return grams
 
 
-class QGramIndex:
-    """Inverted q-gram index over one rendered-string column."""
+class QGramIndex(ValueIndex):
+    """Inverted q-gram index over one rendered-string column.
+
+    Keys are index-local value codes; :attr:`generation` moves whenever
+    the codes may be renumbered.
+    """
 
     kind = "qgram"
 
@@ -85,6 +97,8 @@ class QGramIndex:
         self._code_of: dict[str, int] = {}
         self._value_of: list[str] = []
         self._rows_of: list[set[int]] = []
+        self._arrays: dict[int, np.ndarray] = {}
+        self.generation = 0
         for row, value in enumerate(self._values):
             if value is not None:
                 self._add_row(row, value)
@@ -102,12 +116,17 @@ class QGramIndex:
             self._code_of[value] = len(self._value_of)
             self._value_of.append(value)
             self._rows_of.append({row})
-            self._stale = True
+            self._mark_stale()
             return
+        self._arrays.pop(code, None)
         rows = self._rows_of[code]
         if not rows:
-            self._stale = True
+            self._mark_stale()
         rows.add(row)
+
+    def _mark_stale(self) -> None:
+        self._stale = True
+        self.generation += 1
 
     def _rebuild(self) -> None:
         """Re-derive codes, ``lengths`` and the postings from the live
@@ -122,6 +141,7 @@ class QGramIndex:
         self._code_of = {
             value: code for code, value in enumerate(self._value_of)
         }
+        self._arrays.clear()
         self._lengths = np.fromiter(
             map(len, self._value_of), dtype=np.int64,
             count=len(self._value_of),
@@ -164,25 +184,25 @@ class QGramIndex:
             self._values.extend([None] * (row + 1 - len(self._values)))
         old = self._values[row]
         if old is not None:
-            rows = self._rows_of[self._code_of[old]]
+            code = self._code_of[old]
+            self._arrays.pop(code, None)
+            rows = self._rows_of[code]
             rows.discard(row)
             if not rows:
-                self._stale = True
+                self._mark_stale()
         new = None if value is MISSING else str(value)
         self._values[row] = new
         if new is not None:
             self._add_row(row, new)
 
     # ------------------------------------------------------------------
-    def probe(self, value: Any, threshold: float) -> np.ndarray | None:
-        self.stats.probes += 1
+    def _candidates(self, value: Any, threshold: float) -> np.ndarray | None:
+        """Codes surviving the length and count filters."""
         if value is MISSING:
-            self.stats.served += 1
             return EMPTY_ROWS
         target = str(value)
         tau = int(math.floor(threshold))  # distances are integral
         if tau < 0:
-            self.stats.served += 1
             return EMPTY_ROWS
         if self._stale:
             self._rebuild()
@@ -198,19 +218,32 @@ class QGramIndex:
         if matches is None:
             self.skip_reason = "probe_cost"
             self.stats.skip("probe_cost")
+        return matches
+
+    def match(
+        self,
+        value: Any,
+        threshold: float,
+        within: Callable[[np.ndarray], np.ndarray],
+    ) -> list[int] | None:
+        """The codes surviving both filters that ``within`` accepts,
+        each confirmed once, on one row holding it."""
+        self.stats.probes += 1
+        codes = self._candidates(value, threshold)
+        if codes is None:
             return None
-        groups = [self._rows_of[code] for code in matches.tolist()]
-        if self._max_result is not None and (
-            sum(map(len, groups)) > self._max_result
-        ):
-            self.skip_reason = "hot_group"
-            self.stats.skip("hot_group")
-            return None
-        self.stats.served += 1
-        rows: list[int] = []
-        for group in groups:
-            rows.extend(group)
-        return sorted_rows(rows)
+        if not codes.size:
+            return []
+        rows_of = self._rows_of
+        holders = np.fromiter(
+            (next(iter(rows_of[code])) for code in codes.tolist()),
+            dtype=np.int64,
+            count=codes.size,
+        )
+        return codes[within(holders)].tolist()
+
+    def _row_set(self, key: int) -> set[int]:
+        return self._rows_of[key]
 
     def _count_filter_walk(
         self, target: str, tau: int, low: int, high: int

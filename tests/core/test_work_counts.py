@@ -1,8 +1,10 @@
 """The work a blocked imputation does, pinned.
 
 Outcome digests say *what* an imputation produced; these counts say how
-much work it took to get there: index probes issued and served, full
-scan fallbacks, engine calls per operation and candidates ranked.  A
+much work it took to get there: index probes issued (one per index
+walk: a string match the plan memoized is not probed again) and LHS
+queries served, full scan fallbacks, engine calls per operation and
+candidates ranked.  A
 change that keeps the outputs but probes more, falls back more or ranks
 more candidates fails here, before any benchmark run.
 
@@ -39,8 +41,8 @@ EXPECTED_COUNTERS = {
     "calls_partition_key_rfds": 1,
     "index_builds": 5,
     "index_fallbacks": 0,
-    "index_probes": 1056,
-    "index_pruned_pairs": 4704084,
+    "index_probes": 629,
+    "index_pruned_pairs": 4705121,
     "index_served_probes": 946,
     "index_updates": 305,
 }

@@ -3,8 +3,9 @@
 :class:`DictQGramIndex` is the earlier ``QGramIndex``: postings as
 ``dict[gram, dict[value, count]]``, distinct values bucketed by length
 in sets, and both walks as Python loops.  The columnar
-:class:`~repro.index.strings.QGramIndex` must return the same rows, the
-same declines and the same ``stats`` on every probe.
+:class:`~repro.index.strings.QGramIndex`, asked with every candidate
+accepted, must return the same rows, the same declines and the same
+``stats`` on every probe.
 """
 
 from __future__ import annotations

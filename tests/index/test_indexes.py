@@ -1,11 +1,12 @@
 """Unit probes for the three blocking-index kinds.
 
-Each index must return a *superset* of the rows whose distance to the
-probe value is within threshold (``docs/INDEXING.md``): a brute-force
-reference computes the true within-threshold set and the probe result
-must contain it.  Declines (``None``) are always legal; these tests pin
-down when they are *required* (hot groups, probe-cost caps, unsupported
-thresholds) and that results are sorted unique int64 arrays.
+The numeric window must return a *superset* of the rows whose distance
+to the probe value is within threshold, and the string indexes exactly
+those rows (``docs/INDEXING.md``): a brute-force reference computes the
+true within-threshold set.  Declines (``None``) are always legal; these
+tests pin down when they are *required* (hot groups, probe-cost caps,
+unsupported thresholds) and that results are sorted unique int64
+arrays.
 """
 
 from __future__ import annotations
@@ -29,6 +30,29 @@ from tests.index.dict_qgram import DictQGramIndex
 def assert_probe_shape(rows: np.ndarray) -> None:
     assert rows.dtype == np.int64
     assert list(rows) == sorted(set(rows.tolist()))
+
+
+def everything(rows: np.ndarray) -> np.ndarray:
+    """A ``within`` accepting every candidate value."""
+    return np.ones(rows.size, dtype=bool)
+
+
+def answer(index, value, threshold, within=everything):
+    """A string index's rows for ``value``: with ``everything``, the
+    rows of every value its filters keep; ``None`` when it declines."""
+    keys = index.match(value, threshold, within)
+    return None if keys is None else index.rows(keys)
+
+
+def levenshtein_within(column, target, threshold):
+    """A ``within`` deciding by the edit distance of ``column`` values."""
+    def within(rows):
+        return np.array(
+            [levenshtein(str(column[row]), str(target)) <= threshold
+             for row in rows.tolist()],
+            dtype=bool,
+        )
+    return within
 
 
 class TestNumericWindowIndex:
@@ -84,27 +108,27 @@ class TestExactMatchIndex:
     def test_equal_rows_only(self):
         column = ["ROME", "PARIS", MISSING, "ROME"]
         index = ExactMatchIndex(column)
-        rows = index.probe("ROME", 0.0)
+        rows = answer(index, "ROME", 0.0)
         assert_probe_shape(rows)
         assert rows.tolist() == [0, 3]
 
     def test_unknown_value_is_empty(self):
         index = ExactMatchIndex(["A"])
-        assert index.probe("B", 0.0) is EMPTY_ROWS
+        assert answer(index, "B", 0.0) is EMPTY_ROWS
 
     def test_sub_one_threshold_still_means_equal(self):
         # Edit distance is integral: tau in [0, 1) admits only equality.
         index = ExactMatchIndex(["A", "B"])
-        assert index.probe("A", 0.9).tolist() == [0]
+        assert answer(index, "A", 0.9).tolist() == [0]
 
     def test_loose_threshold_unsupported(self):
         index = ExactMatchIndex(["A", "B"])
-        assert index.probe("A", 1.0) is None
+        assert index.match("A", 1.0, everything) is None
         assert index.skip_reason == "unsupported"
 
     def test_hot_group_declines(self):
         index = ExactMatchIndex(["X"] * 5, max_result=3)
-        assert index.probe("X", 0.0) is None
+        assert answer(index, "X", 0.0) is None
         assert index.skip_reason == "hot_group"
 
 
@@ -119,42 +143,48 @@ class TestQGramIndex:
         "target", ["MAPLE STREET", "OAK AVE", "", "E", "日本語テスト"]
     )
     def test_superset_of_true_matches(self, target, threshold):
+        """The filters keep a superset of the true matches, and the
+        confirmed answer is exactly them."""
         index = QGramIndex(self.VALUES)
-        rows = index.probe(target, threshold)
-        assert rows is not None
-        assert_probe_shape(rows)
         expected = {
             row
             for row, value in enumerate(self.VALUES)
             if value is not MISSING
             and levenshtein(str(value), target) <= threshold
         }
+        rows = answer(index, target, threshold)
+        assert rows is not None
+        assert_probe_shape(rows)
         assert expected <= set(rows.tolist())
+        within = levenshtein_within(self.VALUES, target, threshold)
+        exact = answer(index, target, threshold, within)
+        assert_probe_shape(exact)
+        assert set(exact.tolist()) == expected
 
     def test_missing_probe_value_is_empty(self):
         index = QGramIndex(self.VALUES)
-        assert index.probe(MISSING, 2.0) is EMPTY_ROWS
+        assert answer(index, MISSING, 2.0) is EMPTY_ROWS
 
     def test_length_filter_prunes(self):
         index = QGramIndex(["AB", "ABCDEFGH"])
-        rows = index.probe("AB", 1.0)
+        rows = answer(index, "AB", 1.0)
         assert rows.tolist() == [0]
 
     def test_hot_group_declines(self):
         index = QGramIndex(["SAME VALUE"] * 6, max_result=4)
-        assert index.probe("SAME VALUE", 1.0) is None
+        assert answer(index, "SAME VALUE", 1.0) is None
         assert index.skip_reason == "hot_group"
 
     def test_probe_cost_declines(self):
         values = [f"PREFIX {i:04d}" for i in range(50)]
         index = QGramIndex(values, max_probe_cost=10)
-        assert index.probe("PREFIX 0000", 2.0) is None
+        assert index.match("PREFIX 0000", 2.0, everything) is None
         assert index.skip_reason == "probe_cost"
         assert index.stats.skips["probe_cost"] == 1
 
     def test_non_string_values_render(self):
         index = QGramIndex([1234, 1235, 99])
-        rows = index.probe(1234, 1.0)
+        rows = answer(index, 1234, 1.0)
         assert 0 in rows.tolist() and 1 in rows.tolist()
 
 
@@ -195,9 +225,9 @@ def test_qgram_matches_dict_walk_oracle(
     column, ops, max_result, max_probe_cost
 ):
     """Interleaved writes (new distinct values, a value's last row
-    dropped, MISSING written, appends) and probes: the columnar index
-    returns the dict walk's rows, declines and stats, and a superset of
-    the rows an exact banded Levenshtein accepts."""
+    dropped, MISSING written, appends) and probes: the columnar index's
+    filters keep the dict walk's rows, with its declines and stats,
+    and a superset of the rows an exact banded Levenshtein accepts."""
     caps = {"max_result": max_result, "max_probe_cost": max_probe_cost}
     index = QGramIndex(column, **caps)
     oracle = DictQGramIndex(column, **caps)
@@ -212,7 +242,7 @@ def test_qgram_matches_dict_walk_oracle(
             oracle.update(row, value)
             continue
         _, target, threshold = op
-        rows = index.probe(target, threshold)
+        rows = answer(index, target, threshold)
         expected = oracle.probe(target, threshold)
         assert (rows is None) == (expected is None), (target, threshold)
         assert index.stats == oracle.stats
@@ -238,8 +268,8 @@ def test_qgram_rebuilds_only_on_distinct_set_change():
     arrays = index._posting_codes  # noqa: SLF001 - layout under test
     index.update(2, "ROME")  # a copy of a present value
     index.update(2, MISSING)  # and its rollback
-    assert index.probe("ROME", 1.0).tolist() == [0, 1]
+    assert answer(index, "ROME", 1.0).tolist() == [0, 1]
     assert index._posting_codes is arrays  # noqa: SLF001
     index.update(2, "OSLO")  # a new distinct value
-    assert index.probe("OSLO", 0.0).tolist() == [2]
+    assert answer(index, "OSLO", 0.0).tolist() == [2]
     assert index._posting_codes is not arrays  # noqa: SLF001

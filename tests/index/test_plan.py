@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.donor_scan import string_clamp_limits
 from repro.dataset.attribute import Attribute, AttributeType
 from repro.dataset.missing import MISSING
 from repro.dataset.relation import Relation
+from repro.distance.kernels import DonorScanKernels
 from repro.index import EMPTY_ROWS, IndexPlan
 from repro.rfd import parse_rfd
 
@@ -35,6 +37,25 @@ RFDS = [
 ]
 
 
+def answer(plan, target_row, lhs, rfds=RFDS):
+    """``plan.candidate_rows`` with the engine's distance kernel over
+    the plan's relation, attached so it follows writes."""
+    kernels = DonorScanKernels(
+        plan.relation, string_limits=string_clamp_limits(rfds)
+    )
+    kernels.attach()
+    try:
+        return plan.candidate_rows(target_row, lhs, kernels.subset_vector)
+    finally:
+        kernels.close()
+
+
+def candidate_rows(plan, target_row, lhs, rfds=RFDS):
+    """The rows of the plan's answer, or ``None`` for a full scan."""
+    found = answer(plan, target_row, lhs, rfds)
+    return None if found is None else found[0]
+
+
 def test_kind_selection():
     plan = IndexPlan(make_relation(), RFDS)
     assert plan._kinds == {
@@ -49,36 +70,60 @@ def test_override_names_never_indexed():
     plan = IndexPlan(make_relation(), RFDS, override_names=("City",))
     assert plan._kinds["City"] is None
     rfd = RFDS[1]
-    assert plan.candidate_rows(0, rfd.lhs) is None
+    assert candidate_rows(plan, 0, rfd.lhs) is None
     assert plan.fallbacks >= 1
 
 
-def test_candidate_rows_superset_and_target_excluded():
+def test_candidate_rows_exact_and_target_excluded():
     plan = IndexPlan(make_relation(), RFDS)
-    rows = plan.candidate_rows(0, RFDS[0].lhs)  # Zip(<=0) of row 0
-    assert rows is not None
+    rows, pending = answer(plan, 0, RFDS[0].lhs)  # Zip(<=0) of row 0
     assert 0 not in rows.tolist()
     # Rows 1 and 4 share Zip 00100 with row 0.
-    assert set(rows.tolist()) == {1, 4}
+    assert rows.tolist() == [1, 4]
+    assert pending == ()  # a string constraint is answered exactly
+    # City(<=1) of row 0 (ROME): ROMA is one edit away; PARIS and
+    # LYON share no gram with ROME, and MISSING never matches.
+    rows, pending = answer(plan, 0, RFDS[1].lhs)
+    assert rows.tolist() == [1, 4]
+    assert pending == ()
+
+
+def test_string_matches_memoized_per_value_and_threshold():
+    """One index probe per (attribute, value, threshold): rows 0 and 4
+    both hold ROME, and a repeated question reads the memo."""
+    plan = IndexPlan(make_relation(), RFDS)
+    assert answer(plan, 0, RFDS[1].lhs)[0].tolist() == [1, 4]
+    assert answer(plan, 4, RFDS[1].lhs)[0].tolist() == [0, 1]
+    assert answer(plan, 0, RFDS[1].lhs)[0].tolist() == [1, 4]
+    assert plan.probes == 1
+    assert answer(plan, 1, RFDS[1].lhs)[0].tolist() == [0, 4]  # ROMA
+    assert plan.probes == 2
+
+
+def test_numeric_window_stays_pending():
+    plan = IndexPlan(make_relation(), RFDS)
+    rows, pending = answer(plan, 0, RFDS[2].lhs)
+    assert pending == RFDS[2].lhs  # windows are supersets
+    assert set(rows.tolist()) >= {1}
 
 
 def test_missing_target_value_yields_empty():
     plan = IndexPlan(make_relation(), RFDS)
-    rows = plan.candidate_rows(3, RFDS[1].lhs)  # City of row 3 is MISSING
+    rows = candidate_rows(plan, 3, RFDS[1].lhs)  # City of row 3 is MISSING
     assert rows is not None and rows.size == 0
     assert rows is EMPTY_ROWS
 
 
 def test_composite_intersection():
     plan = IndexPlan(make_relation(), RFDS)
-    rows = plan.candidate_rows(0, RFDS[2].lhs)  # Pop within 100 & Urban
+    rows = candidate_rows(plan, 0, RFDS[2].lhs)  # Pop within 100 & Urban
     assert rows is not None
     assert set(rows.tolist()) == {1}  # row 1: Pop 2800, Urban True
 
 
 def test_hot_group_falls_back_not_wrong():
     plan = IndexPlan(make_relation(), RFDS, max_group_size=1)
-    rows = plan.candidate_rows(0, RFDS[0].lhs)  # Zip group has 3 rows
+    rows = candidate_rows(plan, 0, RFDS[0].lhs)  # Zip group has 3 rows
     assert rows is None
     assert plan.counters["index_fallbacks"] >= 1
 
@@ -88,11 +133,14 @@ def test_mutation_listener_keeps_probes_fresh():
     plan = IndexPlan(relation, RFDS)
     plan.attach()
     try:
-        before = plan.candidate_rows(0, RFDS[0].lhs)
+        before = candidate_rows(plan, 0, RFDS[0].lhs)
         assert set(before.tolist()) == {1, 4}
         relation.set_value(5, "Zip", "00100")  # LYON moves to Rome's zip
-        after = plan.candidate_rows(0, RFDS[0].lhs)
+        after = candidate_rows(plan, 0, RFDS[0].lhs)
         assert set(after.tolist()) == {1, 4, 5}
+        relation.set_value(5, "City", "ROMB")  # a new distinct value
+        rows = candidate_rows(plan, 0, RFDS[1].lhs)
+        assert rows.tolist() == [1, 4, 5]
         assert plan.counters["index_updates"] >= 1
     finally:
         plan.close()
@@ -100,20 +148,19 @@ def test_mutation_listener_keeps_probes_fresh():
 
 def test_update_rfds_drops_changed_kinds():
     plan = IndexPlan(make_relation(), RFDS)
-    plan.candidate_rows(0, RFDS[0].lhs)  # builds the exact Zip index
+    candidate_rows(plan, 0, RFDS[0].lhs)  # builds the exact Zip index
     assert plan._indexes["Zip"].kind == "exact"
-    plan.update_rfds([parse_rfd("Zip(<=2) -> City(<=1)")])
+    loose = parse_rfd("Zip(<=2) -> City(<=1)")
+    plan.update_rfds([loose])
     assert "Zip" not in plan._indexes  # dropped, rebuilt lazily
-    rows = plan.candidate_rows(
-        0, parse_rfd("Zip(<=2) -> City(<=1)").lhs
-    )
+    rows = candidate_rows(plan, 0, loose.lhs, [loose])
     assert plan._indexes["Zip"].kind == "qgram"
     assert rows is not None and 1 in rows.tolist()
 
 
 def test_counters_shape():
     plan = IndexPlan(make_relation(), RFDS)
-    plan.candidate_rows(0, RFDS[0].lhs)
+    candidate_rows(plan, 0, RFDS[0].lhs)
     counters = plan.counters
     assert counters["index_probes"] >= 1
     assert counters["index_served_probes"] >= 1
