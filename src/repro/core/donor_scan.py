@@ -15,7 +15,7 @@ code path:
   pair with the target satisfies the RFD's LHS: the AND of the cached
   per-attribute within-threshold masks, or — when an optional
   :class:`~repro.index.plan.IndexPlan` answers — the plan's rows, with
-  only the constraints it did not answer exactly confirmed on them.
+  only the constraints it could not serve confirmed on them.
   The Equation-2 score is the sum of the LHS distances of those rows
   over ``|X|``; each donor keeps its smallest score over the cluster's
   RFDs, merged from the per-RFD row sets without relation-sized
@@ -35,14 +35,14 @@ distances only differ beyond every threshold in play.  An index plan
 changes no outcome either (the equivalence suite in ``tests/index/``
 checks it on every builtin dataset):
 
-* a string constraint the plan serves is exact: its distinct values
-  within threshold are matched once per (attribute, value, threshold)
-  per run — the index's filters only drop values the threshold already
-  rejects, and each surviving value is confirmed through this engine's
-  ``subset_vector`` — and its rows are the live rows of those values;
-* a numeric window, or a constraint the plan could not serve, is a
-  superset of the rows within threshold, so confirming it on the
-  plan's rows selects exactly the rows the full masks would;
+* a constraint the plan serves — string, numeric or boolean — is
+  exact: its distinct values within threshold are matched once per
+  (attribute, value, threshold) per run — the index's filters only drop
+  values the threshold already rejects, and each surviving value is
+  confirmed through this engine's ``subset_vector`` — and its rows are
+  the live rows of those values;
+* a constraint the plan could not serve is confirmed on the plan's
+  rows, which selects exactly the rows the full masks would;
 * ``subset_vector`` entries equal the corresponding ``vector`` entries
   bit for bit (one gather, same clamps, same memo), so matches, scores,
   minimum-score tie-breaks and the (distance, row) sort are unchanged;
@@ -432,9 +432,9 @@ class VectorizedEngine(KernelCallSeam):
         ``int64`` array of the rows other than the target (and within
         ``eligible``, when given) that satisfy every LHS constraint of
         ``rfd``, or ``None`` when none do.  With a plan, only the
-        constraints the plan did not answer exactly are confirmed, on
-        the rows it returned; a plan that serves no constraint, or no
-        plan, ANDs the cached full-column masks.
+        constraints the plan could not serve are confirmed, on the rows
+        it returned; a plan that serves no constraint, or no plan, ANDs
+        the cached full-column masks.
         """
         kernels = self.kernels
         if self.plan is not None:

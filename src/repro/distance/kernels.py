@@ -114,14 +114,20 @@ class _NumericCodec:
             math.nan if value is MISSING else self._convert(value)
         )
 
-    def present_mask(self) -> np.ndarray:
+    @property
+    def present(self) -> np.ndarray:
         return ~np.isnan(self.codes)
 
-    def target_vector(self, target_row: int) -> np.ndarray:
+    def gather(
+        self, target_row: int, rows: np.ndarray | None
+    ) -> np.ndarray:
+        """``|x - v|`` from the value at ``target_row`` to ``rows`` (the
+        whole column when ``None``); ``NaN`` where a side is missing."""
+        codes = self.codes if rows is None else self.codes[rows]
         target = self.codes[target_row]
         if math.isnan(target):
-            return np.full(self.codes.shape, np.nan)
-        return np.abs(self.codes - target)
+            return np.full(codes.shape, np.nan)
+        return np.abs(codes - target)
 
 
 class _ValueMemo:
@@ -410,10 +416,14 @@ class _StringCodec:
         if code >= self.known:
             self.known = code + 1
 
-    def gather(self, target_row: int, codes: np.ndarray) -> np.ndarray:
-        """Distances from the value at ``target_row`` to the cells whose
-        codes are ``codes`` (``NaN`` where a side is missing): one read
-        of the target's memo row, filling only the cells it lacks."""
+    def gather(
+        self, target_row: int, rows: np.ndarray | None
+    ) -> np.ndarray:
+        """Distances from the value at ``target_row`` to ``rows`` (the
+        whole column when ``None``; ``NaN`` where a side is missing):
+        one read of the target's memo row, filling only the cells it
+        lacks."""
+        codes = self.codes if rows is None else self.codes[rows]
         target = int(self.codes[target_row])
         if target < 0:
             return np.full(codes.shape, np.nan)
@@ -454,20 +464,28 @@ class _GenericCodec:
     def update(self, row: int, value: Any) -> None:
         pass  # the live column reference already reflects the write
 
-    def present_mask(self) -> np.ndarray:
+    @property
+    def present(self) -> np.ndarray:
         return np.array(
             [value is not MISSING for value in self.column], dtype=bool
         )
 
-    def target_vector(self, target_row: int) -> np.ndarray:
-        out = np.full(len(self.column), np.nan)
-        target = self.column[target_row]
+    def gather(
+        self, target_row: int, rows: np.ndarray | None
+    ) -> np.ndarray:
+        """The override's distances from the value at ``target_row`` to
+        ``rows`` (the whole column when ``None``), one call per present
+        pair; ``NaN`` where a side is missing."""
+        column = self.column
+        values = column if rows is None else [column[row] for row in rows]
+        out = np.full(len(values), np.nan)
+        target = column[target_row]
         if target is MISSING:
             return out
         function = self.function
-        for row, value in enumerate(self.column):
+        for position, value in enumerate(values):
             if value is not MISSING:
-                out[row] = function(target, value)
+                out[position] = function(target, value)
         return out
 
 
@@ -563,11 +581,7 @@ class DonorScanKernels:
         if vector is not None:
             self.vector_cache_hits += 1
             return vector
-        codec = self._codec(name)
-        if isinstance(codec, _StringCodec):
-            vector = codec.gather(target_row, codec.codes)
-        else:
-            vector = codec.target_vector(target_row)
+        vector = self._codec(name).gather(target_row, None)
         self.vector_builds += 1
         cache[target_row] = vector
         return vector
@@ -587,24 +601,7 @@ class DonorScanKernels:
         already absorbs the expensive part.
         """
         self.subset_builds += 1
-        codec = self._codec(name)
-        if isinstance(codec, _StringCodec):
-            return codec.gather(target_row, codec.codes[rows])
-        if isinstance(codec, _NumericCodec):
-            target = codec.codes[target_row]
-            if math.isnan(target):
-                return np.full(rows.shape, np.nan)
-            return np.abs(codec.codes[rows] - target)
-        out = np.full(rows.shape, np.nan)
-        target = codec.column[target_row]
-        if target is MISSING:
-            return out
-        function = codec.function
-        for position, row in enumerate(rows):
-            value = codec.column[row]
-            if value is not MISSING:
-                out[position] = function(target, value)
-        return out
+        return self._codec(name).gather(target_row, rows)
 
     def present_mask(self, name: str) -> np.ndarray:
         """Boolean mask of rows with a present value on ``name``.
@@ -612,10 +609,7 @@ class DonorScanKernels:
         The returned array may be shared internal state on some paths;
         callers must not mutate it.
         """
-        codec = self._codec(name)
-        if isinstance(codec, _StringCodec):
-            return codec.present
-        return codec.present_mask()
+        return self._codec(name).present
 
     def clear_target_vectors(self) -> None:
         """Drop every cached vector (cell-lifetime boundary)."""

@@ -4,18 +4,17 @@ The donor-scan engines of :mod:`repro.core.donor_scan` compare the
 target tuple against *every* other tuple.  This package turns the
 engines' threshold comparisons (``distance(t[A], u[A]) <= tau``) into
 index probes — pruning only pairs the RFD thresholds already reject, so
-the imputation outcomes stay bit-identical to the unblocked scan.  A
-string constraint is answered exactly, from the distinct values within
+the imputation outcomes stay bit-identical to the unblocked scan.  Every
+constraint is answered exactly, from the distinct values within
 ``tau`` (matched once per value and threshold, each confirmed through
-the engine's own distance kernel); a numeric window returns a
-*superset*, which the engine confirms on the surviving rows.
+the engine's own distance kernel).
 
-Three per-attribute index kinds implement the
-:class:`~repro.index.base.BlockingIndex` protocol:
+Three per-attribute index kinds share the row-per-value bookkeeping of
+:class:`~repro.index.base.ValueIndex`:
 
-* :class:`~repro.index.numeric.NumericWindowIndex` — a sorted array of
-  the column's float codes; ``|x - v| <= tau`` becomes one bisect
-  window,
+* :class:`~repro.index.numeric.NumericWindowIndex` — the sorted
+  distinct float codes of the column; ``|x - v| <= tau`` becomes one
+  bisect window,
 * :class:`~repro.index.strings.QGramIndex` — length buckets plus a
   q-gram inverted index; banded Levenshtein becomes a length filter
   plus a multiset count filter over shared grams,
@@ -31,12 +30,7 @@ Indexes are maintained incrementally through the relation's
 reuse them across rounds.  See ``docs/INDEXING.md``.
 """
 
-from repro.index.base import (
-    EMPTY_ROWS,
-    BlockingIndex,
-    IndexStats,
-    ValueIndex,
-)
+from repro.index.base import EMPTY_ROWS, IndexStats, ValueIndex
 from repro.index.exact import ExactMatchIndex
 from repro.index.numeric import NumericWindowIndex
 from repro.index.plan import AUTO_BLOCKING_MIN_TUPLES, IndexPlan
@@ -44,7 +38,6 @@ from repro.index.strings import QGramIndex
 
 __all__ = [
     "AUTO_BLOCKING_MIN_TUPLES",
-    "BlockingIndex",
     "EMPTY_ROWS",
     "ExactMatchIndex",
     "IndexPlan",

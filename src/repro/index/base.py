@@ -1,57 +1,50 @@
-"""The per-attribute blocking-index protocols.
+"""The per-attribute blocking index: rows kept per distinct value.
 
-A blocking index answers one question: *which rows can be within
-``threshold`` of this value on this attribute?*  Every index
-(:class:`BlockingIndex`) honours two rules:
+A blocking index answers one question: *which rows are within
+``threshold`` of this value on this attribute?*  Every index kind is a
+:class:`ValueIndex` and answers it in one form, exactly:
 
-* :meth:`BlockingIndex.update` keeps the index consistent with a
-  relation mutation, including appends past the size the index was
-  built at (new rows materialize as missing first, exactly how
+* :meth:`ValueIndex.match` names the distinct values within
+  ``threshold`` of the probe value as *keys*: the kind's filters pick
+  candidate values, and a caller-supplied ``within`` confirms each
+  surviving value once, on one row that holds it.
+* :meth:`ValueIndex.rows` turns keys into the live rows holding them,
+  from one sorted ``int64`` array per value that an update drops only
+  for the old and the new value of the written row.
+
+Keys stay valid while :attr:`ValueIndex.generation` stands; it moves
+exactly when the set of distinct values changes (a key gains its first
+row or loses its last), which an imputation's tentative writes and
+rollbacks never do.
+:class:`~repro.index.plan.IndexPlan` memoizes ``match`` per
+(attribute, value, threshold) on that basis.
+
+Two rules hold for every kind:
+
+* :meth:`ValueIndex.update` keeps the index consistent with a relation
+  mutation, including appends past the size the index was built at
+  (new rows materialize as missing first, exactly how
   ``ImputationSession.append`` grows the relation).  After any update
   sequence the index must answer exactly as a fresh build over the
   final column would — the property the hypothesis round-trip suite in
   ``tests/index/`` asserts.
 * An index may decline a question — "I cannot serve this" — with
-  :attr:`BlockingIndex.skip_reason` set (``"unsupported"``,
+  :attr:`ValueIndex.skip_reason` set (``"unsupported"``,
   ``"hot_group"``, ``"probe_cost"``).  The caller falls back to the
   full scan for that attribute: slower, never wrong.
 
 Rows missing on the attribute never answer: their distance is
-undefined and every engine mask excludes them.  The answer itself
-comes in one of two forms:
-
-* the numeric window's ``probe(value, threshold)`` returns a sorted,
-  duplicate-free ``int64`` array that is a **superset** of the rows
-  within ``threshold``; the engine confirms the exact distances on it;
-* the two string indexes hold their rows per distinct value
-  (:class:`ValueIndex`) and answer **exactly**.
-  :meth:`ValueIndex.match` names the distinct values within
-  ``threshold`` of the probe value as index-local *keys*: the index
-  filters candidate values, and a caller-supplied ``within`` confirms
-  each surviving value once, on one row that holds it.
-  :meth:`ValueIndex.rows` turns keys into the live rows holding them,
-  from one sorted ``int64`` array per value that an update drops only
-  for the old and the new value of the written row.  Keys stay valid
-  while :attr:`ValueIndex.generation` stands; it moves only when the
-  set of distinct values (or, for the q-gram index, their codes)
-  changes, which an imputation's tentative writes and rollbacks never
-  do.  :class:`~repro.index.plan.IndexPlan` memoizes ``match`` per
-  (attribute, value, threshold) on that basis.
+undefined and every engine mask excludes them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Hashable,
-    Protocol,
-    Sequence,
-    runtime_checkable,
-)
+from typing import Any, Callable, Hashable, Sequence
 
 import numpy as np
+
+from repro.dataset.missing import MISSING
 
 #: The canonical empty probe result.
 EMPTY_ROWS: np.ndarray = np.empty(0, dtype=np.int64)
@@ -71,36 +64,77 @@ class IndexStats:
         self.skips[reason] = self.skips.get(reason, 0) + 1
 
 
-@runtime_checkable
-class BlockingIndex(Protocol):
-    """Structural protocol every index kind implements."""
-
-    #: Short kind tag for spans and diagnostics.
-    kind: str
-    #: Why the last question was declined (engine-internal use).
-    skip_reason: str
-    stats: IndexStats
-
-    def update(self, row: int, value: Any) -> None:
-        """Apply one ``set_value`` mutation (row may be an append)."""
-        ...
-
-
 class ValueIndex:
     """Rows kept per distinct value, answered as value keys.
 
-    Subclasses hold ``_max_result``, ``skip_reason``, ``stats`` and
-    ``generation``, implement ``match`` (the keys of exactly the
-    distinct values within a threshold, or ``None`` to decline, with
-    the skip counted) and ``_row_set`` (the live rows of one key), and
-    drop a key's ``_arrays`` entry whenever its rows change.
+    The row-per-value bookkeeping lives here once: each row's key
+    (``None`` when missing), the live rows of each key (a key with no
+    rows is deleted), a sorted row array per key built on demand, and
+    :attr:`generation`.  A kind supplies ``_key`` (a present value's
+    key) and ``match``, and defines its own ``update`` calling
+    :meth:`_update`.
+
+    Parameters
+    ----------
+    column:
+        The column values at build time (``MISSING`` allowed).
+    max_result:
+        Answers holding more rows than this decline with
+        ``skip_reason = "hot_group"`` instead of materializing a group
+        the caller would reject anyway.
     """
 
-    _max_result: int | None
-    skip_reason: str
-    stats: IndexStats
-    generation: int
-    _arrays: dict[Hashable, np.ndarray]
+    #: Short kind tag for spans and diagnostics.
+    kind: str
+
+    def __init__(
+        self, column: list[Any], *, max_result: int | None = None
+    ) -> None:
+        self._max_result = max_result
+        self._keys: list[Hashable | None] = [
+            None if value is MISSING else self._key(value)
+            for value in column
+        ]
+        self._rows_of: dict[Hashable, set[int]] = {}
+        for row, key in enumerate(self._keys):
+            if key is not None:
+                self._rows_of.setdefault(key, set()).add(row)
+        self._arrays: dict[Hashable, np.ndarray] = {}
+        self.generation = 0
+        #: Why the last question was declined (engine-internal use).
+        self.skip_reason = ""
+        self.stats = IndexStats()
+        self.stats.builds += 1
+
+    def _key(self, value: Any) -> Hashable:
+        raise NotImplementedError
+
+    def _update(self, row: int, value: Any) -> None:
+        """Apply one ``set_value`` mutation (row may be an append)."""
+        self.stats.updates += 1
+        keys = self._keys
+        if row >= len(keys):
+            keys.extend([None] * (row + 1 - len(keys)))
+        old = keys[row]
+        new = None if value is MISSING else self._key(value)
+        if new == old:
+            return
+        if old is not None:
+            self._arrays.pop(old, None)
+            rows = self._rows_of[old]
+            rows.discard(row)
+            if not rows:
+                del self._rows_of[old]
+                self.generation += 1
+        keys[row] = new
+        if new is not None:
+            self._arrays.pop(new, None)
+            rows = self._rows_of.get(new)
+            if rows is None:
+                self._rows_of[new] = {row}
+                self.generation += 1
+            else:
+                rows.add(row)
 
     def match(
         self,
@@ -109,12 +143,32 @@ class ValueIndex:
         within: Callable[[np.ndarray], np.ndarray],
     ) -> Sequence[Hashable] | None:
         """Keys of exactly the distinct values within ``threshold`` of
-        ``value``, or ``None`` to decline.
+        ``value``, or ``None`` to decline (the skip counted).
 
         ``within`` receives one row holding each candidate value and
         returns whether that row's value is within ``threshold``.
         """
         raise NotImplementedError
+
+    def _confirmed(
+        self,
+        keys: Sequence[Hashable],
+        within: Callable[[np.ndarray], np.ndarray],
+    ) -> list[Hashable]:
+        """The ``keys`` whose value ``within`` accepts, each confirmed
+        on one row holding it."""
+        if not keys:
+            return []
+        rows_of = self._rows_of
+        holders = np.fromiter(
+            (next(iter(rows_of[key])) for key in keys),
+            dtype=np.int64,
+            count=len(keys),
+        )
+        return [
+            key for key, keep in zip(keys, within(holders).tolist())
+            if keep
+        ]
 
     def rows(self, keys: Sequence[Hashable]) -> np.ndarray | None:
         """Sorted live rows holding any of ``keys``, or ``None`` past
@@ -129,7 +183,9 @@ class ValueIndex:
         for key in keys:
             array = arrays.get(key)
             if array is None:
-                array = arrays[key] = sorted_rows(list(self._row_set(key)))
+                array = arrays[key] = sorted_rows(
+                    list(self._rows_of.get(key, ()))
+                )
             parts.append(array)
         if not parts:
             out = EMPTY_ROWS
@@ -139,14 +195,14 @@ class ValueIndex:
             out = np.concatenate(parts)
             out.sort()
         if self._max_result is not None and out.size > self._max_result:
-            self.skip_reason = "hot_group"
-            self.stats.skip("hot_group")
+            self._decline("hot_group")
             return None
         self.stats.served += 1
         return out
 
-    def _row_set(self, key: Hashable) -> set[int]:
-        raise NotImplementedError
+    def _decline(self, reason: str) -> None:
+        self.skip_reason = reason
+        self.stats.skip(reason)
 
 
 def sorted_rows(rows: list[int]) -> np.ndarray:

@@ -16,60 +16,19 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.dataset.missing import MISSING
-from repro.index.base import IndexStats, ValueIndex
+from repro.index.base import ValueIndex
 
 
 class ExactMatchIndex(ValueIndex):
-    """Distinct-value hash index over one rendered-string column.
-
-    Keys are the rendered values themselves.  :attr:`generation` moves
-    when a value gains its first row: a key the index did not hold
-    before now has rows.
-    """
+    """Distinct-value hash index over one rendered-string column; keys
+    are the rendered values themselves."""
 
     kind = "exact"
+    _key = str
 
-    def __init__(
-        self, column: list[Any], *, max_result: int | None = None
-    ) -> None:
-        self._max_result = max_result
-        self._values: list[str | None] = [
-            None if value is MISSING else str(value) for value in column
-        ]
-        self._rows_by_value: dict[str, set[int]] = {}
-        for row, value in enumerate(self._values):
-            if value is not None:
-                self._rows_by_value.setdefault(value, set()).add(row)
-        self._arrays: dict[str, np.ndarray] = {}
-        self.generation = 0
-        self.skip_reason = ""
-        self.stats = IndexStats()
-        self.stats.builds += 1
-
-    # ------------------------------------------------------------------
     def update(self, row: int, value: Any) -> None:
-        self.stats.updates += 1
-        if row >= len(self._values):
-            self._values.extend([None] * (row + 1 - len(self._values)))
-        old = self._values[row]
-        if old is not None:
-            self._arrays.pop(old, None)
-            rows = self._rows_by_value[old]
-            rows.discard(row)
-            if not rows:
-                del self._rows_by_value[old]
-        new = None if value is MISSING else str(value)
-        self._values[row] = new
-        if new is not None:
-            self._arrays.pop(new, None)
-            rows = self._rows_by_value.get(new)
-            if rows is None:
-                self._rows_by_value[new] = {row}
-                self.generation += 1
-            else:
-                rows.add(row)
+        self._update(row, value)
 
-    # ------------------------------------------------------------------
     def match(
         self,
         value: Any,
@@ -83,12 +42,8 @@ class ExactMatchIndex(ValueIndex):
         if threshold >= 1.0:
             # Edit distance is integral: tau in [0, 1) still means
             # "equal", anything >= 1 admits unequal values.
-            self.skip_reason = "unsupported"
-            self.stats.skip("unsupported")
+            self._decline("unsupported")
             return None
         if value is MISSING:
             return ()
         return (str(value),)
-
-    def _row_set(self, key: str) -> set[int]:
-        return self._rows_by_value.get(key, set())

@@ -1,18 +1,18 @@
-"""Sorted-array window index for numeric (and boolean) attributes.
+"""Bisect window index for numeric (and boolean) attributes.
 
-``|x - v| <= tau`` over a column of float codes is a contiguous slice
-of the column sorted by value: two ``searchsorted`` bisects bound the
-window.  The window edges are widened by a few ULP *of the operand
-magnitudes* (not of the possibly-cancelled difference) so a row whose
-computed ``|x - v|`` rounds to ``<= tau`` can never be lost to float
-rounding of ``v - tau`` / ``v + tau`` — a superset is safe, a miss is
-not; the engine recomputes the exact distance on every survivor.
+Keys are the column's float codes, converted exactly as the engine's
+codec converts them.  ``|x - v| <= tau`` over the sorted distinct keys
+is a contiguous slice: two ``searchsorted`` bisects bound the window.
+The window edges are widened by a few ULP *of the operand magnitudes*
+(not of the possibly-cancelled difference) so a key whose computed
+``|x - v|`` rounds to ``<= tau`` can never be lost to float rounding of
+``v - tau`` / ``v + tau``; ``within`` then confirms each key of the
+window once, through the engine's own ``|x - v|``, so the answer is
+exact.
 
-Mutations use dirty-bucket invalidation: a written row is marked stale
-in the sorted base (its old code must stop matching) and its new code
-goes to a small overlay checked exhaustively per probe.  When the
-overlay outgrows ``~sqrt(n)`` entries the base is rebuilt, keeping both
-probe and amortized update costs near ``O(log n)``.
+The sorted distinct keys are rebuilt when :attr:`generation` has
+moved, which an imputation's tentative writes and rollbacks never
+cause.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.dataset.missing import MISSING
-from repro.index.base import EMPTY_ROWS, IndexStats
+from repro.index.base import ValueIndex
 
 
-class NumericWindowIndex:
+class NumericWindowIndex(ValueIndex):
     """Bisect window index over one numeric or boolean column.
 
     Parameters
@@ -36,11 +36,10 @@ class NumericWindowIndex:
     convert:
         Value-to-float encoding; must match the engine codec's
         (``float`` for numerics, ``float(bool(v))`` for booleans) so the
-        window and the recomputed distances agree.
+        keys and the confirming distances agree.
     max_result:
-        Probes whose window holds more rows than this decline with
-        ``skip_reason = "hot_group"`` instead of materializing a group
-        the caller would reject anyway.
+        Answers holding more rows than this decline with
+        ``skip_reason = "hot_group"``.
     """
 
     kind = "numeric_window"
@@ -53,63 +52,40 @@ class NumericWindowIndex:
         max_result: int | None = None,
     ) -> None:
         self._convert = convert
-        self._max_result = max_result
-        self._values: list[float | None] = [
-            None if value is MISSING else float(convert(value))
-            for value in column
-        ]
-        self.skip_reason = ""
-        self.stats = IndexStats()
-        self._dirty: dict[int, float | None] = {}
-        self._stale = np.zeros(len(self._values), dtype=bool)
+        super().__init__(column, max_result=max_result)
         self._rebuild()
 
-    # ------------------------------------------------------------------
+    def _key(self, value: Any) -> float:
+        return float(self._convert(value))
+
     def _rebuild(self) -> None:
-        codes = [
-            (code, row)
-            for row, code in enumerate(self._values)
-            if code is not None
-        ]
-        codes.sort()
-        self._sorted_codes = np.fromiter(
-            (code for code, _ in codes), dtype=np.float64, count=len(codes)
-        )
-        self._sorted_rows = np.fromiter(
-            (row for _, row in codes), dtype=np.int64, count=len(codes)
-        )
-        self._dirty.clear()
-        self._stale = np.zeros(len(self._values), dtype=bool)
-        self.stats.builds += 1
+        """Sort the live distinct keys."""
+        self._sorted_keys = np.sort(np.fromiter(
+            self._rows_of, dtype=np.float64, count=len(self._rows_of)
+        ))
+        self._built = self.generation
 
-    # ------------------------------------------------------------------
     def update(self, row: int, value: Any) -> None:
-        self.stats.updates += 1
-        if row >= len(self._values):
-            grown = row + 1
-            self._values.extend([None] * (grown - len(self._values)))
-            stale = np.zeros(grown, dtype=bool)
-            stale[: self._stale.shape[0]] = self._stale
-            self._stale = stale
-        code = None if value is MISSING else float(self._convert(value))
-        self._values[row] = code
-        self._dirty[row] = code
-        self._stale[row] = True
-        if len(self._dirty) > max(64, math.isqrt(len(self._values))):
-            self._rebuild()
+        self._update(row, value)
 
-    # ------------------------------------------------------------------
-    def probe(self, value: Any, threshold: float) -> np.ndarray | None:
+    def match(
+        self,
+        value: Any,
+        threshold: float,
+        within: Callable[[np.ndarray], np.ndarray],
+    ) -> list[float] | None:
+        """The keys in the bisect window that ``within`` accepts."""
         self.stats.probes += 1
         if value is MISSING:
-            self.stats.served += 1
-            return EMPTY_ROWS
-        target = float(self._convert(value))
-        # Widen the window by a few ULP of the operand scale: the rows
+            return []
+        if self._built != self.generation:
+            self._rebuild()
+        target = self._key(value)
+        # Widen the window by a few ULP of the operand scale: the keys
         # the engine's |code - target| <= threshold test accepts lie
         # within tau plus half an ULP of tau, and the window-edge
-        # subtraction itself may cancel — both are covered here, and a
-        # superset is always safe.
+        # subtraction itself may cancel — both are covered here, and
+        # ``within`` drops whatever the widening lets in.
         if math.isfinite(target) and math.isfinite(threshold):
             scale = max(abs(target), abs(threshold), 1.0)
             margin = 4.0 * float(np.spacing(scale))
@@ -117,31 +93,13 @@ class NumericWindowIndex:
             high = target + threshold + margin
         else:
             low, high = -math.inf, math.inf
-        start = int(np.searchsorted(self._sorted_codes, low, side="left"))
-        stop = int(np.searchsorted(self._sorted_codes, high, side="right"))
-        if (
-            self._max_result is not None
-            and stop - start + len(self._dirty) > self._max_result
-        ):
-            self.skip_reason = "hot_group"
-            self.stats.skip("hot_group")
+        start = int(np.searchsorted(self._sorted_keys, low, side="left"))
+        stop = int(np.searchsorted(self._sorted_keys, high, side="right"))
+        # Every key has a row, so more keys than max_result means more
+        # rows too: decline before confirming any.
+        if self._max_result is not None and stop - start > self._max_result:
+            self._decline("hot_group")
             return None
-        rows = self._sorted_rows[start:stop]
-        if self._dirty:
-            rows = rows[~self._stale[rows]]
-            extra = [
-                row
-                for row, code in self._dirty.items()
-                if code is not None and low <= code <= high
-            ]
-            if extra:
-                rows = np.concatenate(
-                    [rows, np.fromiter(extra, dtype=np.int64)]
-                )
-        out = np.sort(rows)
-        if self._max_result is not None and out.size > self._max_result:
-            self.skip_reason = "hot_group"
-            self.stats.skip("hot_group")
-            return None
-        self.stats.served += 1
-        return out
+        return self._confirmed(
+            self._sorted_keys[start:stop].tolist(), within
+        )

@@ -1,23 +1,23 @@
 """Per-RFD candidate composition over the per-attribute indexes.
 
 :class:`IndexPlan` owns one lazily-built
-:class:`~repro.index.base.BlockingIndex` per LHS attribute of the RFD
-set and answers the engine's question — *which rows can satisfy every
-LHS constraint of this RFD against this target row?* — by intersecting
-the per-attribute answers (smallest first).
+:class:`~repro.index.base.ValueIndex` per LHS attribute of the RFD set
+and answers the engine's question — *which rows satisfy every LHS
+constraint of this RFD against this target row?* — by intersecting the
+per-attribute answers (smallest first).
 
-A string constraint is answered **exactly**.  The distinct values
+Every served constraint is answered **exactly**.  The distinct values
 within ``tau`` of the target value are matched once per (attribute,
 value, ``tau``) while the index's ``generation`` stands — the index
 filters candidate values and the engine's own distance kernel confirms
 each one, so no distance is computed that the engine would not compute
-— and each answer reads the live rows of those values.  A numeric
-window answers a superset, which the engine confirms on the
-intersected rows; so does every constraint the plan could not serve.
-The plan never guesses: any probe an index declines falls back to the
-engine's full scan for that attribute, and when *no* attribute could
-be probed the whole composition returns ``None`` (full-scan fallback,
-counted in ``renuver_index_fallbacks_total{reason}``).
+— and each answer reads the live rows of those values.  Only the
+constraints the plan could not serve are left for the engine to
+confirm on the intersected rows.  The plan never guesses: any probe an
+index declines falls back to the engine's full scan for that
+attribute, and when *no* attribute could be probed the whole
+composition returns ``None`` (full-scan fallback, counted in
+``renuver_index_fallbacks_total{reason}``).
 
 The plan attaches to the relation's mutation hook (the same dirty-cell
 seam the distance kernels ride), so tentative writes, rollbacks and
@@ -35,7 +35,7 @@ import numpy as np
 from repro.dataset.attribute import AttributeType
 from repro.dataset.missing import MISSING
 from repro.dataset.relation import Relation
-from repro.index.base import EMPTY_ROWS, BlockingIndex, ValueIndex
+from repro.index.base import EMPTY_ROWS, ValueIndex
 from repro.index.exact import ExactMatchIndex
 from repro.index.numeric import NumericWindowIndex
 from repro.index.strings import QGramIndex
@@ -98,7 +98,7 @@ class IndexPlan:
         self.q = q
         self._override_names = frozenset(override_names)
         self._kinds: dict[str, str | None] = {}
-        self._indexes: dict[str, BlockingIndex] = {}
+        self._indexes: dict[str, ValueIndex] = {}
         #: Per attribute: the index generation the memo is valid for,
         #: and (value, threshold) -> matching keys, or a decline reason.
         self._matches: dict[
@@ -194,7 +194,7 @@ class IndexPlan:
         rows.  Every other constraint is satisfied by exactly the rows
         returned.  ``None`` means no constraint could be probed: the
         caller must run its full scan.  ``distances`` is the engine's
-        distance kernel, through which string matches are confirmed.
+        distance kernel, through which every match is confirmed.
         """
         tracer = self._telemetry.tracer
         if not tracer.enabled:
@@ -236,20 +236,12 @@ class IndexPlan:
                 # missing LHS cell; the engine's masks agree (NaN
                 # compares false).
                 return EMPTY_ROWS, ()
-            if isinstance(index, ValueIndex):
-                rows = self._matching_rows(
-                    index, target_row, constraint, value, distances
-                )
-                exact = rows is not None
-            else:
-                self._count_probe()
-                rows = index.probe(value, constraint.threshold)
-                exact = False  # a window is a superset
-                if rows is None:
-                    self._count_fallback(index.skip_reason or _UNINDEXED)
-            if not exact:
+            rows = self._matching_rows(
+                index, target_row, constraint, value, distances
+            )
+            if rows is None:
                 pending.append(constraint)
-            if rows is not None:
+            else:
                 probes.append(rows)
         if not probes:
             self._count_fallback("full_scan")
@@ -303,7 +295,7 @@ class IndexPlan:
             self._count_fallback(index.skip_reason)
         return rows
 
-    def _index_for(self, name: str) -> BlockingIndex | None:
+    def _index_for(self, name: str) -> ValueIndex | None:
         index = self._indexes.get(name)
         if index is not None:
             return index
@@ -324,7 +316,7 @@ class IndexPlan:
         self._indexes[name] = index
         return index
 
-    def _build_index(self, name: str, kind: str) -> BlockingIndex:
+    def _build_index(self, name: str, kind: str) -> ValueIndex:
         column = self.relation._columns[name]  # noqa: SLF001 - same package
         cap = self.max_group_size
         if kind == "numeric_window":

@@ -12,12 +12,13 @@ array comparisons here:
   *multiset* intersection (set semantics would under-count repeated
   grams and could prune a true match).
 
-Layout.  Every distinct value of the column gets an index-local integer
-code; ``lengths[code]`` is its length and the rows holding it are one
-set per code.  The postings are CSR arrays: the slice
-``offsets[g]:offsets[g + 1]`` of ``posting_codes`` / ``posting_counts``
-lists the codes whose value contains gram ``g``, with the gram's count
-in that value.
+Layout.  The rows of each distinct value are the shared bookkeeping
+of :class:`~repro.index.base.ValueIndex`, keyed by the value itself.
+The filters number the live values with index-local integer codes:
+``lengths[code]`` is a value's length, and the postings are CSR arrays,
+where the slice ``offsets[g]:offsets[g + 1]`` of ``posting_codes`` /
+``posting_counts`` lists the codes whose value contains gram ``g``,
+with the gram's count in that value.
 
 The candidates are the codes surviving both filters.  When the
 count filter binds (``len(target) - q + 1 - q*tau > 0``) every survivor
@@ -32,20 +33,18 @@ gathered slice lengths, or the codes in the length window) exceed the
 probe-cost cap: hot gram distributions are exactly where a linear walk
 stops beating the full scan.
 
-Answers.  :meth:`~repro.index.base.ValueIndex.match` confirms each
-candidate code once, on one row holding it, and keeps the codes within
-``tau``; :meth:`~repro.index.base.ValueIndex.rows` unions the sorted row
-arrays of the kept codes, declining with ``skip_reason = "hot_group"``
-past ``max_result`` rows.
+Answers.  :meth:`QGramIndex.match` maps the surviving codes back to
+their values and confirms each once, on one row holding it;
+:meth:`~repro.index.base.ValueIndex.rows` unions the sorted row arrays
+of the kept values, declining with ``skip_reason = "hot_group"`` past
+``max_result`` rows.
 
-Maintenance.  An update moves one row between code sets and drops the
-row arrays of the two codes involved.  A write that adds a distinct
-value, or drops a value's last row, marks the CSR arrays stale and moves
-:attr:`QGramIndex.generation`; the next walk rebuilds the arrays over
-the live values (dead codes are dropped then, so codes are renumbered).
-Alg. 4's tentative writes copy a donor's value and roll back to
-missing, so during an imputation the distinct set, the arrays and the
-codes stay put.
+Maintenance.  The CSR arrays are rebuilt, not patched: the next walk
+after :attr:`~repro.index.base.ValueIndex.generation` has moved (a
+value gained its first row or lost its last) rebuilds them over the
+live values, so codes are renumbered.  Alg. 4's tentative writes copy a
+donor's value and roll back to missing, so during an imputation the
+distinct set, the arrays and the codes stay put.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.dataset.missing import MISSING
-from repro.index.base import EMPTY_ROWS, IndexStats, ValueIndex
+from repro.index.base import EMPTY_ROWS, ValueIndex
 
 
 def qgrams(value: str, q: int) -> dict[str, int]:
@@ -71,11 +70,13 @@ def qgrams(value: str, q: int) -> dict[str, int]:
 class QGramIndex(ValueIndex):
     """Inverted q-gram index over one rendered-string column.
 
-    Keys are index-local value codes; :attr:`generation` moves whenever
-    the codes may be renumbered.
+    Keys are the rendered values; the CSR arrays number the live keys
+    with index-local codes, rebuilt whenever :attr:`generation` has
+    moved.
     """
 
     kind = "qgram"
+    _key = str
 
     def __init__(
         self,
@@ -88,60 +89,14 @@ class QGramIndex(ValueIndex):
         if q < 1:
             raise ValueError("q must be >= 1")
         self.q = q
-        self._max_result = max_result
         self._max_probe_cost = max_probe_cost
-        self._values: list[str | None] = [
-            None if value is MISSING else str(value) for value in column
-        ]
-        #: distinct value -> code; code -> value / rows holding it.
-        self._code_of: dict[str, int] = {}
-        self._value_of: list[str] = []
-        self._rows_of: list[set[int]] = []
-        self._arrays: dict[int, np.ndarray] = {}
-        self.generation = 0
-        for row, value in enumerate(self._values):
-            if value is not None:
-                self._add_row(row, value)
+        super().__init__(column, max_result=max_result)
         self._rebuild()
-        self.skip_reason = ""
-        self.stats = IndexStats()
-        self.stats.builds += 1
-
-    # ------------------------------------------------------------------
-    # Row membership and the CSR arrays
-    # ------------------------------------------------------------------
-    def _add_row(self, row: int, value: str) -> None:
-        code = self._code_of.get(value)
-        if code is None:
-            self._code_of[value] = len(self._value_of)
-            self._value_of.append(value)
-            self._rows_of.append({row})
-            self._mark_stale()
-            return
-        self._arrays.pop(code, None)
-        rows = self._rows_of[code]
-        if not rows:
-            self._mark_stale()
-        rows.add(row)
-
-    def _mark_stale(self) -> None:
-        self._stale = True
-        self.generation += 1
 
     def _rebuild(self) -> None:
         """Re-derive codes, ``lengths`` and the postings from the live
         distinct values."""
-        live = [
-            (value, rows)
-            for value, rows in zip(self._value_of, self._rows_of)
-            if rows
-        ]
-        self._value_of = [value for value, _ in live]
-        self._rows_of = [rows for _, rows in live]
-        self._code_of = {
-            value: code for code, value in enumerate(self._value_of)
-        }
-        self._arrays.clear()
+        self._value_of: list[str] = list(self._rows_of)
         self._lengths = np.fromiter(
             map(len, self._value_of), dtype=np.int64,
             count=len(self._value_of),
@@ -176,24 +131,10 @@ class QGramIndex(ValueIndex):
         self._offsets = offsets.tolist()
         self._posting_codes = keys % stride
         self._posting_counts = counts
-        self._stale = False
+        self._built = self.generation
 
     def update(self, row: int, value: Any) -> None:
-        self.stats.updates += 1
-        if row >= len(self._values):
-            self._values.extend([None] * (row + 1 - len(self._values)))
-        old = self._values[row]
-        if old is not None:
-            code = self._code_of[old]
-            self._arrays.pop(code, None)
-            rows = self._rows_of[code]
-            rows.discard(row)
-            if not rows:
-                self._mark_stale()
-        new = None if value is MISSING else str(value)
-        self._values[row] = new
-        if new is not None:
-            self._add_row(row, new)
+        self._update(row, value)
 
     # ------------------------------------------------------------------
     def _candidates(self, value: Any, threshold: float) -> np.ndarray | None:
@@ -204,7 +145,7 @@ class QGramIndex(ValueIndex):
         tau = int(math.floor(threshold))  # distances are integral
         if tau < 0:
             return EMPTY_ROWS
-        if self._stale:
+        if self._built != self.generation:
             self._rebuild()
         q = self.q
         target_length = len(target)
@@ -216,8 +157,7 @@ class QGramIndex(ValueIndex):
         else:
             matches = self._length_walk(low, high)
         if matches is None:
-            self.skip_reason = "probe_cost"
-            self.stats.skip("probe_cost")
+            self._decline("probe_cost")
         return matches
 
     def match(
@@ -225,25 +165,17 @@ class QGramIndex(ValueIndex):
         value: Any,
         threshold: float,
         within: Callable[[np.ndarray], np.ndarray],
-    ) -> list[int] | None:
-        """The codes surviving both filters that ``within`` accepts,
+    ) -> list[str] | None:
+        """The values surviving both filters that ``within`` accepts,
         each confirmed once, on one row holding it."""
         self.stats.probes += 1
         codes = self._candidates(value, threshold)
         if codes is None:
             return None
-        if not codes.size:
-            return []
-        rows_of = self._rows_of
-        holders = np.fromiter(
-            (next(iter(rows_of[code])) for code in codes.tolist()),
-            dtype=np.int64,
-            count=codes.size,
+        value_of = self._value_of
+        return self._confirmed(
+            [value_of[code] for code in codes.tolist()], within
         )
-        return codes[within(holders)].tolist()
-
-    def _row_set(self, key: int) -> set[int]:
-        return self._rows_of[key]
 
     def _count_filter_walk(
         self, target: str, tau: int, low: int, high: int

@@ -2,10 +2,10 @@
 
 Outcome digests say *what* an imputation produced; these counts say how
 much work it took to get there: index probes issued (one per index
-walk: a string match the plan memoized is not probed again) and LHS
-queries served, full scan fallbacks, engine calls per operation and
-candidates ranked.  A
-change that keeps the outputs but probes more, falls back more or ranks
+walk: a match the plan memoized is not probed again) and LHS queries
+served, full scan fallbacks, subset distance vectors built, engine calls
+per operation and candidates ranked.  A change that keeps the outputs
+but probes more, falls back more, builds more distance vectors or ranks
 more candidates fails here, before any benchmark run.
 
 The instance is physician at 5000 tuples (where blocking engages on its
@@ -41,10 +41,11 @@ EXPECTED_COUNTERS = {
     "calls_partition_key_rfds": 1,
     "index_builds": 5,
     "index_fallbacks": 0,
-    "index_probes": 629,
+    "index_probes": 415,
     "index_pruned_pairs": 4705121,
     "index_served_probes": 946,
     "index_updates": 305,
+    "subset_builds": 1273,
 }
 EXPECTED_CANDIDATES = 10838
 EXPECTED_IMPUTED = 477
@@ -62,7 +63,7 @@ def test_blocked_physician_work_is_pinned():
     counters = {
         name: value
         for name, value in result.report.kernel_counters.items()
-        if name.startswith(("calls_", "index_"))
+        if name.startswith(("calls_", "index_")) or name == "subset_builds"
     }
     assert counters == EXPECTED_COUNTERS
     candidates = sum(

@@ -1,12 +1,13 @@
 """The plan's exact LHS answers against the full-mask scan.
 
-A blocked engine answers each string LHS constraint from the values
-the plan matched once per (attribute, value, threshold), reading the
-live rows of those values.  Whatever writes reach the relation in
-between — Alg. 4's tentative writes and rollbacks, final writes, a
-value the column never held, appended rows — ``_lhs_rows`` over the
-plan must return exactly the rows the unblocked engine's full-column
-masks return, for every RFD and every eligibility mask.
+A blocked engine answers each LHS constraint — string, numeric or
+boolean — from the values the plan matched once per (attribute, value,
+threshold), reading the live rows of those values.  Whatever writes
+reach the relation in between — Alg. 4's tentative writes and
+rollbacks, final writes, a value the column never held, appended rows
+— ``_lhs_rows`` over the plan must return exactly the rows the
+unblocked engine's full-column masks return, for every RFD and every
+eligibility mask.
 
 The relation is physician at ``REPRO_BLOCKING_EQUIV_TUPLES`` tuples
 (the CI ``blocking`` job sets 10000; the tier-1 default is small).
@@ -23,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.donor_scan import VectorizedEngine
+from repro.dataset.attribute import AttributeType
 from repro.dataset.missing import MISSING
 from repro.datasets.physician import generate_physician
 from repro.evaluation.injection import inject_missing
@@ -33,8 +35,9 @@ pytestmark = pytest.mark.blocking
 
 N_TUPLES = int(os.environ.get("REPRO_BLOCKING_EQUIV_TUPLES", "400"))
 
-#: The benchmark's pinned RFDs, plus a composite string LHS and a
-#: loose threshold on short values (the q-gram length walk).
+#: The benchmark's pinned RFDs, plus a composite string LHS, a loose
+#: threshold on short values (the q-gram length walk), a boolean LHS
+#: and a numeric window wider than one value.
 RFDS = [
     parse_rfd(text)
     for text in (
@@ -48,9 +51,14 @@ RFDS = [
         "OrgId(<=0), GradYear(<=1) -> YearsExperience(<=1)",
         "Zip(<=0), Street(<=1) -> Phone(<=0)",
         "City(<=2) -> State(<=0)",
+        "AcceptsMedicare(<=0), Zip(<=0) -> Organization(<=1)",
+        "GroupSize(<=5) -> AcceptsMedicare(<=0)",
     )
 ]
-WRITTEN = ("Zip", "Street", "Organization", "City", "OrgId", "GradYear")
+WRITTEN = (
+    "Zip", "Street", "Organization", "City", "OrgId", "GradYear",
+    "GroupSize", "AcceptsMedicare",
+)
 
 
 @functools.cache
@@ -60,7 +68,10 @@ def base_relation():
         relation,
         count=max(20, N_TUPLES // 20),
         seed=3,
-        attributes=("Zip", "Street", "Organization", "City", "OrgId"),
+        attributes=(
+            "Zip", "Street", "Organization", "City", "OrgId",
+            "GroupSize", "AcceptsMedicare",
+        ),
     ).relation
 
 
@@ -109,10 +120,13 @@ def write(relation, op, row, name, other, fresh):
         # One edit from a value the column holds, so it joins that
         # value's matches at threshold 1.
         value = relation.value(other, name)
-        if value is MISSING:
-            value = "NEW VALUE"
-        elif relation.attribute(name).type.is_numeric:
+        kind = relation.attribute(name).type
+        if kind is AttributeType.BOOLEAN:
+            value = value is MISSING or not value
+        elif kind.is_numeric:
             value = 3000 + fresh
+        elif value is MISSING:
+            value = "NEW VALUE"
         else:
             value = f"{value}{fresh}"
     elif op == "blank":

@@ -1,12 +1,12 @@
 """Unit probes for the three blocking-index kinds.
 
-The numeric window must return a *superset* of the rows whose distance
-to the probe value is within threshold, and the string indexes exactly
-those rows (``docs/INDEXING.md``): a brute-force reference computes the
-true within-threshold set.  Declines (``None``) are always legal; these
-tests pin down when they are *required* (hot groups, probe-cost caps,
-unsupported thresholds) and that results are sorted unique int64
-arrays.
+Every kind answers exactly (``docs/INDEXING.md``): with a ``within``
+that confirms by the true distance, the rows are exactly those whose
+distance to the probe value is within threshold, as a brute-force
+reference computes them, and the string filters alone keep a superset
+of them.  Declines (``None``) are always legal; these tests pin down
+when they are *required* (hot groups, probe-cost caps, unsupported
+thresholds) and that results are sorted unique int64 arrays.
 """
 
 from __future__ import annotations
@@ -55,53 +55,109 @@ def levenshtein_within(column, target, threshold):
     return within
 
 
+def numeric_within(column, target, threshold, convert=float):
+    """A ``within`` deciding by ``|x - v|``, as the engine's codec."""
+    def within(rows):
+        return np.array(
+            [abs(convert(column[row]) - convert(target)) <= threshold
+             for row in rows.tolist()],
+            dtype=bool,
+        )
+    return within
+
+
+def numeric_answer(index, column, target, threshold, convert=float):
+    return answer(
+        index, target, threshold,
+        numeric_within(column, target, threshold, convert),
+    )
+
+
 class TestNumericWindowIndex:
     def test_superset_of_true_window(self):
-        column = [3.0, 1.5, MISSING, 2.25, -4.0, 3.0, 0.0]
+        """The bisect window keeps a superset of the true matches, and
+        the confirmed answer is exactly them."""
+        column = [3.0, 1.5, MISSING, 2.25, -4.0, 3.0, 0.0, 3.0000001]
         index = NumericWindowIndex(column)
-        rows = index.probe(2.0, 1.0)
+        rows = answer(index, 2.0, 1.0)
         assert_probe_shape(rows)
-        expected = {
-            row
-            for row, value in enumerate(column)
-            if value is not MISSING and abs(value - 2.0) <= 1.0
-        }
-        assert expected <= set(rows.tolist())
+        assert {0, 1, 3, 5} <= set(rows.tolist())
+        exact = numeric_answer(index, column, 2.0, 1.0)
+        assert_probe_shape(exact)
+        assert exact.tolist() == [0, 1, 3, 5]
+
+    def test_each_key_confirmed_once(self):
+        column = [1.0, 1.0, 2.0, 9.0, 2.0]
+        index = NumericWindowIndex(column)
+        seen = []
+
+        def within(rows):
+            seen.append(sorted(column[row] for row in rows.tolist()))
+            return np.ones(rows.size, dtype=bool)
+
+        assert index.match(1.5, 1.0, within) == [1.0, 2.0]
+        assert seen == [[1.0, 2.0]]  # one holder per key; 9.0 bisected out
+        assert index.rows([1.0, 2.0]).tolist() == [0, 1, 2, 4]
 
     def test_missing_probe_value_is_empty(self):
         index = NumericWindowIndex([1.0, 2.0])
-        assert index.probe(MISSING, 5.0) is EMPTY_ROWS
+        assert answer(index, MISSING, 5.0) is EMPTY_ROWS
 
     def test_missing_rows_never_match(self):
-        index = NumericWindowIndex([MISSING, 1.0, MISSING])
-        rows = index.probe(1.0, 100.0)
-        assert rows.tolist() == [1]
+        column = [MISSING, 1.0, MISSING]
+        index = NumericWindowIndex(column)
+        assert numeric_answer(index, column, 1.0, 100.0).tolist() == [1]
 
     def test_exact_zero_threshold(self):
-        index = NumericWindowIndex([5.0, 5.0, 6.0])
-        assert index.probe(5.0, 0.0).tolist() == [0, 1]
+        column = [5.0, 5.0, 6.0]
+        index = NumericWindowIndex(column)
+        assert numeric_answer(index, column, 5.0, 0.0).tolist() == [0, 1]
 
     def test_large_magnitudes_stay_supersets(self):
         # The window edges are widened by ULPs of the operand scale, so
         # catastrophic cancellation at |target| ~ threshold cannot lose
-        # a row the engine's |x - v| <= tau test would accept.
+        # a key the engine's |x - v| <= tau test would accept; the
+        # confirmation then drops what the widening let in, so the
+        # answer is exact.
         big = 1e16
-        column = [big, big + 2.0, big - 2.0]
+        column = [big, big + 2.0, big - 2.0, big + 4.0]
         index = NumericWindowIndex(column)
-        rows = index.probe(big, 2.0)
-        assert set(rows.tolist()) == {0, 1, 2}
+        keys = index.match(big, 2.0, everything)
+        assert {big, big + 2.0, big - 2.0} <= set(keys)
+        rows = numeric_answer(index, column, big, 2.0)
+        assert rows.tolist() == [0, 1, 2]
 
     def test_hot_group_declines(self):
         index = NumericWindowIndex([1.0] * 10, max_result=4)
-        assert index.probe(1.0, 0.0) is None
+        assert answer(index, 1.0, 0.0) is None
         assert index.skip_reason == "hot_group"
         assert index.stats.skips["hot_group"] == 1
 
+    def test_hot_window_declines_before_confirming(self):
+        # More distinct keys in the window than max_result: every key
+        # has a row, so the answer would be too large anyway.
+        index = NumericWindowIndex([float(i) for i in range(10)],
+                                   max_result=4)
+
+        def within(rows):
+            raise AssertionError("confirmed a declined window")
+
+        assert index.match(4.5, 3.0, within) is None
+        assert index.skip_reason == "hot_group"
+        assert index.stats.skips == {"hot_group": 1}
+
     def test_boolean_convert(self):
-        index = NumericWindowIndex(
-            [True, False, True], convert=lambda v: float(bool(v))
-        )
-        assert index.probe(True, 0.0).tolist() == [0, 2]
+        def convert(value):
+            return float(bool(value))
+
+        column = [True, False, True, MISSING]
+        index = NumericWindowIndex(column, convert=convert)
+        assert numeric_answer(
+            index, column, True, 0.0, convert
+        ).tolist() == [0, 2]
+        assert numeric_answer(
+            index, column, False, 1.0, convert
+        ).tolist() == [0, 1, 2]
 
 
 class TestExactMatchIndex:

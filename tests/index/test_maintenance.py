@@ -2,13 +2,12 @@
 
 Property: an index built on a column and then fed a random
 ``update(row, value)`` sequence answers every probe exactly like a
-fresh index built on the final column (for the string indexes, the
-rows of every value their filters keep) — including appends past the
+fresh index built on the final column — including appends past the
 original length, values becoming ``MISSING`` (NULL), empty strings and
-non-ASCII text.  ``max_result`` stays ``None`` here: the numeric
-index's conservative pre-cap may *decline* differently between a dirty
-overlay and a fresh build (declines are never wrong, just slower), so
-capped equality is a plan-level property, not an index-level one.
+non-ASCII text.  The string indexes are compared on the rows of every
+value their filters keep, the numeric window on its exact answer.  And
+``generation`` moves exactly when a key gains its first row or loses
+its last.
 """
 
 from __future__ import annotations
@@ -61,14 +60,14 @@ def final_column(column, updates):
     return values
 
 
-def ask(index, value, threshold):
-    """A numeric window's superset, or the rows of every value a string
-    index's filters keep (each candidate accepted)."""
-    if isinstance(index, NumericWindowIndex):
-        return index.probe(value, threshold)
-    keys = index.match(
-        value, threshold, lambda rows: np.ones(rows.size, dtype=bool)
-    )
+def everything(rows):
+    return np.ones(rows.size, dtype=bool)
+
+
+def ask(index, value, threshold, within=everything):
+    """The rows of every value ``within`` accepts among those the
+    index's filters keep."""
+    keys = index.match(value, threshold, within)
     return None if keys is None else index.rows(keys)
 
 
@@ -112,6 +111,17 @@ def test_exact_roundtrip(column, updates):
     assert_same_probes(maintained, fresh, probes, [0.0, 0.5])
 
 
+def numeric_within(column, target, threshold):
+    """The engine's ``|x - v| <= tau`` on the holder rows."""
+    def within(rows):
+        return np.array(
+            [abs(float(column[row]) - float(target)) <= threshold
+             for row in rows.tolist()],
+            dtype=bool,
+        )
+    return within
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     column=st.lists(numeric_values, max_size=12),
@@ -124,21 +134,44 @@ def test_numeric_roundtrip(column, updates):
     final = final_column(column, updates)
     fresh = NumericWindowIndex(final)
     probes = [v for v in final if v is not MISSING][:8] + [0.0, 1.5, -3.0]
-    assert_same_probes(maintained, fresh, probes, [0.0, 1.0, 10.0])
+    for value in probes:
+        for threshold in [0.0, 1.0, 10.0]:
+            within = numeric_within(final, value, threshold)
+            lhs = ask(maintained, value, threshold, within)
+            rhs = ask(fresh, value, threshold, within)
+            assert lhs.tolist() == rhs.tolist(), (value, threshold)
+            assert lhs.tolist() == [
+                row for row, other in enumerate(final)
+                if other is not MISSING
+                and abs(float(other) - float(value)) <= threshold
+            ], (value, threshold)
 
 
-def test_numeric_rebuild_threshold_crossing():
-    # Push past the dirty-overlay limit so the round-trip covers the
-    # automatic rebuild, not just the overlay path.
-    column = [float(i) for i in range(10)]
-    maintained = NumericWindowIndex(column)
-    for row in range(80):
-        maintained.update(row, float(row % 7))
-    final = [float(i % 7) for i in range(80)]
-    fresh = NumericWindowIndex(final)
-    assert_same_probes(
-        maintained, fresh, [0.0, 3.0, 6.5], [0.0, 1.0, 100.0]
-    )
+@settings(max_examples=60, deadline=None)
+@given(
+    column=st.lists(numeric_values, max_size=12),
+    updates=numeric_updates(max_row=18),
+)
+def test_generation_moves_on_first_and_last_row(column, updates):
+    """A write moves ``generation`` exactly when the set of keys
+    changes; a numeric index rebuilds its sorted keys only then."""
+    index = NumericWindowIndex(column)
+    values = list(column)
+
+    def keys():
+        return {float(v) for v in values if v is not MISSING}
+
+    for row, value in updates:
+        before, generation = keys(), index.generation
+        built = index._sorted_keys  # noqa: SLF001 - layout under test
+        values = final_column(values, [(row, value)])
+        index.update(row, value)
+        changed = keys() != before
+        assert (index.generation != generation) == changed
+        index.match(0.0, 1.0, everything)
+        after = index._sorted_keys  # noqa: SLF001
+        assert (after is not built) == changed
+        assert after.tolist() == sorted(keys())
 
 
 def test_updates_count_in_stats():
