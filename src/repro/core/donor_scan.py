@@ -8,14 +8,14 @@ interface so the driver — and the ``explain`` diagnostics — run the same
 code path:
 
 * :class:`VectorizedEngine` is the engine of every imputation run.  It
-  evaluates both algorithms, and the Definition 3.4 keyness scans, over
+  evaluates both algorithms, and the Definition 3.4 keyness test, over
   the columnar distances of
   :class:`~repro.distance.kernels.DonorScanKernels`.  Every LHS check
   goes through one helper, ``_lhs_rows``, which returns the rows whose
-  pair with the target satisfies the RFD's LHS: the AND of the cached
-  per-attribute within-threshold masks, or — when an optional
-  :class:`~repro.index.plan.IndexPlan` answers — the plan's rows, with
-  only the constraints it could not serve confirmed on them.
+  pair with the target satisfies the RFD's LHS: the rows of the
+  engine's :class:`~repro.index.plan.IndexPlan`, with only the
+  constraints the plan could not serve confirmed on them.  Keyness
+  settles most rows per distinct LHS value before asking it.
   The Equation-2 score is the sum of the LHS distances of those rows
   over ``|X|``; each donor keeps its smallest score over the cluster's
   RFDs, merged from the per-RFD row sets without relation-sized
@@ -31,7 +31,7 @@ code path:
 Both engines produce bit-identical :class:`~repro.core.candidates.Candidate`
 lists and accept/reject decisions: the float operations run in the same
 order (IEEE-754 addition is deterministic) and the clamped string
-distances only differ beyond every threshold in play.  An index plan
+distances only differ beyond every threshold in play.  The index plan
 changes no outcome either (the equivalence suite in ``tests/index/``
 checks it on every builtin dataset):
 
@@ -41,20 +41,18 @@ checks it on every builtin dataset):
   values the threshold already rejects, and each surviving value is
   confirmed through this engine's ``subset_vector`` — and its rows are
   the live rows of those values;
-* a constraint the plan could not serve is confirmed on the plan's
-  rows, which selects exactly the rows the full masks would;
-* ``subset_vector`` entries equal the corresponding ``vector`` entries
-  bit for bit (one gather, same clamps, same memo), so matches, scores,
-  minimum-score tie-breaks and the (distance, row) sort are unchanged;
-* any probe the plan declines (hot value past ``max_group_size``,
-  overridden distance, un-probeable attribute) scans the full column
-  for that RFD: slower, never different.
+* a constraint the plan could not serve (hot value past
+  ``max_group_size``, overridden distance, un-probeable attribute) is
+  confirmed through ``subset_vector`` on the plan's rows — every row
+  but the target when it served none: slower, never different;
+* ``subset_vector`` applies the pair-at-a-time distance to each row
+  (same clamps, same memo), so matches, scores, minimum-score
+  tie-breaks and the (distance, row) sort are unchanged.
 """
 
 from __future__ import annotations
 
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Iterable,
     Iterator,
@@ -70,21 +68,21 @@ from repro.core.verification import (
     is_faultless as _scalar_is_faultless,
     relevant_rfds,
 )
+from repro.dataset.attribute import AttributeType
 from repro.dataset.relation import Relation
 from repro.distance.base import DistanceFunction
 from repro.distance.kernels import DistanceMemoPool, DonorScanKernels
 from repro.distance.pattern import DistancePattern, PatternCalculator
+from repro.index.plan import IndexPlan
 from repro.rfd.keyness import (
     _check_scope,  # noqa: SLF001 - shared scope validation
     pair_reactivates as _scalar_pair_reactivates,
     partition_key_rfds as _scalar_partition_key_rfds,
 )
+from repro.rfd.constraint import Constraint
 from repro.rfd.rfd import RFD
 from repro.telemetry import NULL_TELEMETRY
 from repro.telemetry.trace import NULL_SPAN
-
-if TYPE_CHECKING:  # runtime import would load repro.index on every run
-    from repro.index.plan import IndexPlan
 
 _NO_ROWS = np.empty(0, dtype=np.int64)
 
@@ -189,8 +187,9 @@ class KernelCallSeam:
 
         One code path for both engines: the seam's per-operation call
         counts (``calls_<op>``) merged with whatever engine-specific
-        counters :meth:`_engine_counters` contributes (vector builds,
-        cache hits, DP-blocking stats for the vectorized engine).
+        counters :meth:`_engine_counters` contributes (subset gathers,
+        DP-blocking stats and index counters for the vectorized
+        engine).
         """
         merged = {
             f"calls_{op}": count
@@ -353,13 +352,12 @@ class VectorizedEngine(KernelCallSeam):
     overrides:
         Per-attribute distance functions replacing the paper's defaults.
     plan:
-        Optional :class:`~repro.index.plan.IndexPlan` shadowing
-        ``relation``.  Every LHS check asks it for candidate rows first;
-        a probe it declines scans the full column.
-    owns_plan:
-        Whether :meth:`close` also closes ``plan``: true for a plan built
-        for this run, false for one a session or pipeline shares across
-        rounds.
+        The :class:`~repro.index.plan.IndexPlan` shadowing ``relation``
+        that a session or pipeline shares across rounds; the engine
+        leaves it attached.  ``None`` builds a plan for this engine
+        (its overridden attributes unindexed), closed by :meth:`close`.
+        Every LHS check asks the plan for candidate rows and confirms
+        the constraints it could not serve.
     memo_pool:
         The owner's :class:`~repro.distance.kernels.DistanceMemoPool`
         for the kernels' string memos; ``None`` makes a private one.
@@ -374,10 +372,10 @@ class VectorizedEngine(KernelCallSeam):
         *,
         overrides: Mapping[str, DistanceFunction] | None = None,
         plan: IndexPlan | None = None,
-        owns_plan: bool = False,
         memo_pool: DistanceMemoPool | None = None,
     ) -> None:
         super().__init__()
+        rfds = tuple(rfds)
         self.relation = relation
         self.kernels = DonorScanKernels(
             relation,
@@ -386,14 +384,15 @@ class VectorizedEngine(KernelCallSeam):
             memo_pool=memo_pool,
         )
         self.kernels.attach()
+        self._overrides = frozenset(overrides or ())
+        self._closes_plan = plan is None
+        if plan is None:
+            plan = IndexPlan(relation, rfds, override_names=self._overrides)
         self.plan = plan
-        self._owns_plan = owns_plan
+        plan.attach()
         # A shared plan counts for its whole lifetime; the report wants
         # this run's share, so counters() subtracts the totals at build.
-        self._plan_baseline: dict[str, int] = {}
-        if plan is not None:
-            plan.attach()
-            self._plan_baseline = plan.counters
+        self._plan_baseline = plan.counters
         # Violations observed per RFD so far: verification tries the
         # historically most violating RFDs first and stops at the first
         # hit.
@@ -401,8 +400,7 @@ class VectorizedEngine(KernelCallSeam):
 
     def set_telemetry(self, telemetry: object) -> None:
         super().set_telemetry(telemetry)
-        if self.plan is not None:
-            self.plan.set_telemetry(telemetry)
+        self.plan.set_telemetry(telemetry)
 
     def cell_scan(
         self,
@@ -410,14 +408,8 @@ class VectorizedEngine(KernelCallSeam):
         attribute: str,
         clusters: Sequence[Cluster],
     ) -> "_VectorizedCellScan":
-        """One scan context per missing cell.
-
-        Vectors are cached per (target row, attribute) for the lifetime
-        of the cell's imputation; the cache is cleared here so memory
-        stays bounded by one target row's vectors.
-        """
+        """One scan context per missing cell."""
         self._fire("cell_scan", target_row, attribute)
-        self.kernels.clear_target_vectors()
         return _VectorizedCellScan(self, target_row, attribute)
 
     def _lhs_rows(
@@ -431,41 +423,24 @@ class VectorizedEngine(KernelCallSeam):
         The one LHS check of Algorithms 3-4 and Definition 3.4: a sorted
         ``int64`` array of the rows other than the target (and within
         ``eligible``, when given) that satisfy every LHS constraint of
-        ``rfd``, or ``None`` when none do.  With a plan, only the
-        constraints the plan could not serve are confirmed, on the rows
-        it returned; a plan that serves no constraint, or no plan, ANDs
-        the cached full-column masks.
+        ``rfd``, or ``None`` when none do.  The plan answers; the
+        constraints it could not serve are confirmed on its rows.  A
+        MISSING cell on either side of an LHS attribute forms no pair.
         """
         kernels = self.kernels
-        if self.plan is not None:
-            answer = self.plan.candidate_rows(
-                target_row, rfd.lhs, kernels.subset_vector
-            )
-            if answer is not None:
-                rows, pending = answer
-                if eligible is not None:
-                    rows = rows[eligible[rows]]
-                for constraint in pending:
-                    if not rows.size:
-                        return None
-                    vector = kernels.subset_vector(
-                        target_row, constraint.attribute, rows
-                    )
-                    rows = rows[vector <= constraint.threshold]
-                return rows if rows.size else None
-        if eligible is None:
-            mask = np.ones(self.relation.n_tuples, dtype=bool)
-        else:
-            mask = eligible.copy()
-        mask[target_row] = False
-        for constraint in rfd.lhs:
-            mask &= (
-                kernels.vector(target_row, constraint.attribute)
-                <= constraint.threshold
-            )
-            if not mask.any():
+        rows, pending = self.plan.candidate_rows(
+            target_row, rfd.lhs, kernels.subset_vector
+        )
+        if eligible is not None:
+            rows = rows[eligible[rows]]
+        for constraint in pending:
+            if not rows.size:
                 return None
-        return np.flatnonzero(mask)
+            vector = kernels.subset_vector(
+                target_row, constraint.attribute, rows
+            )
+            rows = rows[vector <= constraint.threshold]  # NaN: no pair
+        return rows if rows.size else None
 
     # ------------------------------------------------------------------
     # Algorithm 4
@@ -512,14 +487,9 @@ class VectorizedEngine(KernelCallSeam):
     def partition_key_rfds(
         self, rfds: Iterable[RFD], *, scope: str = "all"
     ) -> tuple[list[RFD], list[RFD]]:
-        """Definition 3.4 split with one-vs-all vectors.
-
-        Row-major sweep: for each row the per-attribute distance vectors
-        are built once and shared by every still-undecided RFD; an RFD
-        leaves the undecided set as soon as some later row satisfies its
-        whole LHS (the same pair predicate as the scalar scan, so the
-        partition is identical).
-        """
+        """Definition 3.4 split, each RFD settled by :meth:`_has_pair`
+        (the same pair predicate as the scalar scan, so the partition
+        is identical); keys and non-keys keep the input order."""
         with self._kernel_span("partition_key_rfds", -1, ""):
             return self._partition_key_rfds(rfds, scope)
 
@@ -528,29 +498,96 @@ class VectorizedEngine(KernelCallSeam):
     ) -> tuple[list[RFD], list[RFD]]:
         _check_scope(scope)
         rfds = list(rfds)
-        kernels = self.kernels
-        n = self.relation.n_tuples
         in_scope = self._scope_mask(scope)
-        undecided = list(range(len(rfds)))
-        non_key = [False] * len(rfds)
         with np.errstate(invalid="ignore"):
-            for row in range(n - 1):
-                if not undecided:
-                    break
-                if in_scope is not None and not in_scope[row]:
-                    continue
-                remaining: list[int] = []
-                for index in undecided:
-                    rows = self._lhs_rows(row, rfds[index], in_scope)
-                    if rows is not None and rows[-1] > row:
-                        non_key[index] = True
-                    else:
-                        remaining.append(index)
-                undecided = remaining
-                kernels.clear_target_vectors()
+            non_key = [self._has_pair(rfd, in_scope) for rfd in rfds]
         keys = [rfd for rfd, usable in zip(rfds, non_key) if not usable]
         non_keys = [rfd for rfd, usable in zip(rfds, non_key) if usable]
         return keys, non_keys
+
+    def _has_pair(self, rfd: RFD, in_scope: np.ndarray | None) -> bool:
+        """Whether two distinct in-scope rows satisfy ``rfd``'s LHS.
+
+        Only rows present on every LHS attribute can.  Where a
+        constraint's distance is the difference of the column's codes
+        (numbers, booleans, strings under a threshold of 1), a row's
+        partners on it are its neighbours in code order: a row without
+        one within the threshold forms no pair, and when every
+        constraint is of that kind :meth:`_pair_in_code_order` settles
+        the rest.  Otherwise two rows with equal codes on every LHS
+        attribute form a pair (not assumed for overridden attributes),
+        and the rows left are queried in order until one has a partner.
+        """
+        kernels = self.kernels
+        eligible = (
+            np.ones(self.relation.n_tuples, dtype=bool)
+            if in_scope is None else in_scope.copy()
+        )
+        for name in rfd.lhs_attributes:
+            eligible &= kernels.present_mask(name)
+        rows = np.flatnonzero(eligible)
+        by_code = [
+            constraint for constraint in rfd.lhs
+            if constraint.attribute not in self._overrides and (
+                constraint.threshold < 1
+                or self.relation.attribute(constraint.attribute).type
+                is not AttributeType.STRING
+            )
+        ]
+        for constraint in by_code:
+            codes = kernels.codes(constraint.attribute)[rows]
+            order = np.argsort(codes, kind="stable")
+            near = np.diff(codes[order]) <= constraint.threshold
+            partnered = np.zeros(rows.size, dtype=bool)
+            partnered[order[1:][near]] = True
+            partnered[order[:-1][near]] = True
+            rows = rows[partnered]
+        if rows.size < 2:
+            return False
+        if len(by_code) == len(rfd.lhs):
+            return self._pair_in_code_order(rows, by_code)
+        if not any(c.attribute in self._overrides for c in rfd.lhs):
+            columns = np.array(
+                [kernels.codes(c.attribute)[rows] for c in rfd.lhs],
+                dtype=np.float64,
+            )
+            ranked = columns[:, np.lexsort(columns)]
+            if (ranked[:, 1:] == ranked[:, :-1]).all(axis=0).any():
+                return True
+        eligible[:] = False
+        eligible[rows] = True
+        return any(
+            self._lhs_rows(row, rfd, eligible) is not None
+            for row in rows.tolist()
+        )
+
+    def _pair_in_code_order(
+        self, rows: np.ndarray, constraints: Sequence[Constraint]
+    ) -> bool:
+        """Whether two of ``rows`` are within every threshold, each
+        distance a difference of codes: sorted by the constraint with
+        the fewest pairs within its threshold, compare each row with the
+        one ``k`` places on, for ``k = 1, 2, …``, until no pair at that
+        offset is within the sort constraint's threshold."""
+        columns = [self.kernels.codes(c.attribute)[rows] for c in constraints]
+        orders = [np.argsort(codes, kind="stable") for codes in columns]
+        lead = int(np.argmin([
+            np.searchsorted(
+                codes[order], codes[order] + c.threshold, side="right"
+            ).sum()
+            for codes, order, c in zip(columns, orders, constraints)
+        ]))
+        columns = [codes[orders[lead]] for codes in columns]
+        for k in range(1, rows.size):
+            near = [
+                np.abs(codes[k:] - codes[:-k]) <= c.threshold
+                for codes, c in zip(columns, constraints)
+            ]
+            if not near[lead].any():
+                return False
+            if np.logical_and.reduce(near).any():
+                return True
+        return False
 
     def pair_reactivates(
         self, rfd: RFD, target_row: int, *, scope: str = "all"
@@ -581,20 +618,19 @@ class VectorizedEngine(KernelCallSeam):
     # Reporting / lifecycle
     # ------------------------------------------------------------------
     def _engine_counters(self) -> dict[str, int]:
-        """Vector-layer counters (builds, cache hits, DP blocking), plus
-        this run's index-plan counters when a plan is attached."""
+        """Kernel counters (subset gathers, DP blocking) plus this run's
+        index-plan counters."""
         counters = dict(self.kernels.counters)
-        if self.plan is not None:
-            baseline = self._plan_baseline
-            for name, value in self.plan.counters.items():
-                counters[name] = value - baseline[name]
+        baseline = self._plan_baseline
+        for name, value in self.plan.counters.items():
+            counters[name] = value - baseline[name]
         return counters
 
     def close(self) -> None:
-        """Detach the dirty-cell hook (and an owned plan's) from the
-        relation."""
+        """Detach the dirty-cell hook (and a plan this engine built)
+        from the relation."""
         self.kernels.close()
-        if self.plan is not None and self._owns_plan:
+        if self._closes_plan:
             self.plan.close()
 
 

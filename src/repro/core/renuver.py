@@ -73,6 +73,7 @@ from repro.core.selection import (
     cluster_by_rhs_threshold,
     select_rfds_for_attribute,
 )
+from repro.index.plan import IndexPlan
 from repro.rfd.rfd import RFD
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.telemetry.logs import get_logger
@@ -242,7 +243,7 @@ class Renuver:
         *,
         distance_overrides: Mapping[str, DistanceFunction] | None = None,
         telemetry: Telemetry | None = None,
-        index_plan: object | None = None,
+        index_plan: IndexPlan | None = None,
         memo_pool: DistanceMemoPool | None = None,
     ) -> None:
         self.rfds: tuple[RFD, ...] = tuple(rfds)
@@ -250,9 +251,9 @@ class Renuver:
             raise ImputationError("Renuver needs at least one RFD")
         self.config = config or RenuverConfig()
         self._distance_overrides = dict(distance_overrides or {})
-        #: Shared :class:`~repro.index.plan.IndexPlan` for blocked runs
-        #: (sessions reuse one across rounds); ignored unless blocking
-        #: engages and the plan shadows the imputed relation instance.
+        #: Shared :class:`~repro.index.plan.IndexPlan` (sessions reuse
+        #: one across rounds); a run probes it when it shadows the
+        #: imputed relation instance, and builds its own otherwise.
         self._index_plan = index_plan
         #: The owner's string-distance memos (service engine, session);
         #: ``None`` gives each run a private pool.
@@ -1008,42 +1009,21 @@ class Renuver:
     def _make_engine(self, relation: Relation) -> VectorizedEngine:
         """The run's donor-scan engine — the only one a run builds.
 
-        The only place that decides blocking: when it engages, the
-        engine probes the shared plan if that shadows this relation
-        instance, else a plan built (and closed) for this run.
+        It probes the shared plan if that shadows this relation
+        instance; otherwise the engine builds (and closes) its own.
         """
-        plan = None
-        owns_plan = False
-        if self._blocking_engages(relation):
-            plan = self._index_plan
-            if getattr(plan, "relation", None) is not relation:
-                from repro.index.plan import IndexPlan
-
-                plan = IndexPlan(
-                    relation,
-                    self.rfds,
-                    override_names=set(self._distance_overrides),
-                )
-                owns_plan = True
+        plan = self._index_plan
+        if plan is not None and plan.relation is not relation:
+            plan = None
         engine = VectorizedEngine(
             relation,
             self.rfds,
             overrides=self._distance_overrides,
             plan=plan,
-            owns_plan=owns_plan,
             memo_pool=self._memo_pool,
         )
         engine.set_telemetry(self.telemetry)
         return engine
-
-    def _blocking_engages(self, relation: Relation) -> bool:
-        """Whether this run uses the blocking indexes: from
-        ``AUTO_BLOCKING_MIN_TUPLES`` tuples up (docs/INDEXING.md).
-        Candidate sets and imputed values are bit-identical either way
-        — indexes only prune pairs the RFD thresholds already reject."""
-        from repro.index.plan import AUTO_BLOCKING_MIN_TUPLES
-
-        return relation.n_tuples >= AUTO_BLOCKING_MIN_TUPLES
 
     def _scan_clusters(
         self,

@@ -114,7 +114,7 @@ class ImputationReport:
     peak_bytes: int = 0
     key_rfds_initial: int = 0
     key_rfds_reactivated: int = 0
-    #: Donor-scan kernel statistics (vector builds, invalidations,
+    #: Donor-scan kernel statistics (subset gathers, index probes,
     #: Levenshtein DPs avoided by length blocking, ...).
     kernel_counters: dict[str, int] = field(default_factory=dict)
     #: Ladder steps taken by the fault-tolerant runtime, in run order.

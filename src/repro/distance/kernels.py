@@ -603,6 +603,13 @@ class DonorScanKernels:
         self.subset_builds += 1
         return self._codec(name).gather(target_row, rows)
 
+    def codes(self, name: str) -> np.ndarray:
+        """Per-row codes of a column without an overridden distance:
+        floats whose differences are the distances (numbers, booleans)
+        or string memo codes, equal exactly for equal strings.  Shared
+        internal state: do not mutate."""
+        return self._codec(name).codes
+
     def present_mask(self, name: str) -> np.ndarray:
         """Boolean mask of rows with a present value on ``name``.
 

@@ -83,8 +83,7 @@ class ImputationSession:
         # One blocking-index plan for every round: it rides the
         # relation's mutation hook, so appends and imputations maintain
         # the indexes instead of rebuilding them per round
-        # (docs/INDEXING.md).  Rounds only probe it once the relation
-        # is large enough for blocking to engage.
+        # (docs/INDEXING.md).
         self._index_plan = IndexPlan(self._relation, rfds)
         self._index_plan.attach()
         self._memo_pool = (

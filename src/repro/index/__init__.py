@@ -1,10 +1,10 @@
 """Blocking indexes for sub-linear donor retrieval.
 
-The donor-scan engines of :mod:`repro.core.donor_scan` compare the
-target tuple against *every* other tuple.  This package turns the
-engines' threshold comparisons (``distance(t[A], u[A]) <= tau``) into
-index probes — pruning only pairs the RFD thresholds already reject, so
-the imputation outcomes stay bit-identical to the unblocked scan.  Every
+RENUVER's donor scans compare the target tuple against *every* other
+tuple.  This package turns their threshold comparisons
+(``distance(t[A], u[A]) <= tau``) into index probes — pruning only
+pairs the RFD thresholds already reject, so the imputation outcomes
+stay bit-identical to the all-pairs scan of the scalar oracle.  Every
 constraint is answered exactly, from the distinct values within
 ``tau`` (matched once per value and threshold, each confirmed through
 the engine's own distance kernel).
@@ -22,22 +22,23 @@ Three per-attribute index kinds share the row-per-value bookkeeping of
   distinct value for attributes only ever probed at ``tau = 0``.
 
 :class:`~repro.index.plan.IndexPlan` composes them per RFD: probe every
-LHS attribute, intersect the results, and fall back to the engine's
-full scan whenever an attribute cannot serve (counted, never wrong) —
-including the ``max_group_size`` anchor cap on pathological hot values.
-Indexes are maintained incrementally through the relation's
-``set_value`` mutation hook, so service sessions and pipeline INCR runs
-reuse them across rounds.  See ``docs/INDEXING.md``.
+LHS attribute, intersect the results, and leave for the engine to
+confirm every constraint an attribute cannot serve (counted, never
+wrong) — including the ``max_group_size`` anchor cap on pathological
+hot values.  Every imputation run's engine answers its LHS questions
+through a plan, at every relation size.  Indexes are maintained
+incrementally through the relation's ``set_value`` mutation hook, so
+service sessions and pipeline INCR runs reuse them across rounds.  See
+``docs/INDEXING.md``.
 """
 
 from repro.index.base import EMPTY_ROWS, IndexStats, ValueIndex
 from repro.index.exact import ExactMatchIndex
 from repro.index.numeric import NumericWindowIndex
-from repro.index.plan import AUTO_BLOCKING_MIN_TUPLES, IndexPlan
+from repro.index.plan import IndexPlan
 from repro.index.strings import QGramIndex
 
 __all__ = [
-    "AUTO_BLOCKING_MIN_TUPLES",
     "EMPTY_ROWS",
     "ExactMatchIndex",
     "IndexPlan",

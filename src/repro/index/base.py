@@ -30,8 +30,8 @@ Two rules hold for every kind:
   ``tests/index/`` asserts.
 * An index may decline a question — "I cannot serve this" — with
   :attr:`ValueIndex.skip_reason` set (``"unsupported"``,
-  ``"hot_group"``, ``"probe_cost"``).  The caller falls back to the
-  full scan for that attribute: slower, never wrong.
+  ``"hot_group"``, ``"probe_cost"``).  The caller confirms that
+  constraint on its other rows itself: slower, never wrong.
 
 Rows missing on the attribute never answer: their distance is
 undefined and every engine mask excludes them.

@@ -13,11 +13,11 @@ filters candidate values and the engine's own distance kernel confirms
 each one, so no distance is computed that the engine would not compute
 — and each answer reads the live rows of those values.  Only the
 constraints the plan could not serve are left for the engine to
-confirm on the intersected rows.  The plan never guesses: any probe an
-index declines falls back to the engine's full scan for that
-attribute, and when *no* attribute could be probed the whole
-composition returns ``None`` (full-scan fallback, counted in
-``renuver_index_fallbacks_total{reason}``).
+confirm on the intersected rows.  The plan never guesses: a constraint
+an index declines is left pending (counted in
+``renuver_index_fallbacks_total{reason}``), and when *no* constraint
+could be probed the answer is the degenerate one — every row but the
+target, with every constraint pending.
 
 The plan attaches to the relation's mutation hook (the same dirty-cell
 seam the distance kernels ride), so tentative writes, rollbacks and
@@ -43,11 +43,6 @@ from repro.rfd.constraint import Constraint
 from repro.rfd.rfd import RFD
 from repro.telemetry import NULL_TELEMETRY
 
-#: Smallest relation where ``blocking="auto"`` engages: below this the
-#: vectorized full scan is already cheap and index upkeep would be pure
-#: overhead (the paper-scale datasets stay on the unblocked path).
-AUTO_BLOCKING_MIN_TUPLES = 5000
-
 _UNINDEXED = "unindexed"
 
 #: Distances from the target row's cell on an attribute to some rows:
@@ -72,12 +67,13 @@ class IndexPlan:
         threshold (strings probed only crisply get the exact-match
         index, loose ones the q-gram index).
     max_group_size:
-        Anchor cap: any probe (or composed candidate set) larger than
-        this declines to the full scan — hot values never cost more
-        than the scan they replace, and never change outcomes.
+        Anchor cap: a constraint whose rows would exceed this is
+        declined and left for the engine to confirm — hot values never
+        cost more than the confirmation they replace, and never change
+        outcomes.
     override_names:
         Attributes with overridden distance functions; their semantics
-        are opaque, so they are never indexed (probes fall back).
+        are opaque, so they are never indexed (always pending).
     q:
         Gram width of the string indexes.
     """
@@ -184,43 +180,19 @@ class IndexPlan:
         target_row: int,
         constraints: Sequence[Constraint],
         distances: Distances,
-    ) -> Answer | None:
+    ) -> Answer:
         """Rows that can satisfy every constraint against the target.
 
         Returns ``(rows, pending)``: a sorted unique ``int64`` array
         (the target row always excluded; empty when the target is
-        missing on some constrained attribute — no pair can satisfy it
+        missing on some indexed attribute — no pair can satisfy it
         then) and the constraints the caller must still check on those
         rows.  Every other constraint is satisfied by exactly the rows
-        returned.  ``None`` means no constraint could be probed: the
-        caller must run its full scan.  ``distances`` is the engine's
-        distance kernel, through which every match is confirmed.
+        returned.  When no constraint could be probed, the rows are
+        every row but the target and every constraint is pending.
+        ``distances`` is the engine's distance kernel, through which
+        every match is confirmed.
         """
-        tracer = self._telemetry.tracer
-        if not tracer.enabled:
-            return self._candidate_rows(target_row, constraints, distances)
-        with tracer.span(
-            "index.probe",
-            row=target_row,
-            attributes=",".join(
-                constraint.attribute for constraint in constraints
-            ),
-        ) as span:
-            answer = self._candidate_rows(
-                target_row, constraints, distances
-            )
-            span.set_attribute(
-                "candidates",
-                -1 if answer is None else int(answer[0].size),
-            )
-            return answer
-
-    def _candidate_rows(
-        self,
-        target_row: int,
-        constraints: Sequence[Constraint],
-        distances: Distances,
-    ) -> Answer | None:
         relation = self.relation
         probes: list[np.ndarray] = []
         pending: list[Constraint] = []
@@ -233,8 +205,8 @@ class IndexPlan:
             value = relation.value(target_row, constraint.attribute)
             if value is MISSING:
                 # The target cannot form a within-threshold pair on a
-                # missing LHS cell; the engine's masks agree (NaN
-                # compares false).
+                # missing LHS cell (docs/ALGORITHMS.md, "MISSING on an
+                # RFD's LHS").
                 return EMPTY_ROWS, ()
             rows = self._matching_rows(
                 index, target_row, constraint, value, distances
@@ -244,14 +216,15 @@ class IndexPlan:
             else:
                 probes.append(rows)
         if not probes:
-            self._count_fallback("full_scan")
-            return None
+            rows = np.arange(relation.n_tuples, dtype=np.int64)
+            return np.delete(rows, target_row), tuple(pending)
         probes.sort(key=lambda rows: rows.size)
         out = probes[0]
         for rows in probes[1:]:
             if out.size == 0:
                 break
-            out = np.intersect1d(out, rows, assume_unique=True)
+            found = np.searchsorted(rows, out)
+            out = out[rows[np.minimum(found, rows.size - 1)] == out]
         out = out[out != target_row]
         self.served += 1
         pruned = max(0, relation.n_tuples - 1 - int(out.size))
@@ -283,7 +256,11 @@ class IndexPlan:
             def within(rows: np.ndarray) -> np.ndarray:
                 return distances(target_row, name, rows) <= threshold
 
-            keys = index.match(value, threshold, within)
+            with self._telemetry.tracer.span(
+                "index.probe", attribute=name, row=target_row
+            ) as span:
+                keys = index.match(value, threshold, within)
+                span.set_attribute("values", -1 if keys is None else len(keys))
             if keys is None:
                 keys = index.skip_reason or _UNINDEXED
             memo[key] = keys
@@ -302,16 +279,12 @@ class IndexPlan:
         kind = self._kinds.get(name)
         if kind is None:
             return None
-        tracer = self._telemetry.tracer
-        if tracer.enabled:
-            with tracer.span(
-                "index.build",
-                attribute=name,
-                kind=kind,
-                n_tuples=self.relation.n_tuples,
-            ):
-                index = self._build_index(name, kind)
-        else:
+        with self._telemetry.tracer.span(
+            "index.build",
+            attribute=name,
+            kind=kind,
+            n_tuples=self.relation.n_tuples,
+        ):
             index = self._build_index(name, kind)
         self._indexes[name] = index
         return index
@@ -367,7 +340,7 @@ class IndexPlan:
         if counter is None:
             counter = self._telemetry.metrics.counter(
                 "renuver_index_fallbacks_total",
-                "Blocking probes that fell back to the full scan.",
+                "LHS constraints the blocking plan left to the engine.",
                 reason=reason,
             )
             self._fallback_counters[reason] = counter

@@ -1,8 +1,8 @@
 """Tests for the donor-scan engines and their kernel layer.
 
 Covers the vectorized engine's contract with the scalar reference on the
-paper's running example and on seed datasets, with and without an index
-plan (including capped plans whose probes partly fall back), the
+paper's running example and on seed datasets, with the engine's own
+index plan and with capped plans whose probes are partly declined, the
 dirty-cell hook that keeps kernel vectors honest across tentative
 writes, and the length-blocking string kernels.
 """
@@ -42,13 +42,13 @@ from repro.index import IndexPlan
 from repro.rfd import parse_rfd
 from tests.oracle import ScalarRenuver
 
-#: Index plans the vectorized engine runs with: none (full scans), the
-#: default cap, and caps small enough that some probes of one cluster
-#: are served while others decline to the full scan.
-PLANS = {"none": None, "plan": 4096, "cap3": 3, "cap1": 1}
+#: Index plans the vectorized engine runs with: its own (the default
+#: cap), and caps small enough that some probes of one cluster are
+#: served while others are declined and confirmed by the engine.
+PLANS = {"plan": None, "cap3": 3, "cap1": 1}
 
 
-def make_engines(relation, rfds, plan="none"):
+def make_engines(relation, rfds, plan="plan"):
     calculator = PatternCalculator(relation)
     cap = PLANS[plan]
     index_plan = (
@@ -56,8 +56,14 @@ def make_engines(relation, rfds, plan="none"):
         else IndexPlan(relation, rfds, max_group_size=cap)
     )
     return ScalarEngine(calculator), VectorizedEngine(
-        relation, rfds, plan=index_plan, owns_plan=True
+        relation, rfds, plan=index_plan
     )
+
+
+def close(vectorized):
+    """Close the engine and its plan, whoever built it."""
+    vectorized.close()
+    vectorized.plan.close()
 
 
 class TestStringClampLimits:
@@ -629,7 +635,7 @@ class TestEngineEquivalenceOnPaperExample:
                             plan, row, attribute
                         )
             finally:
-                vectorized.close()
+                close(vectorized)
 
     def test_candidates_respect_max_candidates(
         self, restaurant_sample, paper_rfds
@@ -646,7 +652,7 @@ class TestEngineEquivalenceOnPaperExample:
                     cluster, max_candidates=1
                 ) == vector_scan.candidates(cluster, max_candidates=1)
         finally:
-            vectorized.close()
+            close(vectorized)
 
     def test_is_faultless_matches(self, restaurant_sample, paper_rfds):
         verdicts = set()
@@ -669,7 +675,7 @@ class TestEngineEquivalenceOnPaperExample:
                         verdicts.add(expected)
                     restaurant_sample.set_value(3, "Phone", MISSING)
             finally:
-                vectorized.close()
+                close(vectorized)
         assert verdicts == {True, False}  # both outcomes exercised
 
     def test_cluster_attribute_mismatch_raises(
@@ -684,7 +690,7 @@ class TestEngineEquivalenceOnPaperExample:
             with pytest.raises(ValueError):
                 scan.candidates(clusters[0])
         finally:
-            vectorized.close()
+            close(vectorized)
 
 
 class TestKeynessEquivalence:
@@ -701,7 +707,7 @@ class TestKeynessEquivalence:
                     paper_rfds, scope=scope
                 ) == scalar.partition_key_rfds(paper_rfds, scope=scope), plan
             finally:
-                vectorized.close()
+                close(vectorized)
 
     @pytest.mark.parametrize("scope", ["all", "complete"])
     def test_pair_reactivates_matches_scalar(
@@ -720,7 +726,7 @@ class TestKeynessEquivalence:
                             rfd, row, scope=scope
                         ), (plan, rfd, row)
             finally:
-                vectorized.close()
+                close(vectorized)
 
 
 #: Seed datasets at smoke scale, discovered RFDs, 4% missing cells.
@@ -784,9 +790,8 @@ def test_oracle_on_seed_dataset(seed_case, plan):
             relation.set_value(row, attribute, MISSING)
         counters = vectorized.counters()
     finally:
-        vectorized.close()
-    if plan != "none":
-        assert counters["index_served_probes"] > 0
+        close(vectorized)
+    assert counters["index_served_probes"] > 0
     if plan in ("cap3", "cap1"):
         assert counters["index_fallbacks"] > 0
 
@@ -830,7 +835,7 @@ def test_ranked_view_matches_scalar_lists(seed_case):
                         cluster, max_candidates=cap
                     )
     finally:
-        vectorized.close()
+        close(vectorized)
     assert compared > 0
 
 
@@ -906,8 +911,9 @@ class TestEngineConfig:
     ):
         report = Renuver(paper_rfds).impute(restaurant_sample).report
         counters = report.kernel_counters
-        assert counters["vector_builds"] > 0
-        assert counters["invalidations"] > 0  # tentative writes happened
+        assert counters["index_served_probes"] > 0
+        assert counters["subset_builds"] > 0
+        assert counters["index_updates"] > 0  # tentative writes happened
         assert "kernels" in report.summary()
 
     def test_engine_detaches_listener_after_impute(

@@ -3,14 +3,15 @@
 Outcome digests say *what* an imputation produced; these counts say how
 much work it took to get there: index probes issued (one per index
 walk: a match the plan memoized is not probed again) and LHS queries
-served, full scan fallbacks, subset distance vectors built, engine calls
-per operation and candidates ranked.  A change that keeps the outputs
-but probes more, falls back more, builds more distance vectors or ranks
-more candidates fails here, before any benchmark run.
+served, declined constraints, subset distance vectors built, engine
+calls per operation and candidates ranked.  A change that keeps the
+outputs but probes more, declines more, builds more distance vectors or
+ranks more candidates fails here, before any benchmark run.
 
-The instance is physician at 5000 tuples (where blocking engages on its
-own), 500 injected cells over the five columns the ``physician-10k``
-benchmark blanks, and that benchmark's eight pinned RFDs.
+The instance is physician at 5000 tuples, 500 injected cells over the
+five columns the ``physician-10k`` benchmark blanks, and that
+benchmark's eight pinned RFDs.  Keyness settles all eight by duplicate
+LHS values, so no index is built before the first cell.
 """
 
 from __future__ import annotations
@@ -41,11 +42,11 @@ EXPECTED_COUNTERS = {
     "calls_partition_key_rfds": 1,
     "index_builds": 5,
     "index_fallbacks": 0,
-    "index_probes": 415,
-    "index_pruned_pairs": 4705121,
-    "index_served_probes": 946,
-    "index_updates": 305,
-    "subset_builds": 1273,
+    "index_probes": 413,
+    "index_pruned_pairs": 4665399,
+    "index_served_probes": 938,
+    "index_updates": 304,
+    "subset_builds": 1271,
 }
 EXPECTED_CANDIDATES = 10838
 EXPECTED_IMPUTED = 477

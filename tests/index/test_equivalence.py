@@ -1,15 +1,16 @@
-"""Blocked-vs-unblocked bit-identity on every builtin dataset.
+"""Engine-vs-scalar-oracle bit-identity on every builtin dataset.
 
-The blocking subsystem's contract (``docs/INDEXING.md``) is that a
+The blocking subsystem's contract (``docs/INDEXING.md``) is that the
 blocking-index plan changes *retrieval*, never *results*: the imputed
 relation, the per-cell outcome list and even the diagnostic candidate
-sets of :meth:`Renuver.explain` must match the unblocked scan exactly.
-This suite enforces that on all five builtin datasets with *discovered*
-RFD sets (so the constraint mix is whatever discovery produces, not a
-hand-picked friendly one) and on a seeded synthetic Physician instance
-whose size scales with ``REPRO_BLOCKING_EQUIV_TUPLES`` — the CI
-``blocking-equivalence`` job sets 10000; the tier-1 default stays
-small enough for every local run.
+sets of :meth:`Renuver.explain` must match the scalar oracle's
+all-pairs scan exactly.  Every run answers its LHS questions through
+the plan, at any size.  This suite enforces that on all five builtin
+datasets with *discovered* RFD sets (so the constraint mix is whatever
+discovery produces, not a hand-picked friendly one) and on a seeded
+synthetic Physician instance whose size scales with
+``REPRO_BLOCKING_EQUIV_TUPLES`` — the CI ``blocking`` job sets 10000;
+the tier-1 default stays small enough for every local run.
 """
 
 from __future__ import annotations
@@ -27,12 +28,12 @@ from repro import (
 )
 from repro.datasets.physician import generate_physician
 from repro.rfd import parse_rfd
-from tests.oracle import BlockedRenuver, UnblockedRenuver
+from tests.oracle import ScalarRenuver
 
 pytestmark = pytest.mark.blocking
 
-#: Small slices of every builtin dataset: discovery stays fast and the
-#: forced-on blocked engine still exercises probes on each.
+#: Small slices of every builtin dataset: discovery and the scalar
+#: oracle stay fast, and the engine still exercises probes on each.
 SIZES = {
     "restaurant": 100,
     "cars": 90,
@@ -53,14 +54,14 @@ SYNTHETIC_RFDS = (
 
 
 def run_both(rfds, dirty):
-    off = UnblockedRenuver(rfds).impute(dirty)
-    on = BlockedRenuver(rfds).impute(dirty)
-    return off, on
+    oracle = ScalarRenuver(rfds).impute(dirty)
+    engine = Renuver(rfds).impute(dirty)
+    return oracle, engine
 
 
-def assert_identical(off, on):
-    assert off.report.outcomes == on.report.outcomes
-    assert off.relation.equals(on.relation)
+def assert_identical(oracle, engine):
+    assert oracle.report.outcomes == engine.report.outcomes
+    assert oracle.relation.equals(engine.relation)
 
 
 @pytest.mark.parametrize("name", sorted(SIZES))
@@ -78,9 +79,9 @@ def test_builtin_dataset_equivalence(name):
     ).all_rfds
     assert rfds, name
     dirty = inject_missing(relation, rate=0.05, seed=3).relation
-    off, on = run_both(rfds, dirty)
-    assert_identical(off, on)
-    assert on.report.kernel_counters["index_probes"] > 0, name
+    oracle, engine = run_both(rfds, dirty)
+    assert_identical(oracle, engine)
+    assert engine.report.kernel_counters["index_probes"] > 0, name
 
 
 @pytest.mark.parametrize("name", ["restaurant", "physician"])
@@ -97,10 +98,10 @@ def test_explain_candidate_sets_identical(name):
         ),
     ).all_rfds
     dirty = inject_missing(relation, rate=0.05, seed=3).relation
-    unblocked = UnblockedRenuver(rfds)
-    blocked = BlockedRenuver(rfds)
+    oracle = ScalarRenuver(rfds)
+    engine = Renuver(rfds)
     for row, attribute in dirty.missing_cells()[:5]:
-        assert unblocked.explain(dirty, row, attribute) == blocked.explain(
+        assert oracle.explain(dirty, row, attribute) == engine.explain(
             dirty, row, attribute
         ), (name, row, attribute)
 
@@ -115,21 +116,21 @@ def test_synthetic_physician_equivalence():
         seed=5,
         attributes=("City", "State", "Street", "Zip", "YearsExperience"),
     ).relation
-    off, on = run_both(rfds, dirty)
-    assert_identical(off, on)
-    counters = on.report.kernel_counters
+    oracle, engine = run_both(rfds, dirty)
+    assert_identical(oracle, engine)
+    counters = engine.report.kernel_counters
     assert counters["index_served_probes"] > 0
     assert counters["index_pruned_pairs"] > 0
-    assert off.report.imputed_count > 0  # the comparison is non-vacuous
+    assert oracle.report.imputed_count > 0  # the comparison is non-vacuous
 
 
-def test_auto_mode_small_instances_stay_unblocked():
+def test_small_instances_answer_through_the_plan():
+    """There is no size switch: a 200-tuple run probes the plan too."""
     relation = generate_physician(200, seed=0)
     rfds = [parse_rfd(text) for text in SYNTHETIC_RFDS]
     dirty = inject_missing(relation, count=10, seed=5).relation
-    auto = Renuver(rfds).impute(dirty)
-    # Below AUTO_BLOCKING_MIN_TUPLES the plain vectorized engine runs:
-    # no index counters in the report.
-    assert "index_probes" not in auto.report.kernel_counters
-    off = UnblockedRenuver(rfds).impute(dirty)
-    assert_identical(off, auto)
+    oracle, engine = run_both(rfds, dirty)
+    counters = engine.report.kernel_counters
+    assert counters["index_probes"] > 0
+    assert counters["index_served_probes"] > 0
+    assert_identical(oracle, engine)

@@ -1,13 +1,13 @@
-"""The plan's exact LHS answers against the full-mask scan.
+"""The plan's exact LHS answers against a full-mask scan.
 
-A blocked engine answers each LHS constraint — string, numeric or
-boolean — from the values the plan matched once per (attribute, value,
+The engine answers each LHS constraint — string, numeric or boolean —
+from the values the plan matched once per (attribute, value,
 threshold), reading the live rows of those values.  Whatever writes
 reach the relation in between — Alg. 4's tentative writes and
 rollbacks, final writes, a value the column never held, appended rows
-— ``_lhs_rows`` over the plan must return exactly the rows the
-unblocked engine's full-column masks return, for every RFD and every
-eligibility mask.
+— ``_lhs_rows`` over the plan must return exactly the rows a test-side
+AND of full-column masks selects (``subset_vector`` over every row,
+one mask per constraint), for every RFD and every eligibility mask.
 
 The relation is physician at ``REPRO_BLOCKING_EQUIV_TUPLES`` tuples
 (the CI ``blocking`` job sets 10000; the tier-1 default is small).
@@ -23,10 +23,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.donor_scan import VectorizedEngine
+from repro.core.donor_scan import VectorizedEngine, string_clamp_limits
 from repro.dataset.attribute import AttributeType
 from repro.dataset.missing import MISSING
 from repro.datasets.physician import generate_physician
+from repro.distance.kernels import DonorScanKernels
 from repro.evaluation.injection import inject_missing
 from repro.index import IndexPlan
 from repro.rfd import parse_rfd
@@ -91,15 +92,34 @@ ops = st.one_of(
 
 
 def engines(relation, plan):
+    """The engine over the shared plan, and the reference's kernels."""
     blocked = VectorizedEngine(relation, RFDS, plan=plan)
-    full = VectorizedEngine(relation, RFDS)
+    full = DonorScanKernels(
+        relation, string_limits=string_clamp_limits(RFDS)
+    )
+    full.attach()
     return blocked, full
+
+
+def full_mask_rows(relation, full, target, rfd, mask):
+    """The rows other than ``target`` (within ``mask``) satisfying every
+    LHS constraint of ``rfd``, by one full-column mask per constraint;
+    ``None`` when there are none."""
+    every = np.arange(relation.n_tuples)
+    keep = np.ones(every.size, dtype=bool) if mask is None else mask.copy()
+    keep[target] = False
+    for constraint in rfd.lhs:
+        keep &= (
+            full.subset_vector(target, constraint.attribute, every)
+            <= constraint.threshold
+        )
+    return np.flatnonzero(keep) if keep.any() else None
 
 
 def masks(relation, full, seed):
     n = relation.n_tuples
     random = np.random.default_rng(seed).random(n) < 0.7
-    return [None, full.kernels.present_mask("City").copy(), random]
+    return [None, full.present_mask("City").copy(), random]
 
 
 def assert_exact(relation, blocked, full, targets, seed):
@@ -108,7 +128,7 @@ def assert_exact(relation, blocked, full, targets, seed):
             for target in targets:
                 for rfd in RFDS:
                     got = blocked._lhs_rows(target, rfd, mask)
-                    want = full._lhs_rows(target, rfd, mask)
+                    want = full_mask_rows(relation, full, target, rfd, mask)
                     assert (got is None) == (want is None), (target, rfd)
                     if got is not None:
                         assert got.tolist() == want.tolist(), (target, rfd)

@@ -51,9 +51,14 @@ def answer(plan, target_row, lhs, rfds=RFDS):
 
 
 def candidate_rows(plan, target_row, lhs, rfds=RFDS):
-    """The rows of the plan's answer, or ``None`` for a full scan."""
-    found = answer(plan, target_row, lhs, rfds)
-    return None if found is None else found[0]
+    """The rows of the plan's answer."""
+    return answer(plan, target_row, lhs, rfds)[0]
+
+
+def every_row_but(plan, target_row):
+    return [
+        row for row in range(plan.relation.n_tuples) if row != target_row
+    ]
 
 
 def test_kind_selection():
@@ -70,7 +75,10 @@ def test_override_names_never_indexed():
     plan = IndexPlan(make_relation(), RFDS, override_names=("City",))
     assert plan._kinds["City"] is None
     rfd = RFDS[1]
-    assert candidate_rows(plan, 0, rfd.lhs) is None
+    # No constraint served: the degenerate answer leaves it pending.
+    rows, pending = answer(plan, 0, rfd.lhs)
+    assert rows.tolist() == every_row_but(plan, 0)
+    assert pending == rfd.lhs
     assert plan.fallbacks >= 1
 
 
@@ -124,21 +132,21 @@ def test_numeric_window_is_exact():
 def test_missing_target_value_yields_empty():
     plan = IndexPlan(make_relation(), RFDS)
     rows = candidate_rows(plan, 3, RFDS[1].lhs)  # City of row 3 is MISSING
-    assert rows is not None and rows.size == 0
+    assert rows.size == 0
     assert rows is EMPTY_ROWS
 
 
 def test_composite_intersection():
     plan = IndexPlan(make_relation(), RFDS)
     rows = candidate_rows(plan, 0, RFDS[2].lhs)  # Pop within 100 & Urban
-    assert rows is not None
     assert set(rows.tolist()) == {1}  # row 1: Pop 2800, Urban True
 
 
 def test_hot_group_falls_back_not_wrong():
     plan = IndexPlan(make_relation(), RFDS, max_group_size=1)
-    rows = candidate_rows(plan, 0, RFDS[0].lhs)  # Zip group has 3 rows
-    assert rows is None
+    rows, pending = answer(plan, 0, RFDS[0].lhs)  # Zip group: 3 rows
+    assert rows.tolist() == every_row_but(plan, 0)
+    assert pending == RFDS[0].lhs
     assert plan.counters["index_fallbacks"] >= 1
 
 
@@ -169,7 +177,7 @@ def test_update_rfds_drops_changed_kinds():
     assert "Zip" not in plan._indexes  # dropped, rebuilt lazily
     rows = candidate_rows(plan, 0, loose.lhs, [loose])
     assert plan._indexes["Zip"].kind == "qgram"
-    assert rows is not None and 1 in rows.tolist()
+    assert 1 in rows.tolist()
 
 
 def test_counters_shape():
@@ -193,11 +201,11 @@ def test_max_group_size_validation():
 
 def test_shared_plan_reports_per_run_counters():
     """Runs sharing one plan each report their own index counters: the
-    per-run values sum to the plan's lifetime totals, and the engine
-    leaves the shared plan attached for its owner."""
-    from repro import inject_missing
+    plan's totals move across a run by exactly what that run reports
+    (an append in between counts for neither), and the engine leaves
+    the shared plan attached for its owner."""
+    from repro import Renuver, inject_missing
     from repro.datasets.physician import generate_physician
-    from tests.oracle import BlockedRenuver
 
     dirty = inject_missing(
         generate_physician(300, seed=0), count=30, seed=5
@@ -208,17 +216,30 @@ def test_shared_plan_reports_per_run_counters():
         parse_rfd("Organization(<=1) -> City(<=2)"),
     ]
     plan = IndexPlan(dirty, rfds)
-    renuver = BlockedRenuver(rfds, index_plan=plan)
-    runs = [
-        renuver.impute(dirty, inplace=True).report.kernel_counters
-        for _ in range(2)
-    ]
-    # The second run finds every match memoized: it may walk no index
-    # at all, yet the plan still serves its LHS queries.
+    plan.attach()
+    renuver = Renuver(rfds, index_plan=plan)
+
+    def run():
+        before = plan.counters
+        counters = renuver.impute(dirty, inplace=True).report.kernel_counters
+        for name, total in plan.counters.items():
+            assert counters[name] == total - before[name], name
+        return counters
+
+    runs = [run()]
+    # Run 2's work: appended copies of ten rows, City blanked.
+    city = dirty.index_of("City")
+    appended = []
+    for row in range(10):
+        values = list(dirty.row_values(row))
+        values[city] = MISSING
+        appended.append(values)
+    dirty.append_rows(appended)
+    runs.append(run())
+    # The second run finds most matches memoized, yet the plan still
+    # serves its LHS queries.
     assert runs[0]["index_probes"] > runs[1]["index_probes"] >= 0
     assert runs[1]["index_served_probes"] > 0
     assert runs[1]["index_builds"] == 0  # built once, reused
-    for name, total in plan.counters.items():
-        assert runs[0][name] + runs[1][name] == total, name
     assert plan._attached
     plan.close()

@@ -117,7 +117,8 @@ class TestMetrics:
             ) == value
 
     def test_blocked_run_labels_both_families_vectorized(self):
-        result, telemetry = run_with_telemetry(engine="blocked")
+        # Every run probes its blocking plan, at any relation size.
+        result, telemetry = run_with_telemetry()
         counters = result.report.kernel_counters
         assert counters["index_probes"] > 0
         families = {

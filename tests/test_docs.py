@@ -341,7 +341,7 @@ class TestIndexingDoc:
             for path in (ROOT / "src" / "repro" / "index").glob("*.py")
         )
         for reason in ["unindexed", "unsupported", "hot_group",
-                       "probe_cost", "full_scan"]:
+                       "probe_cost"]:
             assert reason in text, reason
             assert f'"{reason}"' in src, (
                 f"repro.index misses fallback reason {reason}"
