@@ -17,6 +17,7 @@ from repro.exceptions import DataError, SchemaError
 
 _TRUE_LITERALS = {"true", "t", "yes", "y"}
 _FALSE_LITERALS = {"false", "f", "no", "n"}
+_BOOL_LITERALS = _TRUE_LITERALS | _FALSE_LITERALS
 
 
 class AttributeType(enum.Enum):
@@ -55,33 +56,53 @@ def infer_type(values: Iterable[Any]) -> AttributeType:
     string: a column of ``{"0", "1"}`` stays integer (not boolean) because
     numeric literals are only treated as booleans when the column contains
     ``true``/``false`` style literals or Python bools.
+
+    A text literal is a number only under the rule :func:`coerce_value`
+    applies too: ASCII sign, digits, point and exponent, with no ``_``
+    digit groups and no non-ASCII digits, so ``"1_000"`` and ``"٣"``
+    stay strings.  Spelled-out ``inf`` and ``nan`` are strings as well.
+
+    The scan costs the column's distinct values: each distinct ``str``
+    is checked once (one boolean-literal test, then the numeric tests
+    it can still pass), and the scan stops at the first value that
+    rules out every type narrower than string.  Other values are
+    checked one by one, because ``1``, ``1.0`` and ``True`` are equal
+    but infer differently.
     """
     saw_value = False
     could_be_bool = True
     could_be_int = True
     could_be_float = True
     saw_bool_literal = False
+    seen: set[str] = set()
     for value in values:
-        if is_missing(value):
+        if type(value) is str:
+            if value in seen:
+                continue
+            seen.add(value)
+        elif is_missing(value):
             continue
         saw_value = True
         if isinstance(value, bool):
             saw_bool_literal = True
             could_be_int = False
             could_be_float = False
-            continue
-        could_be_bool = could_be_bool and _is_bool_literal(value)
-        saw_bool_literal = saw_bool_literal or _is_bool_literal(value)
-        if isinstance(value, int):
-            continue
-        if isinstance(value, float):
-            could_be_int = False
-            continue
-        text = str(value).strip()
-        if not _is_int_literal(text):
-            could_be_int = False
-        if not _is_float_literal(text):
-            could_be_float = False
+        elif isinstance(value, (int, float)):
+            could_be_bool = False
+            could_be_int = could_be_int and isinstance(value, int)
+        else:
+            text = str(value).strip()
+            if text.lower() in _BOOL_LITERALS:
+                # A boolean literal is never a number.
+                saw_bool_literal = True
+                could_be_int = False
+                could_be_float = False
+            else:
+                could_be_bool = False
+                could_be_int = could_be_int and _is_int_literal(text)
+                could_be_float = could_be_float and _is_float_literal(text)
+        if not (could_be_bool or could_be_int or could_be_float):
+            return AttributeType.STRING
     if not saw_value:
         return AttributeType.STRING
     if could_be_bool and saw_bool_literal:
@@ -97,7 +118,9 @@ def coerce_value(value: Any, attr_type: AttributeType) -> Any:
     """Coerce ``value`` into the Python representation of ``attr_type``.
 
     :data:`MISSING` passes through untouched.  Raises :class:`DataError`
-    when the value cannot represent the target type.
+    when the value cannot represent the target type; under a numeric
+    type that includes text the numeric-literal rule of
+    :func:`infer_type` refuses, such as ``"1_000"``.
     """
     if is_missing(value):
         return MISSING
@@ -105,6 +128,8 @@ def coerce_value(value: Any, attr_type: AttributeType) -> Any:
         if attr_type is AttributeType.BOOLEAN:
             return _coerce_bool(value)
         if attr_type is AttributeType.INTEGER:
+            if type(value) is int:
+                return value
             if isinstance(value, bool):
                 return int(value)
             if isinstance(value, float):
@@ -113,7 +138,7 @@ def coerce_value(value: Any, attr_type: AttributeType) -> Any:
                         f"cannot coerce non-integral {value!r} to integer"
                     )
                 return int(value)
-            text = str(value).strip()
+            text = _number_text(value)
             try:
                 return int(text)
             except ValueError:
@@ -123,9 +148,11 @@ def coerce_value(value: Any, attr_type: AttributeType) -> Any:
                     raise
                 return int(as_float)
         if attr_type is AttributeType.FLOAT:
+            if type(value) is float:
+                return value
             if isinstance(value, bool):
                 return float(value)
-            number = float(str(value).strip())
+            number = float(_number_text(value))
             # A spelled-out "nan" is missing too: store the sentinel.
             return number if number == number else MISSING
         return str(value)
@@ -146,17 +173,29 @@ def _coerce_bool(value: Any) -> bool:
     raise DataError(f"cannot coerce {value!r} to boolean")
 
 
-def _is_bool_literal(value: Any) -> bool:
-    if isinstance(value, bool):
-        return True
-    if isinstance(value, (int, float)):
-        return False
-    text = str(value).strip().lower()
-    return text in _TRUE_LITERALS or text in _FALSE_LITERALS
+def _is_number_spelling(text: str) -> bool:
+    """The numeric-literal rule shared by inference and coercion.
+
+    Python's ``int`` and ``float`` also read ``_`` digit groups and
+    non-ASCII digits.  In a data file those spell identifiers
+    (``12_34``) or another script's numerals, not numbers, so a number
+    is written in ASCII without ``_``: sign, digits, point and exponent,
+    or the ``inf``/``nan`` words only a declared float column accepts.
+    """
+    return text.isascii() and "_" not in text
+
+
+def _number_text(value: Any) -> str:
+    """The stripped text of ``value``; ``ValueError`` if the rule
+    refuses it."""
+    text = str(value).strip()
+    if not _is_number_spelling(text):
+        raise ValueError(f"not a numeric literal: {text!r}")
+    return text
 
 
 def _is_int_literal(text: str) -> bool:
-    if not text:
+    if not text or not _is_number_spelling(text):
         return False
     try:
         int(text)
@@ -166,7 +205,7 @@ def _is_int_literal(text: str) -> bool:
 
 
 def _is_float_literal(text: str) -> bool:
-    if not text:
+    if not text or not _is_number_spelling(text):
         return False
     try:
         value = float(text)

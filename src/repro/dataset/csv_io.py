@@ -19,8 +19,13 @@ import io
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from repro.dataset.attribute import Attribute, AttributeType, infer_type
-from repro.dataset.missing import MISSING, is_missing
+from repro.dataset.attribute import (
+    Attribute,
+    AttributeType,
+    coerce_value,
+    infer_type,
+)
+from repro.dataset.missing import MISSING
 from repro.dataset.relation import Relation
 from repro.exceptions import CSVFormatError
 from repro.utils.atomic import atomic_write_text
@@ -66,6 +71,12 @@ def read_csv_text(
     )
 
 
+def split_line(line: str) -> list[str]:
+    """The fields of one CSV line (a header, say), split as
+    :func:`read_csv` splits them."""
+    return next(csv.reader(io.StringIO(line)))
+
+
 def write_csv(
     relation: Relation,
     path: str | Path,
@@ -92,15 +103,23 @@ def to_csv_text(
     null_literal: str = "",
     delimiter: str = ",",
 ) -> str:
-    """Render a relation as CSV text."""
+    """Render a relation as CSV text.
+
+    The rendering goes column by column: each column is read once, its
+    missing cells (always the :data:`MISSING` sentinel in a relation)
+    replaced by ``null_literal``, and the rows are written as one
+    ``writerows`` over the zipped columns.  The bytes are those of a
+    row-by-row rendering; relation fingerprints hash them.
+    """
+    columns = [
+        [null_literal if value is MISSING else value
+         for value in relation.column(name)]
+        for name in relation.attribute_names
+    ]
     buffer = io.StringIO()
     writer = csv.writer(buffer, delimiter=delimiter, lineterminator="\n")
     writer.writerow(relation.attribute_names)
-    for row in range(relation.n_tuples):
-        writer.writerow([
-            null_literal if is_missing(value) else value
-            for value in relation.row_values(row)
-        ])
+    writer.writerows(zip(*columns))
     return buffer.getvalue()
 
 
@@ -112,6 +131,8 @@ def _parse(
     null_literals: Sequence[str] | frozenset[str],
     delimiter: str,
 ) -> Relation:
+    """Read ``handle`` into raw columns, then decide each column once
+    per distinct raw cell (see :func:`_decide_column`)."""
     nulls = {literal.lower() for literal in null_literals}
     reader = csv.reader(handle, delimiter=delimiter)
     line_number = 1
@@ -131,21 +152,21 @@ def _parse(
                 )
         _check_duplicate_headers(header)
 
-        columns: dict[str, list[object]] = {column: [] for column in header}
+        width = len(header)
+        raw_columns: list[list[str]] = [[] for _ in header]
+        chunk: list[list[str]] = []
         for line_number, record in enumerate(reader, start=2):
-            if not record:
-                continue  # skip completely blank lines
-            if len(record) != len(header):
+            if len(record) != width:
+                if not record:
+                    continue  # skip completely blank lines
                 raise CSVFormatError(
-                    f"line {line_number}: expected {len(header)} fields, "
+                    f"line {line_number}: expected {width} fields, "
                     f"got {len(record)}"
                 )
-            for column, raw in zip(header, record):
-                cell = raw.strip()
-                if cell.lower() in nulls:
-                    columns[column].append(MISSING)
-                else:
-                    columns[column].append(cell)
+            chunk.append(record)
+            if len(chunk) == _TRANSPOSE_CHUNK:
+                _transpose_into(raw_columns, chunk)
+        _transpose_into(raw_columns, chunk)
     except UnicodeDecodeError as exc:
         raise CSVFormatError(
             f"undecodable input after line {max(line_number, reader.line_num)}"
@@ -158,11 +179,51 @@ def _parse(
         ) from exc
 
     declared = dict(types or {})
-    attributes = [
-        Attribute(column, declared.get(column) or infer_type(columns[column]))
-        for column in header
-    ]
-    return Relation(attributes, columns, name=name)
+    attributes = []
+    columns: dict[str, list[object]] = {}
+    for column, raw in zip(header, raw_columns):
+        attribute, columns[column] = _decide_column(
+            column, raw, declared.get(column), nulls
+        )
+        attributes.append(attribute)
+    return Relation(attributes, columns, name=name, coerce=False)
+
+
+#: Records gathered before they are moved into the raw columns, so a
+#: parse never holds every record beside the columns.
+_TRANSPOSE_CHUNK = 1024
+
+
+def _transpose_into(
+    raw_columns: list[list[str]], chunk: list[list[str]]
+) -> None:
+    """Append ``chunk``'s records to ``raw_columns`` and empty it."""
+    for raw, cells in zip(raw_columns, zip(*chunk)):
+        raw.extend(cells)
+    chunk.clear()
+
+
+def _decide_column(
+    column: str,
+    raw: list[str],
+    declared: AttributeType | None,
+    nulls: set[str],
+) -> tuple[Attribute, list[object]]:
+    """Type and canonical cells of one raw column.
+
+    Each distinct raw cell is stripped, null-tested and coerced once,
+    through one dict; the cells are then read from that dict.  Distinct
+    cells are decided in order of first appearance, so a failed
+    coercion names the same cell a row-by-row pass would.
+    """
+    decided: dict[str, object] = {}
+    for cell in dict.fromkeys(raw):
+        literal = cell.strip()
+        decided[cell] = MISSING if literal.lower() in nulls else literal
+    attr_type = declared or infer_type(decided.values())
+    for cell, literal in decided.items():
+        decided[cell] = coerce_value(literal, attr_type)
+    return Attribute(column, attr_type), list(map(decided.__getitem__, raw))
 
 
 def _check_duplicate_headers(header: list[str]) -> None:

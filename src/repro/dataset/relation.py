@@ -22,7 +22,7 @@ from repro.dataset.attribute import (
     coerce_value,
     infer_type,
 )
-from repro.dataset.missing import MISSING, is_missing, normalize_missing
+from repro.dataset.missing import MISSING, is_missing
 from repro.exceptions import DataError, SchemaError
 
 
@@ -97,6 +97,14 @@ class Relation:
         name: str = "relation",
         coerce: bool = True,
     ) -> None:
+        """Check the schema and take one list per attribute.
+
+        With ``coerce`` every cell goes through
+        :func:`~repro.dataset.attribute.coerce_value`.  Without it the
+        columns must already be canonical — coerced values and
+        :data:`MISSING` for every missing cell, as CSV parsing and an
+        existing relation's columns are — and are copied as they are.
+        """
         names = _checked_names(attributes)
         missing_cols = [n for n in names if n not in columns]
         if missing_cols:
@@ -109,10 +117,11 @@ class Relation:
         for attr in attributes:
             raw = columns[attr.name]
             if coerce:
-                col = [coerce_value(v, attr.type) for v in raw]
+                canonical[attr.name] = [
+                    coerce_value(v, attr.type) for v in raw
+                ]
             else:
-                col = [normalize_missing(v) for v in raw]
-            canonical[attr.name] = col
+                canonical[attr.name] = list(raw)
         self._adopt(tuple(attributes), canonical, name)
 
     def _adopt(

@@ -15,13 +15,11 @@ runner chooses whether that degrades the run to FULL or fails it.
 
 from __future__ import annotations
 
-import csv
-import io
 from pathlib import Path
 from typing import Sequence
 
 from repro.dataset.attribute import AttributeType
-from repro.dataset.csv_io import read_csv_text
+from repro.dataset.csv_io import read_csv_text, split_line
 from repro.dataset.relation import Relation
 from repro.exceptions import PipelineError
 
@@ -54,7 +52,7 @@ def _header_of(text: str, path: Path) -> list[str]:
     line = text.splitlines()[0] if text.splitlines() else ""
     if not line:
         raise PipelineError(f"ingest file {path} is empty (no header)")
-    return next(csv.reader(io.StringIO(line)))
+    return split_line(line)
 
 
 def combined_csv_text(

@@ -80,6 +80,27 @@ class TestInferType:
     def test_inf_literals_are_strings(self):
         assert infer_type(["inf", "nan"]) is AttributeType.STRING
 
+    @pytest.mark.parametrize(
+        "literal", ["1_000", "2_5", "1_0.5", "1e1_0", "\u0663", "1\u0663"]
+    )
+    def test_python_only_number_spellings_are_strings(self, literal):
+        # int() and float() read digit groups and non-ASCII digits; a
+        # data file means an identifier by them.
+        assert infer_type(["12", literal]) is AttributeType.STRING
+
+    def test_stops_at_the_first_deciding_literal(self):
+        def cells():
+            yield "12"
+            yield "x"  # no narrower type is left: the scan stops here
+            raise AssertionError("read past the deciding literal")
+
+        assert infer_type(cells()) is AttributeType.STRING
+
+    def test_boolean_literal_keeps_scanning(self):
+        # "yes" rules out the numbers but not boolean.
+        assert infer_type(["yes", "no", "Y"]) is AttributeType.BOOLEAN
+        assert infer_type(["yes", "no", "maybe"]) is AttributeType.STRING
+
 
 class TestCoerceValue:
     def test_missing_passes_through(self):
@@ -104,6 +125,29 @@ class TestCoerceValue:
     def test_bad_int_raises(self):
         with pytest.raises(DataError):
             coerce_value("abc", AttributeType.INTEGER)
+
+    @pytest.mark.parametrize(
+        ("literal", "attr_type"),
+        [
+            ("1_000", AttributeType.INTEGER),
+            ("1_000", AttributeType.FLOAT),
+            ("2_5.0", AttributeType.FLOAT),
+            ("\u0663", AttributeType.INTEGER),
+            ("\u0663.5", AttributeType.FLOAT),
+        ],
+    )
+    def test_python_only_number_spellings_raise(self, literal, attr_type):
+        with pytest.raises(DataError) as excinfo:
+            coerce_value(literal, attr_type)
+        assert str(excinfo.value) == (
+            f"cannot coerce {literal!r} to {attr_type.value}"
+        )
+
+    def test_ascii_number_spellings_still_coerce(self):
+        assert coerce_value("+1e3", AttributeType.INTEGER) == 1000
+        assert coerce_value("007", AttributeType.INTEGER) == 7
+        assert coerce_value(" .5 ", AttributeType.FLOAT) == 0.5
+        assert coerce_value("nan", AttributeType.FLOAT) is MISSING
 
     def test_bad_boolean_raises(self):
         with pytest.raises(DataError):

@@ -10,7 +10,8 @@ from repro.dataset import (
     to_csv_text,
     write_csv,
 )
-from repro.exceptions import CSVFormatError
+from repro.dataset.attribute import coerce_value
+from repro.exceptions import CSVFormatError, DataError
 
 
 class TestReadCsvText:
@@ -60,6 +61,44 @@ class TestReadCsvText:
     def test_blank_header_raises(self):
         with pytest.raises(CSVFormatError):
             read_csv_text("A,\n1,2\n")
+
+    def test_digit_groups_stay_strings(self):
+        relation = read_csv_text("code,x\n1_000,a\n2_5,b\n")
+        assert relation.attribute("code").type is AttributeType.STRING
+        assert relation.column("code") == ("1_000", "2_5")
+
+    def test_non_ascii_digits_stay_strings(self):
+        relation = read_csv_text("code\n\u0663\n4\n")
+        assert relation.attribute("code").type is AttributeType.STRING
+        assert relation.column("code") == ("\u0663", "4")
+
+    def test_digit_groups_under_a_declared_integer_raise(self):
+        with pytest.raises(DataError) as excinfo:
+            read_csv_text(
+                "code\n12\n1_000\n", types={"code": AttributeType.INTEGER}
+            )
+        assert str(excinfo.value) == "cannot coerce '1_000' to integer"
+
+    def test_each_distinct_cell_is_coerced_once(self, monkeypatch):
+        import repro.dataset.csv_io as csv_io
+        import repro.dataset.relation as relation_mod
+
+        calls = []
+
+        def counting(value, attr_type):
+            calls.append(value)
+            return coerce_value(value, attr_type)
+
+        def refuse(value, attr_type):
+            raise AssertionError("the relation coerced a parsed cell again")
+
+        monkeypatch.setattr(csv_io, "coerce_value", counting)
+        monkeypatch.setattr(relation_mod, "coerce_value", refuse)
+        relation = read_csv_text("A,B\n1,x\n1,x\n 1 ,y\n,x\nNA,x\n")
+        # A: "1", " 1 ", "" and "NA"; B: "x" and "y".
+        assert len(calls) == 6
+        assert relation.column("A") == (1, 1, 1, MISSING, MISSING)
+        assert relation.column("B") == ("x", "x", "y", "x", "x")
 
     def test_field_count_mismatch_raises(self):
         with pytest.raises(CSVFormatError) as excinfo:

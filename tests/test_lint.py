@@ -1,12 +1,14 @@
 """Repo lint: no bare ``print`` calls outside the sanctioned modules,
-and no upward imports of the service layer.
+no upward imports of the service layer, and one CSV codec.
 
 Library code must log through :mod:`repro.telemetry.logs` so embedders
 control verbosity; only the CLI and the evaluation report renderer talk
 to stdout/stderr directly.  The algorithm, discovery, robustness and
 pipeline layers sit below :mod:`repro.service`, so none of them may
-import it.  The checks walk the AST (not grep) so names appearing in
-docstrings or comments do not trip them.
+import it.  Only :mod:`repro.dataset.csv_io` builds CSV readers and
+writers, so every relation is parsed and rendered one way.  The checks
+walk the AST (not grep) so names appearing in docstrings or comments do
+not trip them.
 """
 
 import ast
@@ -81,4 +83,44 @@ def test_no_service_imports_below_the_service_layer():
                 offenders[str(path.relative_to(SRC))] = sorted(set(lines))
     assert not offenders, (
         f"modules below repro.service import it: {offenders}"
+    )
+
+
+#: The one module that may construct CSV readers and writers.
+CSV_CODEC = SRC / "dataset" / "csv_io.py"
+CSV_FACTORIES = {"reader", "writer", "DictReader", "DictWriter"}
+
+
+def csv_factory_uses(path):
+    """Lines naming ``csv.reader``/``csv.writer`` (or the dict
+    variants), as attributes of ``csv`` or imported from it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in CSV_FACTORIES
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "csv"
+        ):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+            if any(alias.name in CSV_FACTORIES for alias in node.names):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_csv_is_read_and_written_only_by_the_codec():
+    # A second reader or writer would grow a CSV path beside the codec's
+    # per-distinct-value parse and column-wise render.
+    assert CSV_CODEC.exists(), f"the CSV codec moved: {CSV_CODEC}"
+    offenders = {}
+    for path in sorted(SRC.rglob("*.py")):
+        if path == CSV_CODEC:
+            continue
+        lines = csv_factory_uses(path)
+        if lines:
+            offenders[str(path.relative_to(SRC))] = lines
+    assert not offenders, (
+        f"csv readers/writers outside repro.dataset.csv_io: {offenders}"
     )

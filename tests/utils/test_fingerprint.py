@@ -36,6 +36,51 @@ class TestRelationFingerprint:
         assert relation_fingerprint(relation) == expected
 
 
+class TestPersistedFingerprints:
+    """Literal digests of the CSV rendering, independent of the renderer.
+
+    Journals, ``StoreVersion.fingerprint`` and artifact-cache keys persist
+    these digests: a rendering change that moves one byte would refuse
+    every resume and miss every cached RFD set.
+    """
+
+    def test_restaurant_with_injected_missing_values(self):
+        from repro.datasets.restaurant import generate_restaurant
+        from repro.evaluation.injection import inject_missing
+
+        relation = inject_missing(
+            generate_restaurant(seed=0), rate=0.03, seed=1
+        ).relation
+        assert relation.count_missing() == 156
+        assert relation_fingerprint(relation) == (
+            "dd626e10694cdf43114d6f3ddc23bb976e53d883c3438fdbd4edf64e6953b96a"
+        )
+
+    def test_floats_booleans_and_missing_cells(self):
+        from repro.dataset import MISSING, Attribute, AttributeType, Relation
+
+        relation = Relation.from_rows(
+            [
+                Attribute("Id", AttributeType.INTEGER),
+                Attribute("Score", AttributeType.FLOAT),
+                Attribute("Flag", AttributeType.BOOLEAN),
+                Attribute("Note", AttributeType.STRING),
+            ],
+            [
+                [1, 0.1, True, "a, b"],
+                [2, 2.5, False, MISSING],
+                [3, MISSING, MISSING, 'say "hi"'],
+                [4, 1e-05, True, "line\nbreak"],
+                [MISSING, 3.0, False, "plain"],
+                [-6, 1e20, MISSING, "x"],
+            ],
+            name="small",
+        )
+        assert relation_fingerprint(relation) == (
+            "e3a06515a079d33b2d6c982ffdf36f70bbe1b389f46f2ee15a34de89f440925a"
+        )
+
+
 class TestFingerprintMatches:
     def test_matches_current_fingerprint(self):
         relation = read_csv_text(CSV, name="t")
