@@ -535,7 +535,7 @@ class VectorizedEngine(KernelCallSeam):
             )
         ]
         for constraint in by_code:
-            codes = kernels.codes(constraint.attribute)[rows]
+            codes = self._distance_codes(constraint.attribute, rows)
             order = np.argsort(codes, kind="stable")
             near = np.diff(codes[order]) <= constraint.threshold
             partnered = np.zeros(rows.size, dtype=bool)
@@ -548,7 +548,7 @@ class VectorizedEngine(KernelCallSeam):
             return self._pair_in_code_order(rows, by_code)
         if not any(c.attribute in self._overrides for c in rfd.lhs):
             columns = np.array(
-                [kernels.codes(c.attribute)[rows] for c in rfd.lhs],
+                [self._distance_codes(c.attribute, rows) for c in rfd.lhs],
                 dtype=np.float64,
             )
             ranked = columns[:, np.lexsort(columns)]
@@ -569,7 +569,9 @@ class VectorizedEngine(KernelCallSeam):
         the fewest pairs within its threshold, compare each row with the
         one ``k`` places on, for ``k = 1, 2, …``, until no pair at that
         offset is within the sort constraint's threshold."""
-        columns = [self.kernels.codes(c.attribute)[rows] for c in constraints]
+        columns = [
+            self._distance_codes(c.attribute, rows) for c in constraints
+        ]
         orders = [np.argsort(codes, kind="stable") for codes in columns]
         lead = int(np.argmin([
             np.searchsorted(
@@ -588,6 +590,14 @@ class VectorizedEngine(KernelCallSeam):
             if np.logical_and.reduce(near).any():
                 return True
         return False
+
+    def _distance_codes(self, name: str, rows: np.ndarray) -> np.ndarray:
+        """The codes of ``rows`` on ``name`` in the relation's encoding,
+        equal exactly for equal values; for numbers and booleans their
+        floats, whose differences are the distances."""
+        encoding = self.relation.encoding(name)
+        codes = encoding.codes[rows]
+        return codes if encoding.floats is None else encoding.floats[codes]
 
     def pair_reactivates(
         self, rfd: RFD, target_row: int, *, scope: str = "all"

@@ -80,6 +80,8 @@ def infer_type(values: Iterable[Any]) -> AttributeType:
             if value in seen:
                 continue
             seen.add(value)
+            if not value:  # the empty string is missing
+                continue
         elif is_missing(value):
             continue
         saw_value = True

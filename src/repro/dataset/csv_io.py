@@ -1,7 +1,8 @@
 """CSV import/export for relations.
 
-Empty cells and a configurable set of null literals (``_``, ``NA`` …) map
-to :data:`~repro.dataset.missing.MISSING`; attribute types are inferred
+Empty (or whitespace-only) cells, whatever ``null_literals`` holds, and
+a configurable set of null literals (``_``, ``NA`` …) map to
+:data:`~repro.dataset.missing.MISSING`; attribute types are inferred
 from the remaining values unless declared explicitly.
 
 Malformed input — ragged rows, duplicate or blank headers, undecodable
@@ -219,7 +220,9 @@ def _decide_column(
     decided: dict[str, object] = {}
     for cell in dict.fromkeys(raw):
         literal = cell.strip()
-        decided[cell] = MISSING if literal.lower() in nulls else literal
+        decided[cell] = (
+            MISSING if not literal or literal.lower() in nulls else literal
+        )
     attr_type = declared or infer_type(decided.values())
     for cell, literal in decided.items():
         decided[cell] = coerce_value(literal, attr_type)

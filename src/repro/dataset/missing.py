@@ -51,13 +51,16 @@ MISSING = MissingType()
 def is_missing(value: Any) -> bool:
     """Return ``True`` if ``value`` denotes a missing cell.
 
-    Besides :data:`MISSING` itself, ``None`` and float ``NaN`` are treated
-    as missing so relations built from third-party data behave sensibly.
+    Besides :data:`MISSING` itself, ``None``, float ``NaN`` and ``""``
+    (what CSV writes for a missing cell) are missing, so relations built
+    from third-party data behave sensibly.  Whitespace is a value.
     """
     if value is MISSING or value is None:
         return True
     kind = type(value)
-    if kind is str or kind is int:
+    if kind is str:
+        return not value
+    if kind is int:
         return False
     if isinstance(value, MissingType):
         return True

@@ -9,7 +9,8 @@ A :class:`Relation` is mutable only through :meth:`set_value` — exactly the
 operation the imputation algorithms need — and every mutation bumps a
 version counter so caches (distance patterns, key-RFD status) can detect
 staleness.  :meth:`append_rows` grows it, writing each new cell through
-:meth:`set_value`.
+:meth:`set_value`.  :meth:`encoding` gives the columnar readers one
+dictionary encoding per column, patched by every write.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.dataset.attribute import (
     coerce_value,
     infer_type,
 )
+from repro.dataset.encoding import ColumnEncoding
 from repro.dataset.missing import MISSING, is_missing
 from repro.exceptions import DataError, SchemaError
 
@@ -143,6 +145,7 @@ class Relation:
             attr.name: i for i, attr in enumerate(attributes)
         }
         self._columns = columns
+        self._encodings: dict[str, ColumnEncoding] = {}
         self._version = 0
         self._listeners: list[Callable[[int, str, Any], None]] = []
 
@@ -286,19 +289,22 @@ class Relation:
         This is the single mutation point of a relation; imputers call it
         to fill (or re-blank) cells.
 
-        Mutation listeners cannot corrupt the write: the cell is stored
-        and the version bumped first, then *every* registered listener
-        runs (so cache invalidation hooks fire even when an earlier
-        listener raises), and only afterwards is the first listener
-        failure surfaced, wrapped in :class:`~repro.exceptions.DataError`.
+        Mutation listeners cannot corrupt the write: the cell is stored,
+        the column's encoding patched and the version bumped first, then
+        *every* registered listener runs (so cache invalidation hooks
+        fire even when an earlier listener raises), and only afterwards
+        is the first listener failure surfaced, wrapped in
+        :class:`~repro.exceptions.DataError`.
         """
         attr = self.attribute(name)
         self._check_row(row)
-        self._columns[name][row] = coerce_value(value, attr.type)
+        stored = self._columns[name][row] = coerce_value(value, attr.type)
+        encoding = self._encodings.get(name)
+        if encoding is not None:
+            encoding.set(row, stored)
         self._version += 1
         if not self._listeners:
             return
-        stored = self._columns[name][row]
         errors: list[Exception] = []
         for listener in tuple(self._listeners):
             try:
@@ -343,6 +349,8 @@ class Relation:
         start = self.n_tuples
         for column in self._columns.values():
             column.extend([MISSING] * len(rows))
+        for encoding in self._encodings.values():
+            encoding.extend(len(rows))
         for offset, row in enumerate(rows):
             for attr, value in zip(self._attributes, row):
                 self.set_value(start + offset, attr.name, value)
@@ -375,6 +383,20 @@ class Relation:
         """An immutable snapshot of one column."""
         self.attribute(name)
         return tuple(self._columns[name])
+
+    def encoding(self, name: str) -> ColumnEncoding:
+        """The dictionary encoding of one column
+        (:mod:`repro.dataset.encoding`), built on first request and
+        patched by every write; read it, never write to it.  A copy
+        builds its own, and of two concurrent first requests only one
+        build is published."""
+        encoding = self._encodings.get(name)
+        if encoding is None:
+            attribute = self.attribute(name)
+            encoding = self._encodings.setdefault(
+                name, ColumnEncoding(self._columns[name], attribute.type)
+            )
+        return encoding
 
     # ------------------------------------------------------------------
     # Row access

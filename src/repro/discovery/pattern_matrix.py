@@ -2,7 +2,10 @@
 
 Discovery evaluates threshold candidates over *every* tuple pair, so the
 pair distances are materialized once per attribute as numpy arrays
-(``NaN`` marks pairs where either side is missing).  String distances are
+(``NaN`` marks pairs where either side is missing), read through the
+relation's dictionary encoding of each column
+(:mod:`repro.dataset.encoding`): numbers and booleans as the difference
+of their codes' floats, strings by code.  String distances are
 the edit distance clamped at ``limit + 1``: discovery never needs to
 distinguish distances beyond the threshold limit.  Each distinct value
 pair is computed once, in one batched bit-parallel kernel call
@@ -15,8 +18,6 @@ import math
 
 import numpy as np
 
-from repro.dataset.attribute import AttributeType
-from repro.dataset.missing import is_missing
 from repro.dataset.relation import Relation
 from repro.distance.levenshtein import levenshtein_bounded_many
 from repro.exceptions import DiscoveryError
@@ -67,10 +68,8 @@ class PairDistanceMatrix:
             np.int64
         )
         self._distances: dict[str, np.ndarray] = {}
-        for attribute in relation.attributes:
-            self._distances[attribute.name] = self._column_distances(
-                attribute.name, attribute.type
-            )
+        for name in relation.attribute_names:
+            self._distances[name] = self._column_distances(name)
 
     @property
     def n_pairs(self) -> int:
@@ -89,61 +88,29 @@ class PairDistanceMatrix:
         return ~np.isnan(self._distances[attribute])
 
     # ------------------------------------------------------------------
-    def _column_distances(
-        self, name: str, attr_type: AttributeType
-    ) -> np.ndarray:
-        column = self.relation.column(name)
+    def _column_distances(self, name: str) -> np.ndarray:
+        encoding = self.relation.encoding(name)
+        left = encoding.codes[self.pairs[:, 0]]
+        right = encoding.codes[self.pairs[:, 1]]
+        floats = encoding.floats
+        if floats is not None:
+            return np.abs(floats[left] - floats[right])
+        # Compute each distinct unordered value pair once and scatter it
+        # back to its pairs.
         out = np.full(self.n_pairs, np.nan, dtype=np.float64)
-        if attr_type.is_numeric:
-            self._fill_numeric(column, out)
-        elif attr_type is AttributeType.BOOLEAN:
-            self._fill_boolean(column, out)
-        else:
-            self._fill_string(column, out)
-        return out
-
-    def _fill_numeric(self, column: tuple, out: np.ndarray) -> None:
-        self._fill_difference(
-            [math.nan if is_missing(v) else float(v) for v in column], out
-        )
-
-    def _fill_boolean(self, column: tuple, out: np.ndarray) -> None:
-        self._fill_difference(
-            [math.nan if is_missing(v) else float(bool(v)) for v in column],
-            out,
-        )
-
-    def _fill_difference(self, encoded: list[float], out: np.ndarray) -> None:
-        values = np.array(encoded, dtype=np.float64)
-        np.abs(values[self.pairs[:, 0]] - values[self.pairs[:, 1]], out=out)
-
-    def _fill_string(self, column: tuple, out: np.ndarray) -> None:
-        # Factorize the column (-1 = missing), then compute each distinct
-        # unordered value pair once and scatter it back to its pairs.
-        index: dict[str, int] = {}
-        codes = np.fromiter(
-            (
-                -1 if is_missing(v) else index.setdefault(str(v), len(index))
-                for v in column
-            ),
-            dtype=np.int64,
-            count=len(column),
-        )
-        left = codes[self.pairs[:, 0]]
-        right = codes[self.pairs[:, 1]]
         present = (left >= 0) & (right >= 0)
         low = np.minimum(left, right)[present]
         high = np.maximum(left, right)[present]
-        keys, inverse = np.unique(
-            low * len(index) + high, return_inverse=True
-        )
-        texts = np.array(list(index), dtype=object)
+        stride = len(encoding.values)
+        keys, inverse = np.unique(low * stride + high, return_inverse=True)
+        texts = np.array(encoding.values, dtype=object)
         distances = levenshtein_bounded_many(
-            texts[keys // len(index)],
-            texts[keys % len(index)],
+            texts[keys // stride],
+            texts[keys % stride],
             int(math.ceil(self.string_limit)),
         )
         out[present] = distances[inverse]
+        return out
 
 
 def _decode_pairs(

@@ -4,53 +4,48 @@ The scalar reference engine evaluates distances pair-by-pair, building one
 :class:`~repro.distance.pattern.DistancePattern` dict per tuple pair.
 :class:`DonorScanKernels` instead answers the question the hot loops
 actually ask — "how far is the target cell from *every* cell of this
-column?" — with one numpy vector per (target row, attribute):
+column?" — with one numpy vector per (target row, attribute), read
+through the relation's dictionary encoding of the column
+(:mod:`repro.dataset.encoding`), which the relation keeps current:
 
-* numeric attributes: one vectorized ``|column - target|``,
-* boolean attributes: the same over a 0/1 encoding,
+* numeric and boolean attributes: one vectorized ``|x - target|`` over
+  the floats of the column's codes,
 * string attributes: a gather from one memo row per (attribute, target
-  value) over the column's distinct-value codes; the memo's unknown
-  cells are filled by one batched
+  value), through one array mapping the relation's codes to memo codes,
+  so each distinct value is interned once; the memo's unknown cells are
+  filled by one batched
   :func:`~repro.distance.levenshtein.levenshtein_bounded_many` call,
   clamped at the largest threshold any RFD applies to the attribute,
   behind a length-difference pre-filter (``|len(a) - len(b)| > limit``
-  implies ``distance > limit``) that skips the kernel entirely for
-  far-away donors.
+  implies ``distance > limit``) that skips the kernel for far-away
+  donors.
 
 Entries are ``NaN`` wherever either side of the pair is missing — the
-vector analogue of the ``_`` entries of a distance pattern.
+vector analogue of the ``_`` entries of a distance pattern.  Vectors
+are cached per (target row, attribute); :meth:`attach` registers a
+mutation listener that drops an attribute's cached vectors on every
+write of it, so the driver's tentative writes and rollbacks never read
+a stale one.
 
-Vectors are cached per (target row, attribute).  Correctness across the
-driver's tentative write / rollback cycle relies on the *dirty-cell
-hook*: :meth:`attach` registers a mutation listener on the relation, and
-every :meth:`~repro.dataset.relation.Relation.set_value` drops the cached
-vectors of the written attribute and patches one code of the column
-codec.
-
-The string memo is split from the relation it serves.  A codec holds
-only the per-relation part, the column's codes.  The memo — distinct
-values, their lengths, the per-target memo rows and the decode table —
-is keyed by value, so it survives writes and serves any relation.  A
-:class:`DistanceMemoPool` hands out one memo per (attribute, clamp
-limit) and lives as long as its owner: a service engine keeps one for
-every request and session it serves, a library session one for its
-rounds, and kernels built without a pool make a private one that ends
-with the run.  Sharing saves work only where a run compares values an
-earlier run of the same owner compared: a repeated request or a session
-round over tuples seen before.  A run over values never seen before
-computes what a private memo computes.  Every growth that takes the
-pool past :data:`MEMO_POOL_BYTES` forgets its least recently used
-memos, and a run is handed a fresh memo rather than one whose rows
-would be far wider than its own column (:class:`DistanceMemoPool`).  A
-memo cell is the same clamped distance whoever filled it, so neither
-sharing nor forgetting changes an answer.  Counters for vector builds,
-invalidations and the distances computed and settled by length
-blocking are exposed via :attr:`counters` for the imputation report;
-they, and :meth:`cache_report`, count the current run's work only.
+The memo — distinct values, their lengths, the per-target memo rows
+and the decode table — is keyed by value, so it survives writes and
+serves any relation.  A :class:`DistanceMemoPool` hands out one memo
+per (attribute, clamp limit) and lives as long as its owner: a service
+engine across its requests and sessions, a library session across its
+rounds, or, for kernels built without a pool, the run.  Sharing saves
+work only where a run compares values an earlier run of the same owner
+compared; every growth that takes the pool past
+:data:`MEMO_POOL_BYTES` forgets its least recently used memos, and a run
+is handed a fresh memo rather than one whose rows would be far wider
+than its own column.  A memo cell is the same clamped distance whoever
+filled it, so neither sharing nor forgetting changes an answer.
+:attr:`DonorScanKernels.counters` and :meth:`~DonorScanKernels.cache_report`
+count the current run's work only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import threading
@@ -59,7 +54,7 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from repro.dataset.attribute import AttributeType
+from repro.dataset.encoding import ColumnEncoding
 from repro.dataset.missing import MISSING
 from repro.dataset.relation import Relation
 from repro.distance.base import DistanceFunction
@@ -95,39 +90,19 @@ _MIN_ROW_CELLS = 2**10
 _ENTRY_BYTES = 100
 
 
-class _NumericCodec:
-    """Float64 encoding of a numeric or boolean column (``NaN`` missing)."""
-
-    __slots__ = ("codes", "_convert")
-
-    def __init__(self, column: list[Any],
-                 convert: Callable[[Any], float]) -> None:
-        self._convert = convert
-        self.codes = np.array(
-            [math.nan if value is MISSING else convert(value)
-             for value in column],
-            dtype=np.float64,
-        )
-
-    def update(self, row: int, value: Any) -> None:
-        self.codes[row] = (
-            math.nan if value is MISSING else self._convert(value)
-        )
-
-    @property
-    def present(self) -> np.ndarray:
-        return ~np.isnan(self.codes)
-
-    def gather(
-        self, target_row: int, rows: np.ndarray | None
-    ) -> np.ndarray:
-        """``|x - v|`` from the value at ``target_row`` to ``rows`` (the
-        whole column when ``None``); ``NaN`` where a side is missing."""
-        codes = self.codes if rows is None else self.codes[rows]
-        target = self.codes[target_row]
-        if math.isnan(target):
-            return np.full(codes.shape, np.nan)
-        return np.abs(codes - target)
+def _float_distances(
+    encoding: ColumnEncoding, target_row: int, rows: np.ndarray | None
+) -> np.ndarray:
+    """``|x - v|`` from the value at ``target_row`` to ``rows`` (the whole
+    column when ``None``) of a numeric or boolean column, read from the
+    floats of the column's codes; ``NaN`` where a side is missing."""
+    codes = encoding.codes
+    floats = encoding.floats
+    values = floats[codes if rows is None else codes[rows]]
+    target = floats[codes[target_row]]
+    if math.isnan(target):
+        return np.full(values.shape, np.nan)
+    return np.abs(values - target)
 
 
 class _ValueMemo:
@@ -136,9 +111,7 @@ class _ValueMemo:
 
     Nothing here depends on a relation: :attr:`values` is a grow-only
     list of rendered values, so a code (an index into it) always names
-    the same string, and ``lengths[code]`` is its length.  Relations of
-    any size and any number of runs read the same memo through their own
-    :class:`_StringCodec` codes.
+    the same string, and ``lengths[code]`` is its length.
 
     :attr:`rows` holds one memo row per target code.  Cell ``code`` is
     the edit distance from the target to ``values[code]``, clamped at
@@ -181,35 +154,19 @@ class _ValueMemo:
         self._lock = threading.Lock()
         self._grown = grown
 
-    def codes(self, column: list[Any]) -> np.ndarray:
-        """The codes of ``column`` (``-1`` for MISSING), interning the
-        values never seen before."""
+    def intern(self, values: list[Any]) -> np.ndarray:
+        """The codes of ``values`` (none of them MISSING), interning
+        those never seen before."""
         with self._lock:
             known = len(self.values)
-            codes = np.array(
-                [self._intern(value) for value in column], dtype=np.int64
+            codes = np.fromiter(
+                map(self._intern, values), dtype=np.int64, count=len(values)
             )
             self._measure(known)
         self._grown()
         return codes
 
-    def code(self, value: Any) -> int:
-        """The code of one value; a known value takes no lock."""
-        if value is MISSING:
-            return -1
-        code = self._index.get(str(value))
-        if code is not None:
-            return code
-        with self._lock:
-            known = len(self.values)
-            code = self._intern(value)
-            self._measure(known)
-        self._grown()
-        return code
-
     def _intern(self, value: Any) -> int:
-        if value is MISSING:
-            return -1
         text = str(value)
         code = self._index.get(text)
         if code is None:
@@ -378,15 +335,15 @@ class DistanceMemoPool:
 
 
 class _StringCodec:
-    """String column as int codes into its attribute's value memo.
+    """String column as the relation's codes, mapped to its attribute's
+    value memo.
 
-    The per-relation part of the string kernel: ``codes[row]`` indexes
-    ``memo.values`` (``-1`` marks MISSING, and ``present`` is
-    ``codes >= 0``).  A write patches one code, interning a value never
-    seen before, so a code always names the same string and the memo,
-    keyed by code, survives writes.  ``known`` bounds the codes from
-    above: a memo row must hold more cells than that before a gather
-    reads it.
+    ``to_memo[code]`` is the memo code of the relation's value
+    ``code``; its last cell is ``-1``, so a MISSING row reads the memo's
+    absent cell.  A gather first maps the codes the relation gained
+    since the last one, interning each new value once.  ``known``
+    bounds the mapped memo codes: a memo row must hold more cells than
+    that before a gather reads it.
 
     The counters are this run's work only, however long the memo
     lives: ``hits`` gathered cells the memo already held, ``computed``
@@ -395,26 +352,26 @@ class _StringCodec:
     """
 
     __slots__ = (
-        "codes", "present", "memo", "known", "hits", "computed",
+        "encoding", "memo", "to_memo", "known", "hits", "computed",
         "blocked", "rows_made",
     )
 
-    def __init__(self, column: list[Any], memo: _ValueMemo) -> None:
+    def __init__(self, encoding: ColumnEncoding, memo: _ValueMemo) -> None:
+        self.encoding = encoding
         self.memo = memo
-        self.codes = memo.codes(column)
-        self.present = self.codes >= 0
-        self.known = int(self.codes.max()) + 1 if self.codes.size else 0
+        self.to_memo = np.full(1, -1, dtype=np.int64)
+        self.known = 0
         self.hits = 0
         self.computed = 0
         self.blocked = 0
         self.rows_made = 0
 
-    def update(self, row: int, value: Any) -> None:
-        code = self.memo.code(value)
-        self.codes[row] = code
-        self.present[row] = code >= 0
-        if code >= self.known:
-            self.known = code + 1
+    def _map_new_codes(self) -> None:
+        mapped = self.to_memo[:-1]
+        codes = self.memo.intern(self.encoding.values[mapped.size:])
+        self.to_memo = np.concatenate((mapped, codes, [-1]))
+        if codes.size:
+            self.known = max(self.known, int(codes.max()) + 1)
 
     def gather(
         self, target_row: int, rows: np.ndarray | None
@@ -423,8 +380,15 @@ class _StringCodec:
         whole column when ``None``; ``NaN`` where a side is missing):
         one read of the target's memo row, filling only the cells it
         lacks."""
-        codes = self.codes if rows is None else self.codes[rows]
-        target = int(self.codes[target_row])
+        encoding = self.encoding
+        if self.to_memo.size <= len(encoding.values):
+            self._map_new_codes()
+        to_memo = self.to_memo
+        relation_codes = encoding.codes
+        codes = to_memo[
+            relation_codes if rows is None else relation_codes[rows]
+        ]
+        target = int(to_memo[relation_codes[target_row]])
         if target < 0:
             return np.full(codes.shape, np.nan)
         memo = self.memo
@@ -446,47 +410,28 @@ class _StringCodec:
         return memo.decode[found]
 
 
-class _GenericCodec:
-    """Fallback for attributes with overridden distance functions.
-
-    Still produces a one-vs-all vector (so the engine code stays uniform)
-    but computes each entry through the bound
-    :class:`~repro.distance.base.DistanceFunction`, preserving whatever
-    semantics the override implements.
-    """
-
-    __slots__ = ("column", "function")
-
-    def __init__(self, column: list[Any], function: DistanceFunction) -> None:
-        self.column = column  # live reference; Relation mutates in place
-        self.function = function
-
-    def update(self, row: int, value: Any) -> None:
-        pass  # the live column reference already reflects the write
-
-    @property
-    def present(self) -> np.ndarray:
-        return np.array(
-            [value is not MISSING for value in self.column], dtype=bool
-        )
-
-    def gather(
-        self, target_row: int, rows: np.ndarray | None
-    ) -> np.ndarray:
-        """The override's distances from the value at ``target_row`` to
-        ``rows`` (the whole column when ``None``), one call per present
-        pair; ``NaN`` where a side is missing."""
-        column = self.column
-        values = column if rows is None else [column[row] for row in rows]
-        out = np.full(len(values), np.nan)
-        target = column[target_row]
-        if target is MISSING:
-            return out
-        function = self.function
+def _override_distances(
+    relation: Relation,
+    name: str,
+    function: DistanceFunction,
+    target_row: int,
+    rows: np.ndarray | None,
+) -> np.ndarray:
+    """Distances under an overridden ``function`` from the value at
+    ``target_row`` to ``rows`` (the whole column when ``None``), one
+    call per present pair on the cells as stored, so the override keeps
+    whatever semantics it implements; ``NaN`` where a side is missing."""
+    values = (
+        relation.column(name) if rows is None
+        else [relation.value(row, name) for row in rows.tolist()]
+    )
+    out = np.full(len(values), np.nan)
+    target = relation.value(target_row, name)
+    if target is not MISSING:
         for position, value in enumerate(values):
             if value is not MISSING:
                 out[position] = function(target, value)
-        return out
+    return out
 
 
 class DonorScanKernels:
@@ -533,7 +478,12 @@ class DonorScanKernels:
             name: int(math.ceil(float(limit)))
             for name, limit in (string_limits or {}).items()
         }
-        self._codecs: dict[str, Any] = {}
+        #: Per attribute: the distances from a target row to some rows
+        #: (all of them for ``None``); the string codecs, for counters.
+        self._gathers: dict[
+            str, Callable[[int, np.ndarray | None], np.ndarray]
+        ] = {}
+        self._strings: dict[str, _StringCodec] = {}
         self._vectors: dict[str, dict[int, np.ndarray]] = {}
         self._attached = False
         self.vector_builds = 0
@@ -561,9 +511,6 @@ class DonorScanKernels:
         if vectors:
             vectors.clear()
             self.invalidations += 1
-        codec = self._codecs.get(name)
-        if codec is not None:
-            codec.update(row, value)
 
     # ------------------------------------------------------------------
     # Kernel evaluation
@@ -581,7 +528,7 @@ class DonorScanKernels:
         if vector is not None:
             self.vector_cache_hits += 1
             return vector
-        vector = self._codec(name).gather(target_row, None)
+        vector = self._gather(name)(target_row, None)
         self.vector_builds += 1
         cache[target_row] = vector
         return vector
@@ -601,22 +548,13 @@ class DonorScanKernels:
         already absorbs the expensive part.
         """
         self.subset_builds += 1
-        return self._codec(name).gather(target_row, rows)
-
-    def codes(self, name: str) -> np.ndarray:
-        """Per-row codes of a column without an overridden distance:
-        floats whose differences are the distances (numbers, booleans)
-        or string memo codes, equal exactly for equal strings.  Shared
-        internal state: do not mutate."""
-        return self._codec(name).codes
+        return self._gather(name)(target_row, rows)
 
     def present_mask(self, name: str) -> np.ndarray:
-        """Boolean mask of rows with a present value on ``name``.
-
-        The returned array may be shared internal state on some paths;
-        callers must not mutate it.
-        """
-        return self._codec(name).present
+        """Boolean mask of rows with a present value on ``name``: the
+        live mask of the relation's encoding, so callers must not
+        mutate it."""
+        return self._relation.encoding(name).present
 
     def clear_target_vectors(self) -> None:
         """Drop every cached vector (cell-lifetime boundary)."""
@@ -629,7 +567,7 @@ class DonorScanKernels:
     @property
     def counters(self) -> dict[str, int]:
         """Kernel counters for the imputation report."""
-        strings = self._string_codecs()
+        strings = self._strings
         return {
             "vector_builds": self.vector_builds,
             "vector_cache_hits": self.vector_cache_hits,
@@ -659,33 +597,33 @@ class DonorScanKernels:
         return {
             name: (codec.hits, codec.computed,
                    codec.computed + codec.blocked + codec.rows_made)
-            for name, codec in self._string_codecs().items()
+            for name, codec in self._strings.items()
         }
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _codec(self, name: str) -> Any:
-        codec = self._codecs.get(name)
-        if codec is not None:
-            return codec
-        attribute = self._relation.attribute(name)  # raises on unknown
-        column = self._relation._columns[name]  # noqa: SLF001 - same package
+    def _gather(
+        self, name: str
+    ) -> Callable[[int, np.ndarray | None], np.ndarray]:
+        gather = self._gathers.get(name)
+        if gather is not None:
+            return gather
+        relation = self._relation
+        encoding = relation.encoding(name)  # raises on unknown names
         if name in self._overrides:
-            codec = _GenericCodec(column, self._overrides[name])
-        elif attribute.type.is_numeric:
-            codec = _NumericCodec(column, float)
-        elif attribute.type is AttributeType.BOOLEAN:
-            codec = _NumericCodec(column, lambda value: float(bool(value)))
+            gather = functools.partial(
+                _override_distances, relation, name, self._overrides[name]
+            )
+        elif encoding.floats is not None:
+            gather = functools.partial(_float_distances, encoding)
         else:
-            codec = _StringCodec(column, self._pool.memo(
-                name, self._string_limits.get(name), len(column)
-            ))
-        self._codecs[name] = codec
-        return codec
-
-    def _string_codecs(self) -> dict[str, _StringCodec]:
-        return {
-            name: codec for name, codec in self._codecs.items()
-            if isinstance(codec, _StringCodec)
-        }
+            codec = self._strings[name] = _StringCodec(
+                encoding,
+                self._pool.memo(
+                    name, self._string_limits.get(name), relation.n_tuples
+                ),
+            )
+            gather = codec.gather
+        self._gathers[name] = gather
+        return gather

@@ -9,25 +9,25 @@ constraint is answered exactly, from the distinct values within
 ``tau`` (matched once per value and threshold, each confirmed through
 the engine's own distance kernel).
 
-Three per-attribute index kinds share the row-per-value bookkeeping of
-:class:`~repro.index.base.ValueIndex`:
+Three per-attribute index kinds share the rows-per-value bookkeeping
+of :class:`~repro.index.base.ValueIndex`, keyed by the codes of the
+relation's encoding of the column (:mod:`repro.dataset.encoding`):
 
-* :class:`~repro.index.numeric.NumericWindowIndex` — the sorted
-  distinct float codes of the column; ``|x - v| <= tau`` becomes one
-  bisect window,
+* :class:`~repro.index.numeric.NumericWindowIndex` — the live codes
+  sorted by their floats; ``|x - v| <= tau`` becomes one bisect window,
 * :class:`~repro.index.strings.QGramIndex` — length buckets plus a
   q-gram inverted index; banded Levenshtein becomes a length filter
   plus a multiset count filter over shared grams,
-* :class:`~repro.index.exact.ExactMatchIndex` — a hash bucket per
-  distinct value for attributes only ever probed at ``tau = 0``.
+* :class:`~repro.index.exact.ExactMatchIndex` — the probe value's own
+  code, for attributes only ever probed at ``tau = 0``.
 
 :class:`~repro.index.plan.IndexPlan` composes them per RFD: probe every
 LHS attribute, intersect the results, and leave for the engine to
 confirm every constraint an attribute cannot serve (counted, never
 wrong) — including the ``max_group_size`` anchor cap on pathological
 hot values.  Every imputation run's engine answers its LHS questions
-through a plan, at every relation size.  Indexes are maintained
-incrementally through the relation's ``set_value`` mutation hook, so
+through a plan, at every relation size.  Indexes follow the relation's
+writes through its ``set_value`` mutation hook, so
 service sessions and pipeline INCR runs reuse them across rounds.  See
 ``docs/INDEXING.md``.
 """

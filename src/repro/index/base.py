@@ -2,49 +2,44 @@
 
 A blocking index answers one question: *which rows are within
 ``threshold`` of this value on this attribute?*  Every index kind is a
-:class:`ValueIndex` and answers it in one form, exactly:
+:class:`ValueIndex` over the relation's encoding of the column
+(:mod:`repro.dataset.encoding`) and answers it in one form, exactly:
 
 * :meth:`ValueIndex.match` names the distinct values within
-  ``threshold`` of the probe value as *keys*: the kind's filters pick
-  candidate values, and a caller-supplied ``within`` confirms each
+  ``threshold`` of the probe value by their codes: the kind's filters
+  pick candidate values, and a caller-supplied ``within`` confirms each
   surviving value once, on one row that holds it.
-* :meth:`ValueIndex.rows` turns keys into the live rows holding them,
-  from one sorted ``int64`` array per value that an update drops only
-  for the old and the new value of the written row.
+* :meth:`ValueIndex.rows` turns codes into the live rows holding them.
 
-Keys stay valid while :attr:`ValueIndex.generation` stands; it moves
-exactly when the set of distinct values changes (a key gains its first
-row or loses its last), which an imputation's tentative writes and
-rollbacks never do.
+Codes stay valid while the encoding's ``generation`` stands, which an
+imputation's tentative writes and rollbacks never move;
 :class:`~repro.index.plan.IndexPlan` memoizes ``match`` per
-(attribute, value, threshold) on that basis.
+(attribute, code, threshold) on that basis.
 
-Two rules hold for every kind:
+Rows per code live in numpy: one stable argsort of the codes at build
+lays each code's rows out as a slice of one array, and
+:meth:`ValueIndex.update` records a written row under the code it now
+holds.  A read that finds the slice disagreeing with the code's live
+count or recorded rows merges those rows in (filtering against the live
+codes only if rows also left), and the result replaces the slice.
 
-* :meth:`ValueIndex.update` keeps the index consistent with a relation
-  mutation, including appends past the size the index was built at
-  (new rows materialize as missing first, exactly how
-  ``ImputationSession.append`` grows the relation).  After any update
-  sequence the index must answer exactly as a fresh build over the
-  final column would — the property the hypothesis round-trip suite in
-  ``tests/index/`` asserts.
-* An index may decline a question — "I cannot serve this" — with
-  :attr:`ValueIndex.skip_reason` set (``"unsupported"``,
-  ``"hot_group"``, ``"probe_cost"``).  The caller confirms that
-  constraint on its other rows itself: slower, never wrong.
-
-Rows missing on the attribute never answer: their distance is
-undefined and every engine mask excludes them.
+After any writes an index answers exactly as a fresh build over the
+final column would — the property the hypothesis round-trip suite in
+``tests/index/`` asserts.  An index may decline a question with
+:attr:`ValueIndex.skip_reason` set (``"unsupported"``, ``"hot_group"``,
+``"probe_cost"``); the caller then confirms that constraint on its
+other rows itself: slower, never wrong.  Rows missing on the attribute
+never answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.dataset.missing import MISSING
+from repro.dataset.encoding import ColumnEncoding
 
 #: The canonical empty probe result.
 EMPTY_ROWS: np.ndarray = np.empty(0, dtype=np.int64)
@@ -65,19 +60,19 @@ class IndexStats:
 
 
 class ValueIndex:
-    """Rows kept per distinct value, answered as value keys.
+    """Rows kept per code of one column's encoding, answered as codes.
 
-    The row-per-value bookkeeping lives here once: each row's key
-    (``None`` when missing), the live rows of each key (a key with no
-    rows is deleted), a sorted row array per key built on demand, and
-    :attr:`generation`.  A kind supplies ``_key`` (a present value's
-    key) and ``match``, and defines its own ``update`` calling
-    :meth:`_update`.
+    A kind supplies ``match(code, threshold, within)``, returning the
+    codes of exactly the distinct values within ``threshold`` of the
+    value of ``code`` (``within`` confirms a candidate value on one row
+    holding it), or ``None`` to decline; and it defines its own
+    ``update`` calling :meth:`_update`.
 
     Parameters
     ----------
-    column:
-        The column values at build time (``MISSING`` allowed).
+    encoding:
+        The relation's encoding of the column; the relation keeps it
+        current, and :meth:`update` must follow every write after it.
     max_result:
         Answers holding more rows than this decline with
         ``skip_reason = "hot_group"`` instead of materializing a group
@@ -88,105 +83,104 @@ class ValueIndex:
     kind: str
 
     def __init__(
-        self, column: list[Any], *, max_result: int | None = None
+        self, encoding: ColumnEncoding, *, max_result: int | None = None
     ) -> None:
+        self.encoding = encoding
         self._max_result = max_result
-        self._keys: list[Hashable | None] = [
-            None if value is MISSING else self._key(value)
-            for value in column
-        ]
-        self._rows_of: dict[Hashable, set[int]] = {}
-        for row, key in enumerate(self._keys):
-            if key is not None:
-                self._rows_of.setdefault(key, set()).add(row)
-        self._arrays: dict[Hashable, np.ndarray] = {}
-        self.generation = 0
+        codes = encoding.codes
+        order = np.argsort(codes, kind="stable")
+        #: Rows by code (MISSING, code -1, sorts first and is dropped);
+        #: code ``c`` owns ``_order[_starts[c]:_starts[c + 1]]``.
+        self._order = order[order.size - sum(encoding.counts):]
+        self._starts = np.zeros(len(encoding.counts) + 1, dtype=np.int64)
+        np.cumsum(encoding.counts, out=self._starts[1:])
+        #: Each code's rows as last read (a slice of ``_order`` or a
+        #: refreshed array), and the rows written since that read.
+        self._arrays: dict[int, np.ndarray] = {}
+        self._written: dict[int, list[int]] = {}
         #: Why the last question was declined (engine-internal use).
         self.skip_reason = ""
         self.stats = IndexStats()
         self.stats.builds += 1
 
-    def _key(self, value: Any) -> Hashable:
-        raise NotImplementedError
-
-    def _update(self, row: int, value: Any) -> None:
+    def _update(self, row: int) -> None:
         """Apply one ``set_value`` mutation (row may be an append)."""
         self.stats.updates += 1
-        keys = self._keys
-        if row >= len(keys):
-            keys.extend([None] * (row + 1 - len(keys)))
-        old = keys[row]
-        new = None if value is MISSING else self._key(value)
-        if new == old:
-            return
-        if old is not None:
-            self._arrays.pop(old, None)
-            rows = self._rows_of[old]
-            rows.discard(row)
-            if not rows:
-                del self._rows_of[old]
-                self.generation += 1
-        keys[row] = new
-        if new is not None:
-            self._arrays.pop(new, None)
-            rows = self._rows_of.get(new)
-            if rows is None:
-                self._rows_of[new] = {row}
-                self.generation += 1
-            else:
-                rows.add(row)
+        code = int(self.encoding.codes[row])
+        if code >= 0:
+            self._written.setdefault(code, []).append(row)
 
-    def match(
-        self,
-        value: Any,
-        threshold: float,
-        within: Callable[[np.ndarray], np.ndarray],
-    ) -> Sequence[Hashable] | None:
-        """Keys of exactly the distinct values within ``threshold`` of
-        ``value``, or ``None`` to decline (the skip counted).
+    def _live(self, code: int) -> np.ndarray:
+        """The sorted rows holding ``code`` now.
 
-        ``within`` receives one row holding each candidate value and
-        returns whether that row's value is within ``threshold``.
+        Every row that took the code since the last read is recorded,
+        so when none of those still holds it, the array read last holds
+        every live row, and it holds only live rows exactly when its
+        size is the live count.
         """
-        raise NotImplementedError
+        rows = self._arrays.get(code)
+        if rows is None:
+            starts = self._starts
+            rows = (
+                self._order[starts[code]:starts[code + 1]]
+                if code + 1 < starts.size else EMPTY_ROWS
+            )
+            self._arrays[code] = rows
+        written = self._written.pop(code, None)
+        count = self.encoding.counts[code]
+        if written is None and rows.size == count:
+            return rows
+        codes = self.encoding.codes
+        if written is not None:
+            joined = np.array(written, dtype=np.int64)
+            joined = joined[codes[joined] == code]
+            if joined.size:
+                rows = np.concatenate((rows, joined))
+                if rows.size == count:
+                    # Every row read last is still live, and the joined
+                    # rows are new to the code.
+                    rows.sort()
+        if rows.size != count:
+            rows = np.unique(rows[codes[rows] == code])
+        self._arrays[code] = rows
+        return rows
 
     def _confirmed(
         self,
-        keys: Sequence[Hashable],
+        codes: Sequence[int],
         within: Callable[[np.ndarray], np.ndarray],
-    ) -> list[Hashable]:
-        """The ``keys`` whose value ``within`` accepts, each confirmed
+    ) -> list[int]:
+        """The ``codes`` whose value ``within`` accepts, each confirmed
         on one row holding it."""
-        if not keys:
+        if not codes:
             return []
-        rows_of = self._rows_of
         holders = np.fromiter(
-            (next(iter(rows_of[key])) for key in keys),
+            (self._live(code)[0] for code in codes),
             dtype=np.int64,
-            count=len(keys),
+            count=len(codes),
         )
         return [
-            key for key, keep in zip(keys, within(holders).tolist())
+            code for code, keep in zip(codes, within(holders).tolist())
             if keep
         ]
 
-    def rows(self, keys: Sequence[Hashable]) -> np.ndarray | None:
-        """Sorted live rows holding any of ``keys``, or ``None`` past
+    def rows(self, codes: Sequence[int]) -> np.ndarray | None:
+        """Sorted live rows holding any of ``codes``, or ``None`` past
         ``max_result`` rows.
 
-        The keys name distinct values, so their arrays are disjoint.
+        The codes name distinct values, so their rows are disjoint.
         The result may be an array the index keeps: read it, never
         write to it.
         """
         arrays = self._arrays
+        written = self._written
+        counts = self.encoding.counts
         parts = []
-        for key in keys:
-            array = arrays.get(key)
-            if array is None:
-                array = arrays[key] = sorted_rows(
-                    list(self._rows_of.get(key, ()))
-                )
-            parts.append(array)
+        for code in codes:
+            rows = arrays.get(code)
+            if rows is None or code in written or rows.size != counts[code]:
+                rows = self._live(code)
+            parts.append(rows)
         if not parts:
             out = EMPTY_ROWS
         elif len(parts) == 1:
@@ -203,12 +197,3 @@ class ValueIndex:
     def _decline(self, reason: str) -> None:
         self.skip_reason = reason
         self.stats.skip(reason)
-
-
-def sorted_rows(rows: list[int]) -> np.ndarray:
-    """A probe result array from a list of (unique) row indices."""
-    if not rows:
-        return EMPTY_ROWS
-    out = np.fromiter(rows, dtype=np.int64, count=len(rows))
-    out.sort()
-    return out

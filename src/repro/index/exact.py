@@ -1,12 +1,12 @@
-"""Hash-bucket index for attributes only ever probed at ``tau = 0``.
+"""Exact-match index for attributes only ever probed at ``tau = 0``.
 
-Levenshtein distance is zero exactly when the rendered strings are
-equal, so for attributes whose every LHS constraint is crisp the whole
-probe is one dict lookup, and its answer is exact without a distance
-computed: the one matching value is the probe value itself.  Probes
-with a positive threshold decline (``skip_reason = "unsupported"``) —
-the plan picks a :class:`~repro.index.strings.QGramIndex` instead when
-it knows loose thresholds are coming.
+Levenshtein distance is zero exactly when the strings are equal, and
+equal values share one code, so for attributes whose every LHS
+constraint is crisp the whole probe is the probe value's own code, and
+its answer is exact without a distance computed.  Probes with a
+positive threshold decline (``skip_reason = "unsupported"``) — the plan
+picks a :class:`~repro.index.strings.QGramIndex` instead when it knows
+loose thresholds are coming.
 """
 
 from __future__ import annotations
@@ -15,28 +15,25 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.dataset.missing import MISSING
 from repro.index.base import ValueIndex
 
 
 class ExactMatchIndex(ValueIndex):
-    """Distinct-value hash index over one rendered-string column; keys
-    are the rendered values themselves."""
+    """Distinct-value index over one string column."""
 
     kind = "exact"
-    _key = str
 
     def update(self, row: int, value: Any) -> None:
-        self._update(row, value)
+        self._update(row)
 
     def match(
         self,
-        value: Any,
+        code: int,
         threshold: float,
         within: Callable[[np.ndarray], np.ndarray],
-    ) -> Sequence[str] | None:
-        """The probe value itself (equal strings are at distance 0), or
-        ``None`` for a threshold of 1 or more; ``within`` is not
+    ) -> Sequence[int] | None:
+        """The probe value's own code (equal strings are at distance
+        0), or ``None`` for a threshold of 1 or more; ``within`` is not
         needed."""
         self.stats.probes += 1
         if threshold >= 1.0:
@@ -44,6 +41,6 @@ class ExactMatchIndex(ValueIndex):
             # "equal", anything >= 1 admits unequal values.
             self._decline("unsupported")
             return None
-        if value is MISSING:
+        if code < 0:
             return ()
-        return (str(value),)
+        return (code,)

@@ -8,32 +8,30 @@ per-attribute answers (smallest first).
 
 Every served constraint is answered **exactly**.  The distinct values
 within ``tau`` of the target value are matched once per (attribute,
-value, ``tau``) while the index's ``generation`` stands — the index
-filters candidate values and the engine's own distance kernel confirms
-each one, so no distance is computed that the engine would not compute
-— and each answer reads the live rows of those values.  Only the
-constraints the plan could not serve are left for the engine to
-confirm on the intersected rows.  The plan never guesses: a constraint
-an index declines is left pending (counted in
+value code, ``tau``) while the column encoding's ``generation`` stands
+— the index filters candidate values and the engine's own distance
+kernel confirms each one — and each answer reads the live rows of those
+values.  Only the constraints the plan could not serve are left for the
+engine to confirm on the intersected rows: a constraint an index
+declines is left pending (counted in
 ``renuver_index_fallbacks_total{reason}``), and when *no* constraint
-could be probed the answer is the degenerate one — every row but the
-target, with every constraint pending.
+could be probed the answer is every row but the target, with every
+constraint pending.
 
-The plan attaches to the relation's mutation hook (the same dirty-cell
-seam the distance kernels ride), so tentative writes, rollbacks and
-session appends keep every built index consistent — service sessions
-and pipeline INCR runs hand one plan to successive engine rounds
-instead of rebuilding per round.
+Every index reads the relation's dictionary encoding of its column
+(:mod:`repro.dataset.encoding`), and the plan's mutation listener (the
+dirty-cell seam the distance kernels ride) feeds every write to the
+built indexes, so service sessions and pipeline INCR runs hand one plan
+to successive engine rounds instead of rebuilding per round.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Hashable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.dataset.attribute import AttributeType
-from repro.dataset.missing import MISSING
 from repro.dataset.relation import Relation
 from repro.index.base import EMPTY_ROWS, ValueIndex
 from repro.index.exact import ExactMatchIndex
@@ -95,10 +93,11 @@ class IndexPlan:
         self._override_names = frozenset(override_names)
         self._kinds: dict[str, str | None] = {}
         self._indexes: dict[str, ValueIndex] = {}
-        #: Per attribute: the index generation the memo is valid for,
-        #: and (value, threshold) -> matching keys, or a decline reason.
+        #: Per attribute: the encoding generation the memo is valid
+        #: for, and (code, threshold) -> matching codes, or a decline
+        #: reason.
         self._matches: dict[
-            str, tuple[int, dict[tuple[str, float], Any]]
+            str, tuple[int, dict[tuple[int, float], Any]]
         ] = {}
         self._attached = False
         self._telemetry = NULL_TELEMETRY
@@ -158,10 +157,7 @@ class IndexPlan:
     def _kind_for(self, name: str, limit: float) -> str | None:
         if name in self._override_names:
             return None
-        attribute = self.relation.attribute(name)
-        if attribute.type.is_numeric:
-            return "numeric_window"
-        if attribute.type is AttributeType.BOOLEAN:
+        if self.relation.attribute(name).type is not AttributeType.STRING:
             return "numeric_window"
         if limit < 1.0:
             return "exact"
@@ -202,14 +198,14 @@ class IndexPlan:
                 self._count_fallback(_UNINDEXED)
                 pending.append(constraint)
                 continue
-            value = relation.value(target_row, constraint.attribute)
-            if value is MISSING:
+            code = int(index.encoding.codes[target_row])
+            if code < 0:
                 # The target cannot form a within-threshold pair on a
                 # missing LHS cell (docs/ALGORITHMS.md, "MISSING on an
                 # RFD's LHS").
                 return EMPTY_ROWS, ()
             rows = self._matching_rows(
-                index, target_row, constraint, value, distances
+                index, target_row, constraint, code, distances
             )
             if rows is None:
                 pending.append(constraint)
@@ -237,19 +233,21 @@ class IndexPlan:
         index: ValueIndex,
         target_row: int,
         constraint: Constraint,
-        value: Any,
+        code: int,
         distances: Distances,
     ) -> np.ndarray | None:
         """The live rows of the values within the constraint's threshold
-        of ``value``, or ``None`` (fallback counted) when declined."""
+        of the value of ``code``, or ``None`` (fallback counted) when
+        declined."""
         name = constraint.attribute
         threshold = constraint.threshold
+        generation = index.encoding.generation
         entry = self._matches.get(name)
-        if entry is None or entry[0] != index.generation:
-            entry = self._matches[name] = (index.generation, {})
+        if entry is None or entry[0] != generation:
+            entry = self._matches[name] = (generation, {})
         memo = entry[1]
-        key = (str(value), threshold)
-        keys: Sequence[Hashable] | str | None = memo.get(key)
+        key = (code, threshold)
+        keys: Sequence[int] | str | None = memo.get(key)
         if keys is None:
             self._count_probe()
 
@@ -259,7 +257,7 @@ class IndexPlan:
             with self._telemetry.tracer.span(
                 "index.probe", attribute=name, row=target_row
             ) as span:
-                keys = index.match(value, threshold, within)
+                keys = index.match(code, threshold, within)
                 span.set_attribute("values", -1 if keys is None else len(keys))
             if keys is None:
                 keys = index.skip_reason or _UNINDEXED
@@ -290,21 +288,14 @@ class IndexPlan:
         return index
 
     def _build_index(self, name: str, kind: str) -> ValueIndex:
-        column = self.relation._columns[name]  # noqa: SLF001 - same package
+        encoding = self.relation.encoding(name)
         cap = self.max_group_size
         if kind == "numeric_window":
-            attribute = self.relation.attribute(name)
-            if attribute.type is AttributeType.BOOLEAN:
-                return NumericWindowIndex(
-                    column,
-                    convert=lambda value: float(bool(value)),
-                    max_result=cap,
-                )
-            return NumericWindowIndex(column, max_result=cap)
+            return NumericWindowIndex(encoding, max_result=cap)
         if kind == "exact":
-            return ExactMatchIndex(column, max_result=cap)
+            return ExactMatchIndex(encoding, max_result=cap)
         return QGramIndex(
-            column,
+            encoding,
             q=self.q,
             max_result=cap,
             max_probe_cost=max(1024, 8 * cap),

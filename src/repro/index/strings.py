@@ -12,13 +12,11 @@ array comparisons here:
   *multiset* intersection (set semantics would under-count repeated
   grams and could prune a true match).
 
-Layout.  The rows of each distinct value are the shared bookkeeping
-of :class:`~repro.index.base.ValueIndex`, keyed by the value itself.
-The filters number the live values with index-local integer codes:
-``lengths[code]`` is a value's length, and the postings are CSR arrays,
-where the slice ``offsets[g]:offsets[g + 1]`` of ``posting_codes`` /
-``posting_counts`` lists the codes whose value contains gram ``g``,
-with the gram's count in that value.
+The filters run over the codes of the relation's encoding:
+``lengths[code]`` is a live value's length (``-1`` for a code no row
+holds), and in the CSR postings the slice ``offsets[g]:offsets[g + 1]``
+of ``posting_codes`` / ``posting_counts`` lists the live codes whose
+value contains gram ``g``, with the gram's count in that value.
 
 The candidates are the codes surviving both filters.  When the
 count filter binds (``len(target) - q + 1 - q*tau > 0``) every survivor
@@ -33,18 +31,11 @@ gathered slice lengths, or the codes in the length window) exceed the
 probe-cost cap: hot gram distributions are exactly where a linear walk
 stops beating the full scan.
 
-Answers.  :meth:`QGramIndex.match` maps the surviving codes back to
-their values and confirms each once, on one row holding it;
-:meth:`~repro.index.base.ValueIndex.rows` unions the sorted row arrays
-of the kept values, declining with ``skip_reason = "hot_group"`` past
-``max_result`` rows.
-
-Maintenance.  The CSR arrays are rebuilt, not patched: the next walk
-after :attr:`~repro.index.base.ValueIndex.generation` has moved (a
-value gained its first row or lost its last) rebuilds them over the
-live values, so codes are renumbered.  Alg. 4's tentative writes copy a
-donor's value and roll back to missing, so during an imputation the
-distinct set, the arrays and the codes stay put.
+:meth:`QGramIndex.match` confirms each surviving code once, on one row
+holding it.  The CSR arrays are rebuilt, not patched, at the next walk
+after the encoding's ``generation`` has moved; Alg. 4's tentative
+writes copy a donor's value and roll back to missing, so during an
+imputation the live values and the arrays stay put.
 """
 
 from __future__ import annotations
@@ -54,7 +45,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.dataset.missing import MISSING
+from repro.dataset.encoding import ColumnEncoding
 from repro.index.base import EMPTY_ROWS, ValueIndex
 
 
@@ -68,19 +59,14 @@ def qgrams(value: str, q: int) -> dict[str, int]:
 
 
 class QGramIndex(ValueIndex):
-    """Inverted q-gram index over one rendered-string column.
-
-    Keys are the rendered values; the CSR arrays number the live keys
-    with index-local codes, rebuilt whenever :attr:`generation` has
-    moved.
-    """
+    """Inverted q-gram index over one string column, rebuilt over the
+    live codes whenever the encoding's ``generation`` has moved."""
 
     kind = "qgram"
-    _key = str
 
     def __init__(
         self,
-        column: list[Any],
+        encoding: ColumnEncoding,
         *,
         q: int = 2,
         max_result: int | None = None,
@@ -90,23 +76,23 @@ class QGramIndex(ValueIndex):
             raise ValueError("q must be >= 1")
         self.q = q
         self._max_probe_cost = max_probe_cost
-        super().__init__(column, max_result=max_result)
+        super().__init__(encoding, max_result=max_result)
         self._rebuild()
 
     def _rebuild(self) -> None:
-        """Re-derive codes, ``lengths`` and the postings from the live
-        distinct values."""
-        self._value_of: list[str] = list(self._rows_of)
-        self._lengths = np.fromiter(
-            map(len, self._value_of), dtype=np.int64,
-            count=len(self._value_of),
-        )
+        """Re-derive ``lengths`` and the postings from the live codes."""
+        encoding = self.encoding
+        values = encoding.values
+        live = np.flatnonzero(encoding.counts).tolist()
+        self._lengths = np.full(len(values), -1, dtype=np.int64)
+        self._lengths[live] = [len(values[code]) for code in live]
         q = self.q
         gram_id: dict[str, int] = {}
         intern = gram_id.setdefault
         gram_ids: list[int] = []
         owners: list[int] = []
-        for code, value in enumerate(self._value_of):
+        for code in live:
+            value = values[code]
             width = len(value) - q + 1
             if width > 0:
                 gram_ids.extend(
@@ -116,7 +102,7 @@ class QGramIndex(ValueIndex):
                 owners.extend([code] * width)
         # One (gram, code) key per posting, sorted: gram-major runs are
         # the CSR slices, and repeats of a key are the gram's count.
-        stride = max(len(self._value_of), 1)
+        stride = max(len(values), 1)
         keys, counts = np.unique(
             np.array(gram_ids, dtype=np.int64) * stride
             + np.array(owners, dtype=np.int64),
@@ -131,22 +117,22 @@ class QGramIndex(ValueIndex):
         self._offsets = offsets.tolist()
         self._posting_codes = keys % stride
         self._posting_counts = counts
-        self._built = self.generation
+        self._built = encoding.generation
 
     def update(self, row: int, value: Any) -> None:
-        self._update(row, value)
+        self._update(row)
 
     # ------------------------------------------------------------------
-    def _candidates(self, value: Any, threshold: float) -> np.ndarray | None:
+    def _candidates(self, code: int, threshold: float) -> np.ndarray | None:
         """Codes surviving the length and count filters."""
-        if value is MISSING:
+        if code < 0:
             return EMPTY_ROWS
-        target = str(value)
         tau = int(math.floor(threshold))  # distances are integral
         if tau < 0:
             return EMPTY_ROWS
-        if self._built != self.generation:
+        if self._built != self.encoding.generation:
             self._rebuild()
+        target = self.encoding.values[code]
         q = self.q
         target_length = len(target)
         low = max(0, target_length - tau)
@@ -162,20 +148,17 @@ class QGramIndex(ValueIndex):
 
     def match(
         self,
-        value: Any,
+        code: int,
         threshold: float,
         within: Callable[[np.ndarray], np.ndarray],
-    ) -> list[str] | None:
-        """The values surviving both filters that ``within`` accepts,
+    ) -> list[int] | None:
+        """The codes surviving both filters that ``within`` accepts,
         each confirmed once, on one row holding it."""
         self.stats.probes += 1
-        codes = self._candidates(value, threshold)
+        codes = self._candidates(code, threshold)
         if codes is None:
             return None
-        value_of = self._value_of
-        return self._confirmed(
-            [value_of[code] for code in codes.tolist()], within
-        )
+        return self._confirmed(codes.tolist(), within)
 
     def _count_filter_walk(
         self, target: str, tau: int, low: int, high: int

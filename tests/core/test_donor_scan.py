@@ -33,6 +33,7 @@ from repro.core.selection import (
 )
 from repro.core.verification import relevant_rfds
 from repro.dataset import MISSING, Attribute, Relation
+from repro.dataset.missing import is_missing
 from repro.distance import kernels as kernels_module
 from repro.distance.kernels import DistanceMemoPool, DonorScanKernels
 from repro.distance.levenshtein import levenshtein, levenshtein_bounded
@@ -117,7 +118,7 @@ class TestKernels:
     def test_clamp_fits_the_memo_row_type(self, limit):
         # limit + 1 = 128 is the first clamp past int8's range.
         relation = Relation(
-            [Attribute("S")], {"S": ["", "y" * 129, "y" * 127]}
+            [Attribute("S")], {"S": ["x", "y" * 129, "y" * 127]}
         )
         kernels = DonorScanKernels(relation, string_limits={"S": limit})
         expected = [0.0, min(129.0, limit + 1.0), min(127.0, limit + 1.0)]
@@ -146,11 +147,12 @@ _STRINGS = st.one_of(
 
 
 def _oracle_vector(column, target_row, limit):
-    """Per-pair reference: NaN wherever a side is missing."""
+    """Per-pair reference: NaN wherever a side is missing (the empty
+    string included, as the relation stores it)."""
     target = column[target_row]
     out = []
     for value in column:
-        if target is MISSING or value is MISSING:
+        if is_missing(target) or is_missing(value):
             out.append(np.nan)
         elif limit is None:
             out.append(float(levenshtein(target, value)))
@@ -396,7 +398,7 @@ class TestSharedMemoBounds:
                 kernels.vector(target, "S"),
                 _oracle_vector(column, target, limit),
             )
-        return kernels._codecs["S"].memo
+        return kernels._strings["S"].memo
 
     def test_a_small_run_is_not_handed_a_wide_memo(self, monkeypatch):
         monkeypatch.setattr(kernels_module, "_MIN_ROW_CELLS", 0)

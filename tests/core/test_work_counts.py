@@ -17,7 +17,9 @@ LHS values, so no index is built before the first cell.
 from __future__ import annotations
 
 from repro.core.renuver import Renuver
+from repro.dataset.missing import MISSING
 from repro.datasets.physician import generate_physician
+from repro.distance import kernels
 from repro.evaluation.injection import inject_missing
 from repro.rfd import parse_rfd
 from repro.telemetry import NULL_TRACER, MetricsRegistry, Telemetry
@@ -50,6 +52,10 @@ EXPECTED_COUNTERS = {
 }
 EXPECTED_CANDIDATES = 10838
 EXPECTED_IMPUTED = 477
+#: Values interned into the string memos: each distinct value of the
+#: five string columns the kernels read, once.
+EXPECTED_INTERNED = 463
+STRING_COLUMNS = ("City", "State", "Street", "Zip", "Organization")
 
 
 def test_blocked_physician_work_is_pinned():
@@ -75,3 +81,26 @@ def test_blocked_physician_work_is_pinned():
     )
     assert candidates == EXPECTED_CANDIDATES
     assert result.report.imputed_count == EXPECTED_IMPUTED
+
+
+def test_each_distinct_string_is_interned_once(monkeypatch):
+    """The string kernels map the relation's codes to memo codes, so a
+    run interns each distinct value of a string column once, not each
+    row."""
+    relation = generate_physician(1000, seed=0, scale=5)
+    dirty = inject_missing(
+        relation, count=500, seed=1, attributes=INJECTED
+    ).relation
+    calls = []
+    intern = kernels._ValueMemo._intern
+
+    def counted(memo, value):
+        calls.append(value)
+        return intern(memo, value)
+
+    monkeypatch.setattr(kernels._ValueMemo, "_intern", counted)
+    Renuver([parse_rfd(text) for text in PHYSICIAN_RFDS]).impute(dirty)
+    distinct = sum(
+        len(set(dirty.column(name)) - {MISSING}) for name in STRING_COLUMNS
+    )
+    assert len(calls) == distinct == EXPECTED_INTERNED

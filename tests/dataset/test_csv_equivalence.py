@@ -212,7 +212,8 @@ def ref_read_csv_text(
                 )
             for column, raw in zip(header, record):
                 cell = raw.strip()
-                if cell.lower() in nulls:
+                # An empty cell is missing whatever the literals hold.
+                if not cell or cell.lower() in nulls:
                     columns[column].append(MISSING)
                 else:
                     columns[column].append(cell)

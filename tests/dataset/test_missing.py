@@ -52,8 +52,11 @@ class TestIsMissing:
         assert is_missing(float("nan"))
         assert is_missing(math.nan)
 
+    def test_empty_string(self):
+        assert is_missing("")
+
     @pytest.mark.parametrize(
-        "value", ["", " ", 0, 0.0, False, "_", "NA", [], float("inf")]
+        "value", [" ", "\t", 0, 0.0, False, "_", "NA", [], float("inf")]
     )
     def test_present_values(self, value):
         assert not is_missing(value)

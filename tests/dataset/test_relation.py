@@ -9,7 +9,9 @@ from repro.dataset import (
     Relation,
     is_missing,
 )
+from repro.dataset.csv_io import read_csv_text, to_csv_text
 from repro.exceptions import DataError, SchemaError
+from repro.utils.fingerprint import relation_fingerprint
 
 
 @pytest.fixture()
@@ -202,6 +204,25 @@ class TestComparison:
     def test_diff_cells_schema_mismatch(self, small):
         with pytest.raises(SchemaError):
             small.diff_cells(small.project(["Name"]))
+
+    def test_empty_string_is_missing_on_every_surface(self):
+        """``""`` and MISSING render as the same empty CSV cell, so they
+        must be the same cell: equal relations, one fingerprint."""
+        rows = [["a", "x"], ["b", MISSING]]
+        built = Relation.from_rows(["K", "V"], rows)
+        blank = Relation.from_rows(["K", "V"], [["a", "x"], ["b", ""]])
+        assert blank.value(1, "V") is MISSING
+        assert blank.equals(built)
+        assert relation_fingerprint(blank) == relation_fingerprint(built)
+        written = Relation.from_rows(["K", "V"], [["a", "x"], ["b", "y"]])
+        written.set_value(1, "V", "")
+        assert written.equals(built)
+        appended = Relation.from_rows(["K", "V"], rows[:1])
+        appended.append_rows([["b", ""]])
+        assert appended.equals(built)
+        for literals in ([], ["missing"]):
+            parsed = read_csv_text(to_csv_text(built), null_literals=literals)
+            assert parsed.equals(built)
 
     def test_to_text_renders_missing_as_underscore(self, small):
         text = small.to_text()

@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from repro.dataset.missing import MISSING
-from repro.index.base import EMPTY_ROWS, IndexStats, sorted_rows
+from repro.index.base import EMPTY_ROWS, IndexStats
 from repro.index.strings import qgrams
 
 
@@ -123,7 +123,9 @@ class DictQGramIndex:
             self.stats.skip("hot_group")
             return None
         self.stats.served += 1
-        return sorted_rows(rows)
+        if not rows:
+            return EMPTY_ROWS
+        return np.array(sorted(rows), dtype=np.int64)
 
     def _count_filter_walk(
         self, target: str, tau: int, low: int, high: int

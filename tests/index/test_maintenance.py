@@ -1,13 +1,14 @@
 """Incremental-maintenance round-trips for the blocking indexes.
 
-Property: an index built on a column and then fed a random
-``update(row, value)`` sequence answers every probe exactly like a
-fresh index built on the final column — including appends past the
-original length, values becoming ``MISSING`` (NULL), empty strings and
+Property: an index built over a relation's column and then fed a
+random sequence of writes through ``set_value`` (and ``append_rows``
+past the original length) answers every probe exactly like a fresh
+index built over a relation of the final column — including values
+becoming ``MISSING`` (NULL), empty strings (stored as MISSING) and
 non-ASCII text.  The string indexes are compared on the rows of every
 value their filters keep, the numeric window on its exact answer.  And
-``generation`` moves exactly when a key gains its first row or loses
-its last.
+a numeric index re-sorts its codes exactly when the encoding's
+``generation`` moves.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dataset.attribute import AttributeType
 from repro.dataset.missing import MISSING
 from repro.index import ExactMatchIndex, NumericWindowIndex, QGramIndex
+from tests.index.column import NAME, ask, follow, one_column, write
 
 texts = st.one_of(
     st.just(""),
@@ -51,34 +54,36 @@ def numeric_updates(max_row: int):
     )
 
 
-def final_column(column, updates):
-    values = list(column)
+def roundtrip(kind, column, updates, attr_type=AttributeType.STRING):
+    """The index maintained through ``updates``, and a fresh one over
+    the final column: ``((index, relation), (index, relation))``."""
+    relation = one_column(column, attr_type)
+    maintained = kind(relation.encoding(NAME))
+    follow(relation, maintained)
     for row, value in updates:
-        if row >= len(values):
-            values.extend([MISSING] * (row + 1 - len(values)))
-        values[row] = value
-    return values
+        write(relation, row, value)
+    final = one_column(relation.column(NAME), attr_type)
+    fresh = kind(final.encoding(NAME))
+    follow(final, fresh)
+    return (maintained, relation), (fresh, final)
 
 
 def everything(rows):
     return np.ones(rows.size, dtype=bool)
 
 
-def ask(index, value, threshold, within=everything):
-    """The rows of every value ``within`` accepts among those the
-    index's filters keep."""
-    keys = index.match(value, threshold, within)
-    return None if keys is None else index.rows(keys)
-
-
 def assert_same_probes(maintained, fresh, probes, thresholds):
     for value in probes:
         for threshold in thresholds:
-            lhs = ask(maintained, value, threshold)
-            rhs = ask(fresh, value, threshold)
+            lhs = ask(*maintained, value, threshold, everything)
+            rhs = ask(*fresh, value, threshold, everything)
             assert (lhs is None) == (rhs is None), (value, threshold)
             if lhs is not None:
                 assert lhs.tolist() == rhs.tolist(), (value, threshold)
+
+
+def present(relation):
+    return [v for v in relation.column(NAME) if v is not MISSING]
 
 
 @settings(max_examples=60, deadline=None)
@@ -87,12 +92,8 @@ def assert_same_probes(maintained, fresh, probes, thresholds):
     updates=string_updates(max_row=18),
 )
 def test_qgram_roundtrip(column, updates):
-    maintained = QGramIndex(column)
-    for row, value in updates:
-        maintained.update(row, value)
-    final = final_column(column, updates)
-    fresh = QGramIndex(final)
-    probes = [v for v in final if v is not MISSING][:8] + ["", "ROME", "xy"]
+    maintained, fresh = roundtrip(QGramIndex, column, updates)
+    probes = present(fresh[1])[:8] + ["", "ROME", "xy"]
     assert_same_probes(maintained, fresh, probes, [0.0, 1.0, 2.0])
 
 
@@ -102,21 +103,17 @@ def test_qgram_roundtrip(column, updates):
     updates=string_updates(max_row=18),
 )
 def test_exact_roundtrip(column, updates):
-    maintained = ExactMatchIndex(column)
-    for row, value in updates:
-        maintained.update(row, value)
-    final = final_column(column, updates)
-    fresh = ExactMatchIndex(final)
-    probes = [v for v in final if v is not MISSING][:8] + ["", "ROME"]
+    maintained, fresh = roundtrip(ExactMatchIndex, column, updates)
+    probes = present(fresh[1])[:8] + ["", "ROME"]
     assert_same_probes(maintained, fresh, probes, [0.0, 0.5])
 
 
-def numeric_within(column, target, threshold):
+def numeric_within(relation, target, threshold):
     """The engine's ``|x - v| <= tau`` on the holder rows."""
     def within(rows):
         return np.array(
-            [abs(float(column[row]) - float(target)) <= threshold
-             for row in rows.tolist()],
+            [abs(float(relation.value(row, NAME)) - float(target))
+             <= threshold for row in rows.tolist()],
             dtype=bool,
         )
     return within
@@ -128,20 +125,20 @@ def numeric_within(column, target, threshold):
     updates=numeric_updates(max_row=18),
 )
 def test_numeric_roundtrip(column, updates):
-    maintained = NumericWindowIndex(column)
-    for row, value in updates:
-        maintained.update(row, value)
-    final = final_column(column, updates)
-    fresh = NumericWindowIndex(final)
-    probes = [v for v in final if v is not MISSING][:8] + [0.0, 1.5, -3.0]
+    maintained, fresh = roundtrip(
+        NumericWindowIndex, column, updates, AttributeType.FLOAT
+    )
+    final = fresh[1]
+    probes = present(final)[:8] + [0.0, 1.5, -3.0]
     for value in probes:
         for threshold in [0.0, 1.0, 10.0]:
-            within = numeric_within(final, value, threshold)
-            lhs = ask(maintained, value, threshold, within)
-            rhs = ask(fresh, value, threshold, within)
+            lhs = ask(*maintained, value, threshold,
+                      numeric_within(maintained[1], value, threshold))
+            rhs = ask(*fresh, value, threshold,
+                      numeric_within(final, value, threshold))
             assert lhs.tolist() == rhs.tolist(), (value, threshold)
             assert lhs.tolist() == [
-                row for row, other in enumerate(final)
+                row for row, other in enumerate(final.column(NAME))
                 if other is not MISSING
                 and abs(float(other) - float(value)) <= threshold
             ], (value, threshold)
@@ -152,30 +149,30 @@ def test_numeric_roundtrip(column, updates):
     column=st.lists(numeric_values, max_size=12),
     updates=numeric_updates(max_row=18),
 )
-def test_generation_moves_on_first_and_last_row(column, updates):
-    """A write moves ``generation`` exactly when the set of keys
-    changes; a numeric index rebuilds its sorted keys only then."""
-    index = NumericWindowIndex(column)
-    values = list(column)
-
-    def keys():
-        return {float(v) for v in values if v is not MISSING}
-
+def test_numeric_index_resorts_only_when_generation_moves(column, updates):
+    """A numeric index re-sorts its live codes exactly when the
+    encoding's generation has moved, and holds them in float order."""
+    relation = one_column(column, AttributeType.FLOAT)
+    encoding = relation.encoding(NAME)
+    index = NumericWindowIndex(encoding)
+    follow(relation, index)
     for row, value in updates:
-        before, generation = keys(), index.generation
-        built = index._sorted_keys  # noqa: SLF001 - layout under test
-        values = final_column(values, [(row, value)])
-        index.update(row, value)
-        changed = keys() != before
-        assert (index.generation != generation) == changed
-        index.match(0.0, 1.0, everything)
-        after = index._sorted_keys  # noqa: SLF001
-        assert (after is not built) == changed
-        assert after.tolist() == sorted(keys())
+        generation = encoding.generation
+        built = index._sorted_floats  # noqa: SLF001 - layout under test
+        write(relation, row, value)
+        # Any value's code will do: the window reads the live codes.
+        index.match(0 if encoding.values else -1, 1.0, everything)
+        after = index._sorted_floats  # noqa: SLF001
+        assert (after is not built) == (encoding.generation != generation)
+        assert after.tolist() == sorted(
+            {float(v) for v in present(relation)}
+        )
 
 
 def test_updates_count_in_stats():
-    index = ExactMatchIndex(["A"])
-    index.update(0, "B")
-    index.update(5, MISSING)
+    relation = one_column(["A"])
+    index = ExactMatchIndex(relation.encoding(NAME))
+    follow(relation, index)
+    relation.set_value(0, NAME, "B")
+    relation.append_rows([[MISSING]])
     assert index.stats.updates == 2

@@ -147,6 +147,25 @@ class TestOpenSession:
         result = session.impute_pending()
         assert result.report.missing_count >= 1
 
+    def test_an_empty_string_append_imputes_like_the_csv_one_shot(self):
+        """JSON's ``""`` is missing, as an empty CSV cell is: a session
+        append carrying it imputes what the one-shot of the same rows
+        imputes."""
+        base = CSV.replace("ann,rome,\n", "")
+        engine = PreparedEngine()
+        session, _, _ = engine.open_session(
+            read_csv_text(base, name="t"), RFDS
+        )
+        session.append([["ann", "rome", ""]])
+        appended = session.impute_pending()
+        one_shot, _ = engine.impute_once(
+            read_csv_text(base + "ann,rome,\n", name="t"), RFDS
+        )
+        assert appended.report.imputed_count == 1
+        assert to_csv_text(appended.relation) == to_csv_text(
+            one_shot.relation
+        )
+
     def test_pinned_rfds_disable_maintenance(self, relation):
         engine = PreparedEngine()
         session, source, result = engine.open_session(relation, RFDS)

@@ -6,7 +6,9 @@ control verbosity; only the CLI and the evaluation report renderer talk
 to stdout/stderr directly.  The algorithm, discovery, robustness and
 pipeline layers sit below :mod:`repro.service`, so none of them may
 import it.  Only :mod:`repro.dataset.csv_io` builds CSV readers and
-writers, so every relation is parsed and rendered one way.  The checks
+writers, so every relation is parsed and rendered one way.  Only
+:mod:`repro.dataset` reads a relation's column lists, so every columnar
+reader goes through the one encoding per column.  The checks
 walk the AST (not grep) so names appearing in docstrings or comments do
 not trip them.
 """
@@ -124,3 +126,38 @@ def test_csv_is_read_and_written_only_by_the_codec():
     assert not offenders, (
         f"csv readers/writers outside repro.dataset.csv_io: {offenders}"
     )
+
+
+#: The dataset package owns the column lists; the scalar reference
+#: reads the raw values on purpose (it is the oracle of the encoding's
+#: readers).
+DATASET = SRC / "dataset"
+COLUMN_READERS = {SRC / "distance" / "pattern.py"}
+
+
+def column_list_reads(path):
+    """Lines reading ``<something>._columns`` other than ``self``'s."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "_columns"
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    ]
+
+
+def test_only_the_dataset_package_reads_column_lists():
+    # A module reading the lists directly would encode the column its
+    # own way again, beside ``Relation.encoding``.
+    offenders = {}
+    for path in sorted(SRC.rglob("*.py")):
+        if DATASET in path.parents or path in COLUMN_READERS:
+            continue
+        lines = column_list_reads(path)
+        if lines:
+            offenders[str(path.relative_to(SRC))] = lines
+    assert not offenders, (
+        f"relation column lists read outside repro.dataset: {offenders}"
+    )
+    assert all(path.exists() for path in COLUMN_READERS)
