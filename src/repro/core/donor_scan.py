@@ -10,12 +10,13 @@ code path:
 * :class:`VectorizedEngine` is the engine of every imputation run.  It
   evaluates both algorithms, and the Definition 3.4 keyness test, over
   the columnar distances of
-  :class:`~repro.distance.kernels.DonorScanKernels`.  Every LHS check
-  goes through one helper, ``_lhs_rows``, which returns the rows whose
-  pair with the target satisfies the RFD's LHS: the rows of the
-  engine's :class:`~repro.index.plan.IndexPlan`, with only the
-  constraints the plan could not serve confirmed on them.  Keyness
-  settles most rows per distinct LHS value before asking it.
+  :class:`~repro.distance.kernels.DonorScanKernels`, which read the
+  relation's live encoding.  Every LHS check asks one method,
+  :meth:`~repro.index.plan.IndexPlan.lhs_rows` of the engine's plan,
+  for the rows whose pair with the target satisfies the RFD's LHS: the
+  plan's rows, with only the constraints it could not serve confirmed
+  on them.  Keyness settles most rows per distinct LHS value before
+  asking it.
   The Equation-2 score is the sum of the LHS distances of those rows
   over ``|X|``; each donor keeps its smallest score over the cluster's
   RFDs, merged from the per-RFD row sets without relation-sized
@@ -345,8 +346,9 @@ class VectorizedEngine(KernelCallSeam):
     Parameters
     ----------
     relation:
-        The instance the scans read; the kernels follow its writes
-        through the dirty-cell hook.
+        The instance the scans read; the kernels read its live
+        encoding, and the plan follows its writes through the
+        relation's mutation hook.
     rfds:
         The RFD set; its thresholds set the string kernels' clamps.
     overrides:
@@ -383,7 +385,6 @@ class VectorizedEngine(KernelCallSeam):
             overrides=overrides,
             memo_pool=memo_pool,
         )
-        self.kernels.attach()
         self._overrides = frozenset(overrides or ())
         self._closes_plan = plan is None
         if plan is None:
@@ -411,36 +412,6 @@ class VectorizedEngine(KernelCallSeam):
         """One scan context per missing cell."""
         self._fire("cell_scan", target_row, attribute)
         return _VectorizedCellScan(self, target_row, attribute)
-
-    def _lhs_rows(
-        self,
-        target_row: int,
-        rfd: RFD,
-        eligible: np.ndarray | None,
-    ) -> np.ndarray | None:
-        """Rows forming an LHS-satisfying pair with ``target_row``.
-
-        The one LHS check of Algorithms 3-4 and Definition 3.4: a sorted
-        ``int64`` array of the rows other than the target (and within
-        ``eligible``, when given) that satisfy every LHS constraint of
-        ``rfd``, or ``None`` when none do.  The plan answers; the
-        constraints it could not serve are confirmed on its rows.  A
-        MISSING cell on either side of an LHS attribute forms no pair.
-        """
-        kernels = self.kernels
-        rows, pending = self.plan.candidate_rows(
-            target_row, rfd.lhs, kernels.subset_vector
-        )
-        if eligible is not None:
-            rows = rows[eligible[rows]]
-        for constraint in pending:
-            if not rows.size:
-                return None
-            vector = kernels.subset_vector(
-                target_row, constraint.attribute, rows
-            )
-            rows = rows[vector <= constraint.threshold]  # NaN: no pair
-        return rows if rows.size else None
 
     # ------------------------------------------------------------------
     # Algorithm 4
@@ -473,12 +444,11 @@ class VectorizedEngine(KernelCallSeam):
     def _violating_rows(self, target_row: int, rfd: RFD) -> np.ndarray:
         """Sorted rows whose pair with the target violates ``rfd``: LHS
         satisfied, RHS present on both sides and beyond its threshold."""
-        rows = self._lhs_rows(target_row, rfd, None)
+        distances = self.kernels.subset_vector
+        rows = self.plan.lhs_rows(target_row, rfd.lhs, distances)
         if rows is None:
             return _NO_ROWS
-        rhs = self.kernels.subset_vector(
-            target_row, rfd.rhs_attribute, rows
-        )
+        rhs = distances(target_row, rfd.rhs_attribute, rows)
         return rows[rhs > rfd.rhs_threshold]  # NaN compares false
 
     # ------------------------------------------------------------------
@@ -557,7 +527,8 @@ class VectorizedEngine(KernelCallSeam):
         eligible[:] = False
         eligible[rows] = True
         return any(
-            self._lhs_rows(row, rfd, eligible) is not None
+            self.plan.lhs_rows(row, rfd.lhs, kernels.subset_vector, eligible)
+            is not None
             for row in rows.tolist()
         )
 
@@ -611,7 +582,9 @@ class VectorizedEngine(KernelCallSeam):
             if in_scope is not None and not in_scope[target_row]:
                 return False
             with np.errstate(invalid="ignore"):
-                return self._lhs_rows(target_row, rfd, in_scope) is not None
+                return self.plan.lhs_rows(
+                    target_row, rfd.lhs, self.kernels.subset_vector, in_scope
+                ) is not None
 
     def _scope_mask(self, scope: str) -> np.ndarray | None:
         """Rows eligible for keyness pairs: all of them, or (under
@@ -637,9 +610,7 @@ class VectorizedEngine(KernelCallSeam):
         return counters
 
     def close(self) -> None:
-        """Detach the dirty-cell hook (and a plan this engine built)
-        from the relation."""
-        self.kernels.close()
+        """Detach a plan this engine built from the relation."""
         if self._closes_plan:
             self.plan.close()
 
@@ -657,8 +628,8 @@ class _VectorizedCellScan:
     def candidates(
         self, cluster: Cluster, *, max_candidates: int | None = None
     ) -> Sequence[Candidate]:
-        """Algorithm 3 over the rows :meth:`VectorizedEngine._lhs_rows`
-        returns.
+        """Algorithm 3 over the rows the plan's
+        :meth:`~repro.index.plan.IndexPlan.lhs_rows` returns.
 
         Mirrors the scalar scan exactly: LHS satisfaction per RFD, mean
         LHS distance (summed in sorted-attribute order, the same float
@@ -689,7 +660,7 @@ class _VectorizedCellScan:
         target_row = self._target_row
         engine = self._engine
         kernels = engine.kernels
-        # Donors are the rows present on the attribute; ``_lhs_rows``
+        # Donors are the rows present on the attribute; ``lhs_rows``
         # drops the target itself.
         donors = kernels.present_mask(self._attribute)
         if np.count_nonzero(donors) <= donors[target_row]:
@@ -697,7 +668,9 @@ class _VectorizedCellScan:
         hits: list[tuple[np.ndarray, np.ndarray, int]] = []
         with np.errstate(invalid="ignore"):
             for index, rfd in enumerate(cluster.rfds):
-                rows = engine._lhs_rows(target_row, rfd, donors)
+                rows = engine.plan.lhs_rows(
+                    target_row, rfd.lhs, kernels.subset_vector, donors
+                )
                 if rows is None:
                     continue
                 total: np.ndarray | None = None

@@ -603,9 +603,9 @@ class Renuver:
         """One cell under the degradation ladder.
 
         Tier 0 is the run's engine; a fault rolls the cell back and
-        retries it once on the same engine (tier 1, ``retry``), whose
-        fresh cell scan drops the target vectors; whatever remains goes
-        to the last resort (``fallback``).  Per-cell deadline overruns
+        retries it once on the same engine (tier 1, ``retry``) with a
+        fresh cell scan; whatever remains goes to the last resort
+        (``fallback``).  Per-cell deadline overruns
         jump straight to the last resort — the retry would only overrun
         again.  Run-scope budget errors and ``BaseException`` (kill
         switch, Ctrl-C) propagate.
@@ -726,9 +726,10 @@ class Renuver:
         """Write the candidate value, verify, roll back on fault.
 
         Both the tentative write and the rollback go through
-        ``Relation.set_value``, whose dirty-cell hook invalidates the
-        engine's cached kernel vectors for ``attribute`` — verification
-        always sees the written value, never a stale vector.
+        ``Relation.set_value``, which patches the column's encoding
+        that the engine's kernels read live, and whose mutation hook
+        feeds the index plan — verification always sees the written
+        value.
         """
         relation = state.relation
         relation.set_value(row, attribute, candidate.value)
@@ -1035,8 +1036,9 @@ class Renuver:
         """Yield ``(cluster, candidates)`` through one engine cell scan.
 
         The single shared donor-scan path of the driver and ``explain``:
-        one scan context per missing cell, so per-donor work (distance
-        patterns or kernel vectors) is shared across the cell's clusters.
+        one scan context per missing cell, so per-donor work (the
+        scalar oracle's distance patterns) is shared across the cell's
+        clusters.
         """
         if not clusters:
             return

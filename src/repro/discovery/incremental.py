@@ -18,6 +18,11 @@ pairwise:
   if it stays within the configured limit, the dependency is re-emitted
   with the loosened bound (the natural incremental analogue of the
   batch algorithm's threshold inference).
+
+The pairs with a new tuple that satisfy an RFD's LHS come from the same
+place as the imputation engine's: :meth:`IndexPlan.lhs_rows
+<repro.index.plan.IndexPlan.lhs_rows>`, on a plan the maintainer keeps
+over its own copy of the relation for its whole life.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from repro.discovery.dime import DiscoveryResult, discover_rfds
 from repro.discovery.pruning import remove_dominated
 from repro.distance.kernels import DistanceMemoPool, DonorScanKernels
 from repro.exceptions import DiscoveryError
+from repro.index.plan import IndexPlan
 from repro.rfd.constraint import Constraint
 from repro.rfd.rfd import RFD
 
@@ -93,6 +99,10 @@ class IncrementalDiscovery:
             initial = discover_rfds(self._relation, self.config)
         self._rfds: list[RFD] = list(initial.rfds)
         self._keys: list[RFD] = list(initial.key_rfds)
+        # The plan lives as long as the relation copy it shadows, so
+        # nothing detaches it; each insert points it at the current set.
+        self._plan = IndexPlan(self._relation, self.all_rfds)
+        self._plan.attach()
 
     # ------------------------------------------------------------------
     @property
@@ -123,7 +133,7 @@ class IncrementalDiscovery:
 
         report = MaintenanceReport(inserted_tuples=len(rows))
         held = len(self._rfds)
-        matched, worsts = self._new_pairs(self._rfds + self._keys, new_rows)
+        matched, worsts = self._new_pairs(self.all_rfds, new_rows)
         self._maintain_non_keys(worsts[:held], report)
         self._maintain_keys(matched[held:], worsts[held:], report)
         self._rfds = remove_dominated(self._rfds)
@@ -208,44 +218,33 @@ class IncrementalDiscovery:
         and the largest comparable RHS distance over such pairs
         (``None`` when there is none).
 
-        Each new row is compared against the whole relation with
-        one-vs-all kernel vectors: the LHS mask is the AND of the
-        within-threshold masks (``NaN`` — a missing side — satisfies
-        nothing), and the RHS maximum runs over the non-``NaN`` entries
-        under it.  A pair of two new rows is seen from both ends; that
-        cannot change a maximum or an any.
+        The plan answers each (new row, RFD) LHS question, and the RHS
+        maximum runs over the non-``NaN`` distances of its rows (``NaN``
+        — a missing side — is no comparable pair).  A pair of two new
+        rows is seen from both ends; that cannot change a maximum or an
+        any.
         """
-        kernels = DonorScanKernels(
+        plan = self._plan
+        plan.update_rfds(rfds)
+        distances = DonorScanKernels(
             self._relation,
             string_limits=self._attribute_caps(),
             memo_pool=self._memo_pool,
-        )
+        ).subset_vector
         matched = [False] * len(rfds)
         worsts: list[float | None] = [None] * len(rfds)
         with np.errstate(invalid="ignore"):
             for new_row in new_rows:
                 for index, rfd in enumerate(rfds):
-                    mask: np.ndarray | None = None
-                    for constraint in rfd.lhs:
-                        satisfied = kernels.vector(
-                            new_row, constraint.attribute
-                        ) <= constraint.threshold
-                        mask = (
-                            satisfied if mask is None
-                            else mask & satisfied
-                        )
-                        mask[new_row] = False
-                        if not mask.any():
-                            break
-                    else:
-                        matched[index] = True
-                        rhs = kernels.vector(new_row, rfd.rhs_attribute)
-                        rhs = rhs[mask & ~np.isnan(rhs)]
-                        if rhs.size:
-                            top = float(rhs.max())
-                            worst = worsts[index]
-                            if worst is None or top > worst:
-                                worsts[index] = top
-                kernels.clear_target_vectors()
+                    rows = plan.lhs_rows(new_row, rfd.lhs, distances)
+                    if rows is None:
+                        continue
+                    matched[index] = True
+                    rhs = distances(new_row, rfd.rhs_attribute, rows)
+                    rhs = rhs[~np.isnan(rhs)]
+                    if rhs.size:
+                        top = float(rhs.max())
+                        worst = worsts[index]
+                        if worst is None or top > worst:
+                            worsts[index] = top
         return matched, worsts
-

@@ -3,10 +3,10 @@
 The scalar reference engine evaluates distances pair-by-pair, building one
 :class:`~repro.distance.pattern.DistancePattern` dict per tuple pair.
 :class:`DonorScanKernels` instead answers the question the hot loops
-actually ask — "how far is the target cell from *every* cell of this
-column?" — with one numpy vector per (target row, attribute), read
-through the relation's dictionary encoding of the column
-(:mod:`repro.dataset.encoding`), which the relation keeps current:
+actually ask — "how far is the target cell from these rows of this
+column?" — with one numpy vector per call, read through the relation's
+live dictionary encoding of the column (:mod:`repro.dataset.encoding`),
+which the relation keeps current:
 
 * numeric and boolean attributes: one vectorized ``|x - target|`` over
   the floats of the column's codes,
@@ -21,11 +21,10 @@ through the relation's dictionary encoding of the column
   donors.
 
 Entries are ``NaN`` wherever either side of the pair is missing — the
-vector analogue of the ``_`` entries of a distance pattern.  Vectors
-are cached per (target row, attribute); :meth:`attach` registers a
-mutation listener that drops an attribute's cached vectors on every
-write of it, so the driver's tentative writes and rollbacks never read
-a stale one.
+vector analogue of the ``_`` entries of a distance pattern.  No vector
+is kept: every call reads the encoding as it stands, so an imputation's
+tentative writes and rollbacks are seen at once, and the kernels need
+no mutation listener.
 
 The memo — distinct values, their lengths, the per-target memo rows
 and the decode table — is keyed by value, so it survives writes and
@@ -435,8 +434,7 @@ def _override_distances(
 
 
 class DonorScanKernels:
-    """One-vs-all distance vectors over one relation, cached and
-    invalidated through the relation's dirty-cell hook.
+    """One-vs-all distance vectors over one relation's live encoding.
 
     Parameters
     ----------
@@ -484,33 +482,7 @@ class DonorScanKernels:
             str, Callable[[int, np.ndarray | None], np.ndarray]
         ] = {}
         self._strings: dict[str, _StringCodec] = {}
-        self._vectors: dict[str, dict[int, np.ndarray]] = {}
-        self._attached = False
-        self.vector_builds = 0
-        self.vector_cache_hits = 0
-        self.invalidations = 0
         self.subset_builds = 0
-
-    # ------------------------------------------------------------------
-    # Dirty-cell hook
-    # ------------------------------------------------------------------
-    def attach(self) -> None:
-        """Register the dirty-cell hook on the relation."""
-        if not self._attached:
-            self._relation.add_mutation_listener(self._on_set_value)
-            self._attached = True
-
-    def close(self) -> None:
-        """Unregister the dirty-cell hook (idempotent)."""
-        if self._attached:
-            self._relation.remove_mutation_listener(self._on_set_value)
-            self._attached = False
-
-    def _on_set_value(self, row: int, name: str, value: Any) -> None:
-        vectors = self._vectors.get(name)
-        if vectors:
-            vectors.clear()
-            self.invalidations += 1
 
     # ------------------------------------------------------------------
     # Kernel evaluation
@@ -521,17 +493,9 @@ class DonorScanKernels:
         ``NaN`` marks pairs where either side is missing (including the
         whole vector when the target cell itself is missing).  The entry
         at ``target_row`` is the self-distance; callers mask it out.
-        Cached per (target row, attribute) until the column is written.
+        Not cached: each call gathers from the live encoding.
         """
-        cache = self._vectors.setdefault(name, {})
-        vector = cache.get(target_row)
-        if vector is not None:
-            self.vector_cache_hits += 1
-            return vector
-        vector = self._gather(name)(target_row, None)
-        self.vector_builds += 1
-        cache[target_row] = vector
-        return vector
+        return self._gather(name)(target_row, None)
 
     def subset_vector(
         self, target_row: int, name: str, rows: np.ndarray
@@ -543,9 +507,10 @@ class DonorScanKernels:
         same clamps, same memo, same float operations per element), but
         only the requested rows are ever touched.  The vectorized engine
         confirms LHS constraints on index-probed rows with it, and reads
-        every Equation-2 score and RHS check through it.  Results are
-        not cached: the row sets change per RFD, and the string memo
-        already absorbs the expensive part.
+        every Equation-2 score and RHS check through it, and incremental
+        maintenance reads its RHS distances through it.  Results are not
+        cached: the row sets change per RFD, and the string memo already
+        absorbs the expensive part.
         """
         self.subset_builds += 1
         return self._gather(name)(target_row, rows)
@@ -556,11 +521,6 @@ class DonorScanKernels:
         mutate it."""
         return self._relation.encoding(name).present
 
-    def clear_target_vectors(self) -> None:
-        """Drop every cached vector (cell-lifetime boundary)."""
-        for cache in self._vectors.values():
-            cache.clear()
-
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
@@ -569,9 +529,6 @@ class DonorScanKernels:
         """Kernel counters for the imputation report."""
         strings = self._strings
         return {
-            "vector_builds": self.vector_builds,
-            "vector_cache_hits": self.vector_cache_hits,
-            "invalidations": self.invalidations,
             "subset_builds": self.subset_builds,
             "levenshtein_dp_calls": sum(
                 codec.computed for codec in strings.values()

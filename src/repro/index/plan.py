@@ -2,27 +2,28 @@
 
 :class:`IndexPlan` owns one lazily-built
 :class:`~repro.index.base.ValueIndex` per LHS attribute of the RFD set
-and answers the engine's question — *which rows satisfy every LHS
-constraint of this RFD against this target row?* — by intersecting the
-per-attribute answers (smallest first).
+and answers the one LHS question of the engine and of incremental
+maintenance — *which rows satisfy every LHS constraint of this RFD
+against this target row?* — by intersecting the per-attribute answers
+(smallest first) in :meth:`IndexPlan.candidate_rows`, then confirming
+what they left pending in :meth:`IndexPlan.lhs_rows`.
 
 Every served constraint is answered **exactly**.  The distinct values
 within ``tau`` of the target value are matched once per (attribute,
 value code, ``tau``) while the column encoding's ``generation`` stands
-— the index filters candidate values and the engine's own distance
-kernel confirms each one — and each answer reads the live rows of those
-values.  Only the constraints the plan could not serve are left for the
-engine to confirm on the intersected rows: a constraint an index
-declines is left pending (counted in
-``renuver_index_fallbacks_total{reason}``), and when *no* constraint
-could be probed the answer is every row but the target, with every
-constraint pending.
+— the index filters candidate values and the caller's distance kernel
+confirms each one — and each answer reads the live rows of those
+values.  Only the constraints the plan could not serve are confirmed
+on the intersected rows: a constraint an index declines is left
+pending (counted in ``renuver_index_fallbacks_total{reason}``), and
+when *no* constraint could be probed the answer is every row but the
+target, with every constraint pending.
 
 Every index reads the relation's dictionary encoding of its column
 (:mod:`repro.dataset.encoding`), and the plan's mutation listener (the
-dirty-cell seam the distance kernels ride) feeds every write to the
-built indexes, so service sessions and pipeline INCR runs hand one plan
-to successive engine rounds instead of rebuilding per round.
+only one a normal run registers) feeds every write to the built
+indexes, so service sessions, pipeline INCR runs and an incremental
+maintainer keep one plan across rounds instead of rebuilding per round.
 """
 
 from __future__ import annotations
@@ -43,8 +44,11 @@ from repro.telemetry import NULL_TELEMETRY
 
 _UNINDEXED = "unindexed"
 
+#: Gram width of the string indexes.
+_GRAM_WIDTH = 2
+
 #: Distances from the target row's cell on an attribute to some rows:
-#: the engine kernels' ``subset_vector``.
+#: a :class:`~repro.distance.kernels.DonorScanKernels`' ``subset_vector``.
 Distances = Callable[[int, str, np.ndarray], np.ndarray]
 
 #: The plan's answer: candidate rows, and the constraints the caller
@@ -66,14 +70,12 @@ class IndexPlan:
         index, loose ones the q-gram index).
     max_group_size:
         Anchor cap: a constraint whose rows would exceed this is
-        declined and left for the engine to confirm — hot values never
-        cost more than the confirmation they replace, and never change
-        outcomes.
+        declined and left for :meth:`lhs_rows` to confirm — hot values
+        never cost more than the confirmation they replace, and never
+        change outcomes.
     override_names:
         Attributes with overridden distance functions; their semantics
         are opaque, so they are never indexed (always pending).
-    q:
-        Gram width of the string indexes.
     """
 
     def __init__(
@@ -83,13 +85,11 @@ class IndexPlan:
         *,
         max_group_size: int = 4096,
         override_names: Iterable[str] = (),
-        q: int = 2,
     ) -> None:
         if max_group_size < 1:
             raise ValueError("max_group_size must be >= 1")
         self.relation = relation
         self.max_group_size = max_group_size
-        self.q = q
         self._override_names = frozenset(override_names)
         self._kinds: dict[str, str | None] = {}
         self._indexes: dict[str, ValueIndex] = {}
@@ -228,6 +228,36 @@ class IndexPlan:
         self._count_pruned(pruned)
         return out, tuple(pending)
 
+    def lhs_rows(
+        self,
+        target_row: int,
+        constraints: Sequence[Constraint],
+        distances: Distances,
+        eligible: np.ndarray | None = None,
+    ) -> np.ndarray | None:
+        """Rows forming a pair with ``target_row`` that satisfies every
+        constraint.
+
+        The one LHS check of Algorithms 3-4, Definition 3.4 and
+        incremental maintenance: a sorted ``int64`` array of the rows
+        other than the target (and within the boolean mask ``eligible``,
+        when given) that satisfy ``constraints``, or ``None`` when none
+        do.  :meth:`candidate_rows` answers; the constraints it left
+        pending are confirmed on its rows through ``distances``.  A
+        MISSING cell on either side of a constraint forms no pair.
+        """
+        rows, pending = self.candidate_rows(
+            target_row, constraints, distances
+        )
+        if eligible is not None:
+            rows = rows[eligible[rows]]
+        for constraint in pending:
+            if not rows.size:
+                return None
+            vector = distances(target_row, constraint.attribute, rows)
+            rows = rows[vector <= constraint.threshold]  # NaN: no pair
+        return rows if rows.size else None
+
     def _matching_rows(
         self,
         index: ValueIndex,
@@ -296,7 +326,7 @@ class IndexPlan:
             return ExactMatchIndex(encoding, max_result=cap)
         return QGramIndex(
             encoding,
-            q=self.q,
+            q=_GRAM_WIDTH,
             max_result=cap,
             max_probe_cost=max(1024, 8 * cap),
         )

@@ -2,9 +2,9 @@
 
 Covers the vectorized engine's contract with the scalar reference on the
 paper's running example and on seed datasets, with the engine's own
-index plan and with capped plans whose probes are partly declined, the
-dirty-cell hook that keeps kernel vectors honest across tentative
-writes, and the length-blocking string kernels.
+index plan and with capped plans whose probes are partly declined,
+kernels that read the live encoding across tentative writes and
+rollbacks, and the length-blocking string kernels.
 """
 
 from __future__ import annotations
@@ -93,14 +93,6 @@ class TestKernels:
     def test_missing_target_gives_all_nan(self, restaurant_sample):
         kernels = DonorScanKernels(restaurant_sample)
         assert np.isnan(kernels.vector(3, "Phone")).all()
-
-    def test_vector_cache_hits(self, restaurant_sample):
-        kernels = DonorScanKernels(restaurant_sample)
-        first = kernels.vector(0, "Name")
-        again = kernels.vector(0, "Name")
-        assert again is first
-        assert kernels.counters["vector_cache_hits"] == 1
-        assert kernels.counters["vector_builds"] == 1
 
     def test_length_blocking_skips_dp_and_clamps(self, restaurant_sample):
         kernels = DonorScanKernels(
@@ -201,40 +193,36 @@ class TestKernelOracle:
             relation,
             string_limits=None if limit is None else {"S": limit},
         )
-        kernels.attach()
-        try:
-            for step in range(data.draw(st.integers(0, 8)) + 1):
-                if step:
-                    row, value = _draw_write(data, column, step)
-                    relation.set_value(row, "S", value)
-                    column[row] = value
-                n = len(column)
-                # Subsets first, so they fill the memo on their own.
-                subsets = [
-                    np.array(sorted(data.draw(
-                        st.sets(st.integers(0, n - 1), max_size=n)
-                    )), dtype=np.int64)
-                    for _ in range(n)
-                ]
-                subset_vectors = [
-                    kernels.subset_vector(target, "S", rows)
-                    for target, rows in enumerate(subsets)
-                ]
-                for target, rows in enumerate(subsets):
-                    full = kernels.vector(target, "S")
-                    np.testing.assert_array_equal(
-                        full, _oracle_vector(column, target, limit)
-                    )
-                    assert (
-                        subset_vectors[target].tobytes()
-                        == full[rows].tobytes()
-                    )
-                    empty = np.array([], dtype=np.int64)
-                    assert kernels.subset_vector(
-                        target, "S", empty
-                    ).shape == (0,)
-        finally:
-            kernels.close()
+        for step in range(data.draw(st.integers(0, 8)) + 1):
+            if step:
+                row, value = _draw_write(data, column, step)
+                relation.set_value(row, "S", value)
+                column[row] = value
+            n = len(column)
+            # Subsets first, so they fill the memo on their own.
+            subsets = [
+                np.array(sorted(data.draw(
+                    st.sets(st.integers(0, n - 1), max_size=n)
+                )), dtype=np.int64)
+                for _ in range(n)
+            ]
+            subset_vectors = [
+                kernels.subset_vector(target, "S", rows)
+                for target, rows in enumerate(subsets)
+            ]
+            for target, rows in enumerate(subsets):
+                full = kernels.vector(target, "S")
+                np.testing.assert_array_equal(
+                    full, _oracle_vector(column, target, limit)
+                )
+                assert (
+                    subset_vectors[target].tobytes()
+                    == full[rows].tobytes()
+                )
+                empty = np.array([], dtype=np.int64)
+                assert kernels.subset_vector(
+                    target, "S", empty
+                ).shape == (0,)
 
 
 class TestCacheReport:
@@ -288,40 +276,33 @@ def _shared_memo_sequence(data, pool):
 
     def run(index):
         limit = limits[index]
-        kernels = DonorScanKernels(
+        return DonorScanKernels(
             relations[index],
             string_limits=None if limit is None else {"S": limit},
             memo_pool=pool,
         )
-        kernels.attach()
-        return kernels
 
     runs = [run(index) for index in range(2)]
-    try:
-        for step in range(data.draw(st.integers(0, 6)) + 1):
-            written = data.draw(st.integers(0, 1))
-            if step:
-                row, value = _draw_write(data, columns[written], step)
-                relations[written].set_value(row, "S", value)
-                columns[written][row] = value
-            if data.draw(st.booleans()):
-                runs[written].close()
-                runs[written] = run(written)
-            for kernels, column, limit in zip(runs, columns, limits):
-                n = len(column)
-                for target in range(n):
-                    rows = np.array(sorted(data.draw(
-                        st.sets(st.integers(0, n - 1), max_size=n)
-                    )), dtype=np.int64)
-                    subset = kernels.subset_vector(target, "S", rows)
-                    full = kernels.vector(target, "S")
-                    np.testing.assert_array_equal(
-                        full, _oracle_vector(column, target, limit)
-                    )
-                    assert subset.tobytes() == full[rows].tobytes()
-    finally:
-        for kernels in runs:
-            kernels.close()
+    for step in range(data.draw(st.integers(0, 6)) + 1):
+        written = data.draw(st.integers(0, 1))
+        if step:
+            row, value = _draw_write(data, columns[written], step)
+            relations[written].set_value(row, "S", value)
+            columns[written][row] = value
+        if data.draw(st.booleans()):
+            runs[written] = run(written)
+        for kernels, column, limit in zip(runs, columns, limits):
+            n = len(column)
+            for target in range(n):
+                rows = np.array(sorted(data.draw(
+                    st.sets(st.integers(0, n - 1), max_size=n)
+                )), dtype=np.int64)
+                subset = kernels.subset_vector(target, "S", rows)
+                full = kernels.vector(target, "S")
+                np.testing.assert_array_equal(
+                    full, _oracle_vector(column, target, limit)
+                )
+                assert subset.tobytes() == full[rows].tobytes()
 
 
 class TestSharedMemoOracle:
@@ -372,7 +353,6 @@ class TestSharedMemoOracle:
             holder = DonorScanKernels(
                 relation, string_limits={"S": 1}, memo_pool=pool
             )
-            holder.attach()
             holder.vector(0, "S")
             evicted, _ = distances_computed(pool)
             assert evicted == first
@@ -380,7 +360,6 @@ class TestSharedMemoOracle:
             np.testing.assert_array_equal(
                 holder.vector(0, "S"), [0.0, 1.0]
             )
-            holder.close()
 
 
 class TestSharedMemoBounds:
@@ -458,7 +437,6 @@ class TestSharedMemoThreads:
                 kernels = DonorScanKernels(
                     relation, string_limits={"S": 2}, memo_pool=pool
                 )
-                kernels.attach()
                 for step in range(steps):
                     row = local.randrange(len(column))
                     value = f"{words[step % len(words)]}{step}"
@@ -472,7 +450,6 @@ class TestSharedMemoThreads:
                             equal_nan=True,
                         ):
                             errors.append((seed, step, target))
-                kernels.close()
             except BaseException as exc:  # surfaced below
                 errors.append(exc)
                 barrier.abort()
@@ -546,50 +523,35 @@ class TestPerRunCounters:
 
 
 class TestDirtyCellHook:
-    """The tentpole regression: remove the mutation listener and these
-    tests fail on stale vectors."""
+    """Writes reach the kernels without a hook: every gather reads the
+    relation's live encoding, so no vector goes stale."""
 
     def test_write_invalidates_and_rebuilds(self, restaurant_sample):
         kernels = DonorScanKernels(restaurant_sample)
-        kernels.attach()
         before = kernels.vector(4, "Phone")
         assert before[2] > 0.0  # t3's phone differs from t5's
         restaurant_sample.set_value(2, "Phone", "213/848-6677")
         after = kernels.vector(4, "Phone")
         assert after is not before
         assert after[2] == 0.0
-        assert kernels.counters["invalidations"] == 1
-        kernels.close()
+        assert kernels.subset_vector(
+            4, "Phone", np.array([2])
+        ).tolist() == [0.0]
 
     def test_rollback_to_missing_yields_nan(self, restaurant_sample):
         """The driver's tentative write / rollback cycle: after rolling
         the target cell back to MISSING, its vector must be all-NaN."""
         kernels = DonorScanKernels(restaurant_sample)
-        kernels.attach()
         restaurant_sample.set_value(3, "Phone", "213/857-0034")
         assert kernels.vector(3, "Phone")[2] == 0.0
+        assert kernels.subset_vector(
+            3, "Phone", np.array([2])
+        ).tolist() == [0.0]
         restaurant_sample.set_value(3, "Phone", MISSING)
         assert np.isnan(kernels.vector(3, "Phone")).all()
-        kernels.close()
-
-    def test_close_detaches_listener(self, restaurant_sample):
-        kernels = DonorScanKernels(restaurant_sample)
-        kernels.attach()
-        kernels.vector(0, "Phone")
-        kernels.close()
-        restaurant_sample.set_value(0, "Phone", "000")
-        # Detached: no invalidation was recorded for the write.
-        assert kernels.counters["invalidations"] == 0
-
-    def test_attach_and_close_are_idempotent(self, restaurant_sample):
-        kernels = DonorScanKernels(restaurant_sample)
-        kernels.attach()
-        kernels.attach()
-        kernels.vector(0, "Phone")
-        restaurant_sample.set_value(1, "Phone", "111")
-        assert kernels.counters["invalidations"] == 1
-        kernels.close()
-        kernels.close()
+        assert np.isnan(
+            kernels.subset_vector(3, "Phone", np.array([0, 2]))
+        ).all()
 
     def test_engine_verification_sees_tentative_write(
         self, restaurant_sample, paper_rfds

@@ -1,16 +1,23 @@
 """Tests for incremental RFD maintenance under insertions."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataset import MISSING, Attribute, AttributeType, Relation
+from repro.datasets import load_dataset
 from repro.discovery import DiscoveryConfig, discover_rfds
-from repro.discovery.incremental import IncrementalDiscovery
+from repro.discovery.incremental import (
+    IncrementalDiscovery,
+    MaintenanceReport,
+)
+from repro.distance import kernels
 from repro.distance.levenshtein import levenshtein_bounded
 from repro.distance.pattern import PatternCalculator
+from repro.evaluation.injection import inject_missing
 from repro.exceptions import DiscoveryError
 from repro.rfd import holds
 
@@ -249,3 +256,61 @@ class TestPerPairOracle:
             assert report == expected
             assert tracker.rfds == oracle.rfds
             assert tracker.key_rfds == oracle.key_rfds
+
+
+#: The maintained set of the seed-1 restaurant batch: every RFD holds.
+RESTAURANT_RFDS = [
+    "Phone(<=0) -> Address(<=0)",
+    "Name(<=3), Phone(<=2) -> Address(<=0)",
+    "Address(<=0), City(<=3) -> Phone(<=1)",
+    "Address(<=0), Name(<=3) -> Phone(<=1)",
+    "Address(<=0), Type(<=3) -> Phone(<=1)",
+    "Address(<=0) -> Class(<=0)",
+    "Phone(<=0) -> Class(<=0)",
+    "Phone(<=2) -> Class(<=1)",
+    "Type(<=0) -> Class(<=0)",
+    "Type(<=3) -> Class(<=2)",
+    "Address(<=3), Phone(<=2) -> Class(<=0)",
+    "Address(<=3), Phone(<=3) -> Class(<=2)",
+    "City(<=3), Phone(<=2) -> Class(<=0)",
+    "Name(<=3), Phone(<=2) -> Class(<=0)",
+    "Name(<=3), Phone(<=3) -> Class(<=2)",
+    "Phone(<=2), Type(<=3) -> Class(<=0)",
+]
+#: Edit distances the kernels compute for that batch.
+RESTAURANT_EDIT_DISTANCES = 1382
+
+
+class TestWorkCounts:
+    """The work one maintenance batch does, pinned: a change that keeps
+    the maintained set but compares more values fails here."""
+
+    def test_restaurant_batch_work_is_pinned(self, monkeypatch):
+        clean = load_dataset("restaurant", seed=0)
+        arriving = inject_missing(clean, rate=0.03, seed=1).relation
+        batch = sorted(random.Random(1).sample(range(clean.n_tuples), 16))
+        rest = sorted(set(range(clean.n_tuples)) - set(batch))
+        base = Relation.from_rows(
+            list(clean.attributes),
+            [clean.row_values(row) for row in rest],
+            name="restaurant",
+        )
+        tracker = IncrementalDiscovery(
+            base,
+            DiscoveryConfig(threshold_limit=3, max_lhs_size=2, grid_size=3),
+        )
+        pairs = []
+        bounded_many = kernels.levenshtein_bounded_many
+
+        def counted(sources, targets, limit):
+            pairs.append(len(sources))
+            return bounded_many(sources, targets, limit)
+
+        monkeypatch.setattr(kernels, "levenshtein_bounded_many", counted)
+        report = tracker.insert([arriving.row_values(row) for row in batch])
+        assert sum(pairs) == RESTAURANT_EDIT_DISTANCES
+        assert report == MaintenanceReport(
+            inserted_tuples=16, unchanged=len(RESTAURANT_RFDS)
+        )
+        assert [str(rfd) for rfd in tracker.rfds] == RESTAURANT_RFDS
+        assert tracker.key_rfds == []

@@ -5,7 +5,7 @@ from the values the plan matched once per (attribute, value,
 threshold), reading the live rows of those values.  Whatever writes
 reach the relation in between — Alg. 4's tentative writes and
 rollbacks, final writes, a value the column never held, appended rows
-— ``_lhs_rows`` over the plan must return exactly the rows a test-side
+— ``IndexPlan.lhs_rows`` must return exactly the rows a test-side
 AND of full-column masks selects (``subset_vector`` over every row,
 one mask per constraint), for every RFD and every eligibility mask.
 
@@ -97,7 +97,6 @@ def engines(relation, plan):
     full = DonorScanKernels(
         relation, string_limits=string_clamp_limits(RFDS)
     )
-    full.attach()
     return blocked, full
 
 
@@ -127,7 +126,9 @@ def assert_exact(relation, blocked, full, targets, seed):
         for mask in masks(relation, full, seed):
             for target in targets:
                 for rfd in RFDS:
-                    got = blocked._lhs_rows(target, rfd, mask)
+                    got = blocked.plan.lhs_rows(
+                        target, rfd.lhs, blocked.kernels.subset_vector, mask
+                    )
                     want = full_mask_rows(relation, full, target, rfd, mask)
                     assert (got is None) == (want is None), (target, rfd)
                     if got is not None:
@@ -172,7 +173,6 @@ def test_plan_answers_equal_full_mask_scan(script):
                 values[relation.index_of(name)] = MISSING
                 # Kernels are per run; the plan follows the append.
                 blocked.close()
-                full.close()
                 relation.append_rows([values])
                 blocked, full = engines(relation, plan)
                 targets = [relation.n_tuples - 1, row, other]
@@ -189,5 +189,4 @@ def test_plan_answers_equal_full_mask_scan(script):
         assert plan.served > 0  # the comparison is non-vacuous
     finally:
         blocked.close()
-        full.close()
         plan.close()

@@ -39,15 +39,11 @@ RFDS = [
 
 def answer(plan, target_row, lhs, rfds=RFDS):
     """``plan.candidate_rows`` with the engine's distance kernel over
-    the plan's relation, attached so it follows writes."""
+    the plan's relation."""
     kernels = DonorScanKernels(
         plan.relation, string_limits=string_clamp_limits(rfds)
     )
-    kernels.attach()
-    try:
-        return plan.candidate_rows(target_row, lhs, kernels.subset_vector)
-    finally:
-        kernels.close()
+    return plan.candidate_rows(target_row, lhs, kernels.subset_vector)
 
 
 def candidate_rows(plan, target_row, lhs, rfds=RFDS):

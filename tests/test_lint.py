@@ -8,7 +8,10 @@ pipeline layers sit below :mod:`repro.service`, so none of them may
 import it.  Only :mod:`repro.dataset.csv_io` builds CSV readers and
 writers, so every relation is parsed and rendered one way.  Only
 :mod:`repro.dataset` reads a relation's column lists, so every columnar
-reader goes through the one encoding per column.  The checks
+reader goes through the one encoding per column.  Only the index plan
+(and the chaos injector's hookup in :mod:`repro.core.renuver`) listens
+to a relation's writes, so no per-write cache grows beside the encoding
+and the indexes.  The checks
 walk the AST (not grep) so names appearing in docstrings or comments do
 not trip them.
 """
@@ -161,3 +164,39 @@ def test_only_the_dataset_package_reads_column_lists():
         f"relation column lists read outside repro.dataset: {offenders}"
     )
     assert all(path.exists() for path in COLUMN_READERS)
+
+
+#: The modules that may register a relation mutation listener: the
+#: index plan, which follows writes into its built indexes, and the
+#: imputation run (``Renuver``), which hooks a chaos injector's listener
+#: up for its duration.
+WRITE_LISTENERS = {SRC / "index" / "plan.py", SRC / "core" / "renuver.py"}
+
+
+def mutation_listener_registrations(path):
+    """Lines calling ``<something>.add_mutation_listener``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "add_mutation_listener"
+    ]
+
+
+def test_only_the_index_plan_listens_to_writes():
+    # Every other reader reads the relation's live encoding; a second
+    # listener would be a per-write cache beside it.
+    offenders = {}
+    for path in sorted(SRC.rglob("*.py")):
+        if path in WRITE_LISTENERS:
+            continue
+        lines = mutation_listener_registrations(path)
+        if lines:
+            offenders[str(path.relative_to(SRC))] = lines
+    assert not offenders, (
+        f"mutation listeners registered outside the index plan: "
+        f"{offenders}"
+    )
+    assert all(path.exists() for path in WRITE_LISTENERS)
